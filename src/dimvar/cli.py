@@ -9,7 +9,8 @@ blend     print the blended transient model
 simulate  run a steered transient scenario and export the trajectory
 
 Exit codes: 0 = success / condition holds, 1 = condition fails or the
-target was missed, 2 = usage or input error.
+target was missed, 2 = usage or input error, 3 = numerical failure
+(a float linear-algebra routine failed on a valid input).
 
 System files are JSON: matrices are grids of scalar strings ("3",
 "3/2", "0.75"), parsed exactly under the rational backend.
@@ -234,7 +235,8 @@ def cmd_reduce(args) -> int:
         raise InputError(f"cannot parse vector: {exc}")
     if not entries:
         raise InputError("empty vector")
-    mv = reduce_vector(vec(entries))
+    mv = reduce_vector(vec(entries, exact=args.backend == "rational"),
+                       args.tolerance)
     if args.json:
         print(json.dumps({"irreducible": _json_vector(mv.irreducible),
                           "multiplicity": mv.multiplicity}))
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
                       if getattr(args, "tol", None) else DEFAULT_TOL)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:    # a ValueError, but not an input error
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -143,10 +143,11 @@ def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
                  quad_steps: int = 512) -> Gramian:
     """W = int_{t0}^{te} e^{A tau} B B^T e^{A^T tau} dtau.
 
-    Composite Simpson quadrature with ``quad_steps`` panels; the
-    integrand is sampled on the half-step grid with an incrementally
-    propagated matrix exponential, and panels accumulate in a fixed
-    order so results are reproducible bit for bit.
+    Van Loan's block exponential ("Computing integrals involving the
+    matrix exponential", 1978): the exponential of
+    [[-A, B B^T], [0, A^T]] (te - t0) is [[., E12], [0, E22]] and
+    W(0, te - t0) = E22^T E12; a nonzero t0 conjugates that by
+    e^{A t0}.  ``quad_steps`` is accepted and ignored.
     """
     if te <= t0:
         raise ValueError(f"empty horizon: te={te} <= t0={t0}")
@@ -156,17 +157,12 @@ def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
-    h = (te - t0) / quad_steps
-    E = scipy.linalg.expm(A * (h / 2.0))
-    F = scipy.linalg.expm(A * t0) @ B if t0 != 0.0 else B.copy()
-    W = np.zeros((A.shape[0], A.shape[0]))
-    G_prev = F @ F.T
-    for _ in range(quad_steps):
-        F = E @ F
-        G_mid = F @ F.T
-        F = E @ F
-        G_next = F @ F.T
-        W += (h / 6.0) * (G_prev + 4.0 * G_mid + G_next)
-        G_prev = G_next
+    n = A.shape[0]
+    E = scipy.linalg.expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]])
+                          * (te - t0))
+    W = E[n:, n:].T @ E[:n, n:]
+    if t0 != 0.0:
+        F = scipy.linalg.expm(A * t0)
+        W = F @ W @ F.T
     W = 0.5 * (W + W.T)  # kill asymmetric round-off
     return Gramian(W=W, t0=t0, te=te)

@@ -215,3 +215,32 @@ def test_usage_error_exit_code(capsys):
 
 def test_version_exit_code(capsys):
     assert main(["--version"]) == 0
+
+
+def test_reduce_float_backend_tolerance(capsys):
+    # a block off by 1e-7 reduces only under a tolerance looser than that
+    vector = "1,1.0000001,2,2"
+    code, out, _ = run(capsys, "reduce", "--vector", vector, "--backend",
+                       "float")
+    assert (code, out) == (0, "[1, 1.0000001, 2, 2] (×1)\n")
+    code, out, _ = run(capsys, "reduce", "--vector", vector, "--backend",
+                       "float", "--tol", "1e-6")
+    assert (code, out) == (0, "[1.00000005, 2] (×2)\n")
+    code, out, _ = run(capsys, "reduce", "--vector", vector, "--tol", "1e-6")
+    assert (code, out) == (0, "[1, 10000001/10000000, 2, 2] (×1)\n")
+
+
+def test_exit_code_numerical_failure(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    import dimvar.cli as cli
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_transient_scenario", fail)
+    code, out, err = run(capsys, "simulate", CASE, "--steer", "--out",
+                         str(tmp_path / "t.csv"))
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: Singular matrix\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import rand_rational_matrix, rand_system
 from dimvar import (LinSys, ctrb_gramian, ctrb_matrix, ctrb_subspace,
@@ -217,3 +218,28 @@ def test_gramian_properties_random():
         r_gram = np.linalg.matrix_rank(g.W, tol=1e-7 * max(np.trace(g.W), 1e-30))
         assert r_gram == rank(C)
         done += 1
+
+
+def _gramian_simpson(A, B, t0, te, panels):
+    """Composite Simpson quadrature of the Gramian integrand."""
+    h = (te - t0) / panels
+    taus = t0 + (h / 2) * np.arange(2 * panels + 1)
+    G = [F @ F.T for F in (scipy.linalg.expm(A * tau) @ B for tau in taus)]
+    weights = np.ones(2 * panels + 1)
+    weights[1::2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (h / 6) * sum(w * g for w, g in zip(weights, G))
+
+
+def test_gramian_shifted_horizon():
+    rng = np.random.default_rng(11)
+    for n, t0, te in ((2, 0.5, 1.5), (4, 1.0, 1.7), (5, -0.4, 0.6)):
+        A = rng.uniform(-1, 1, (n, n))
+        B = rng.uniform(-1, 1, (n, 2))
+        W = ctrb_gramian(A, B, t0, te).W
+        F = scipy.linalg.expm(A * t0)
+        shifted = F @ ctrb_gramian(A, B, 0.0, te - t0).W @ F.T
+        simpson = _gramian_simpson(A, B, t0, te, 4096)
+        scale = max(1.0, np.max(np.abs(W)))
+        assert np.max(np.abs(W - shifted)) <= 1e-10 * scale
+        assert np.max(np.abs(W - simpson)) <= 1e-10 * scale

@@ -219,3 +219,106 @@ def test_export_trajectory_empty(tmp_path):
     path = tmp_path / "empty.csv"
     export_trajectory(tr, path)
     assert path.read_text() == "t\n"
+
+
+def _rk4_reference(A, B, u, z, t0, te, step):
+    """The per-stage RK4 loop: u is called at every stage of every step."""
+    def f(t, z):
+        return A @ z + B @ np.asarray(u(t), dtype=float)
+
+    times, states = [t0], [z.copy()]
+    t = t0
+    while t < te - 1e-15 * max(1.0, abs(te)):
+        h = min(step, te - t)
+        k1 = f(t, z)
+        k2 = f(t + h / 2, z + (h / 2) * k1)
+        k3 = f(t + h / 2, z + (h / 2) * k2)
+        k4 = f(t + h, z + h * k3)
+        z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        times.append(t)
+        states.append(z.copy())
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (4, 6)])
+@pytest.mark.parametrize("window,te", [((0.0, 1.0), 1.0),
+                                       ((0.0, 0.9995), 0.9995),
+                                       ((0.25, 0.7), 1.0)])
+def test_rk4_matches_per_stage_reference(p, q, window, te):
+    # a sampled ControlSignal against u(t) (one expm per stage time)
+    from dimvar import build_transient_model
+    rng = random.Random(1000 * p + q)
+    model = build_transient_model(rand_system(rng, p), rand_system(rng, q),
+                                  masses=(1, 1))
+    A, B = to_float(model.base.A), to_float(model.base.B)
+    nrng = np.random.default_rng(p * q)
+    eta = nrng.uniform(-1, 1, model.dim)
+    z0 = nrng.uniform(-1, 1, model.dim)
+    tr = rk4_integrate(A, B, ControlSignal(A, B, eta, *window), z0, 0.0, te,
+                       1e-3)
+    times, states = _rk4_reference(A, B, ControlSignal(A, B, eta, *window),
+                                   z0, 0.0, te, 1e-3)
+    assert np.array_equal(tr.times, times)
+    scale = np.max(np.abs(states))
+    assert np.max(np.abs(tr.states - states)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("t0,te,step", [(0.0, 1.0, 1e-3),
+                                        (0.0, 0.9995, 1e-3),
+                                        (0.3, 2.7, 0.007),
+                                        (-1.0, 1.0, 1 / 3),
+                                        (0.0, 0.0105, 1e-3)])
+def test_rk4_times_and_stage_calls(t0, te, step):
+    # times are the accumulated t + min(step, te - t); a plain callable
+    # is called once at each distinct stage time
+    calls = []
+
+    def u(t):
+        calls.append(t)
+        return np.array([math.sin(t)])
+
+    A = np.array([[0.0, 1.0], [-1.0, -0.1]])
+    B = np.array([[0.0], [1.0]])
+    tr = rk4_integrate(A, B, u, np.array([1.0, 0.0]), t0, te, step)
+    times, states = _rk4_reference(A, B, lambda t: np.array([math.sin(t)]),
+                                   np.array([1.0, 0.0]), t0, te, step)
+    assert np.array_equal(tr.times, times)
+    assert np.max(np.abs(tr.states - states)) <= 1e-12
+    mids = [t + min(step, te - t) / 2 for t in times[:-1]]
+    assert calls == sorted(list(times) + mids)
+
+
+def test_control_signal_sample_matches_call():
+    A = np.array([[0.0, 1.0], [-2.0, -0.5]])
+    B = np.array([[0.0], [1.0]])
+    u = ControlSignal(A, B, np.array([1.0, -2.0]), 0.1, 0.9)
+    ts = np.arange(101) * 0.01
+    U = u.sample(ts, 0.01)
+    ref = np.array([u(t) for t in ts])
+    assert np.max(np.abs(U - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(U[ts < 0.1], np.zeros((10, 1)))
+    assert np.array_equal(U[ts > 0.9], np.zeros((10, 1)))
+    assert np.array_equal(ControlSignal.zero(A, B, 0.0, 1.0).sample(ts, 0.01),
+                          np.zeros((101, 1)))
+
+
+def _export_per_value(tr, path):
+    """The per-value CSV writer that export_trajectory must match."""
+    n = tr.states.shape[1] if tr.states.ndim == 2 and tr.states.size else 0
+    with open(path, "w") as fh:
+        header = "t" + "".join(f",z{i + 1}" for i in range(n))
+        fh.write(header + "\n")
+        for t, row in zip(tr.times, tr.states):
+            fh.write(f"{t:.17g}" + "".join(f",{x:.17g}" for x in row) + "\n")
+
+
+def test_export_trajectory_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    states = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+    states[0] = [0.0, -0.0, math.nan, math.inf]
+    states[1] = [-math.inf, 5e-324, -5e-324, 1 / 3]
+    tr = Trajectory(times=np.linspace(0.0, 0.049, 50), states=states)
+    export_trajectory(tr, tmp_path / "new.csv")
+    _export_per_value(tr, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
