@@ -8,16 +8,15 @@ horizon Gramians for minimum-energy steering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .mixdim import MixVector, reduce_vector, vec_equivalent
+from .mixdim import MixVector, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       column_space_basis, eye, inverse, is_exact, rank,
-                       zeros)
+                       column_space_basis, eye, inverse, is_exact,
+                       pivot_columns, zeros)
 from .systems import LinSys
 
 
@@ -79,7 +78,7 @@ def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientC
     reps: list[MixVector] = []
     for j in range(res.basis.dim):
         mv = reduce_vector(res.basis.basis[:, j], tol)
-        if not any(vec_equivalent(mv.irreducible, r.irreducible, tol) for r in reps):
+        if not any(_reps_equal(mv.irreducible, r.irreducible, tol) for r in reps):
             reps.append(mv)
     return QuotientCtrb(reps=reps, ambient_class_dim=s.dim)
 
@@ -109,20 +108,20 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
     by lowest index; T is the inverse of that column assembly, so the
     result is deterministic and exact on the rational backend.
     """
-    n = A.shape[0]
-    exact = is_exact(A)
     res = ctrb_subspace(A, B, tol)
-    k = res.rank
-    cols = [res.basis.basis[:, j] for j in range(k)]
-    for i in range(n):
-        if len(cols) == n:
-            break
-        e = zeros(n, exact)
-        e[i] = Fraction(1) if exact else 1.0
-        cand = np.column_stack(cols + [e]) if cols else e.reshape(-1, 1)
-        if rank(cand, tol) == len(cols) + 1:
-            cols.append(e)
-    P = np.column_stack(cols) if cols else eye(n, exact)
+    V = res.basis.basis
+    n, k = V.shape
+    I = eye(n, is_exact(A))
+    chosen = []
+    if k < n:
+        # one elimination of [V | I_n] makes the greedy choice; the
+        # relative tolerance is scaled so that every column meets the
+        # float threshold of an n x n candidate, as when testing one
+        # unit vector at a time
+        piv = pivot_columns(np.hstack([V, I]),
+                            replace(tol, rel=tol.rel * n / (n + k)))
+        chosen = [p - k for p in piv if p >= k]
+    P = np.hstack([V, I[:, chosen]])
     T = inverse(P)
     Ab = T @ A @ P
     Bb = T @ (B if B.ndim == 2 else B.reshape(-1, 1))

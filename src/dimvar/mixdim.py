@@ -36,19 +36,58 @@ def _common_backend(*arrays):
     return [to_float(np.asarray(a)) for a in arrays], False
 
 
-def _blocks_constant(x: np.ndarray, s: int, tol: Tolerance) -> bool:
-    """True when every consecutive length-s block of x is constant."""
-    blocks = x.reshape(-1, s)
-    if is_exact(x):
-        return all(all(b == row[0] for b in row) for row in blocks)
-    return all(tol.close(float(b), float(row[0])) for row in blocks for b in row)
+def _entries_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
+    """Entry by entry, Y broadcasting: exact equality when both arrays
+    are exact, otherwise ``tol.close`` on their float values."""
+    if is_exact(X) and is_exact(Y):
+        return bool((X == Y).all())
+    return bool(tol.close(np.asarray(X, dtype=float),
+                          np.asarray(Y, dtype=float)).all())
 
 
-def _block_representative(x: np.ndarray, s: int) -> np.ndarray:
-    blocks = x.reshape(-1, s)
-    if is_exact(x):
-        return blocks[:, 0].copy()
-    return blocks.mean(axis=1)  # averaging is robust for tolerant floats
+def _reps_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
+    """Class representatives are equal: same shape, equal entries."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    return X.shape == Y.shape and _entries_equal(X, Y, tol)
+
+
+def _strip_factors(parts, tol: Tolerance):
+    """Strip replication factors from several 2-D arrays jointly.
+
+    ``parts`` holds pairs (X, j).  With j true the part is tested as
+    X0 (x) J_s (rows and columns blocked, representative s * X0);
+    otherwise as X0 (x) 1_s (rows blocked).  Divisors of the gcd of the
+    blocked dimensions are tried largest first; a factor strips when
+    every entry of every part equals the first entry of its block.  The
+    representative is the first entry of each block (exact) or the
+    block mean (float).  The search repeats on the representatives
+    until nothing strips, so the result does not depend on the
+    factorization order.  Returns the representatives and the product
+    of the stripped factors.
+    """
+    reps = [X for X, _ in parts]
+    mult = 1
+    while True:
+        dims = [d for X, (_, j) in zip(reps, parts)
+                for d in (X.shape if j else X.shape[:1])]
+        for s in _divisors_desc(math.gcd(*dims))[:-1]:
+            views = [X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
+                     else X.reshape(X.shape[0] // s, s, X.shape[1], 1)
+                     for X, (_, j) in zip(reps, parts)]
+            # each entry against its block's first one; the first and
+            # last entries of the first block's first column, then that
+            # column, go first and reject most factors cheaply
+            if all(_entries_equal(w, w[:, :1, :, :1], tol)
+                   for w in [v[:1, ::s - 1, :1, :1] for v in views]
+                   + [v[:1, :, :1, :1] for v in views] + views):
+                break
+        else:
+            return reps, mult
+        reps = []
+        for v, (_, j) in zip(views, parts):
+            rep = v[:, 0, :, 0].copy() if is_exact(v) else v.mean(axis=(1, 3))
+            reps.append(rep * s if j else rep)
+        mult *= s
 
 
 @dataclass(frozen=True)
@@ -74,32 +113,16 @@ def reduce_vector(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MixVector:
         x = x[:, 0]
     if x.shape[0] < 1:
         raise ValueError("empty vector")
-    y = x
-    while True:
-        n = y.shape[0]
-        stripped = False
-        for s in _divisors_desc(n):
-            if s == 1:
-                break
-            if _blocks_constant(y, s, tol):
-                y = _block_representative(y, s)
-                stripped = True
-                break
-        if not stripped:
-            return MixVector(value=x, irreducible=y)
+    (y,), _ = _strip_factors([(x.reshape(-1, 1), False)], tol)
+    return MixVector(value=x, irreducible=y[:, 0])
 
 
 def vec_equivalent(x: np.ndarray, y: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Class equality: identical irreducible representatives."""
-    (x, y), exact = _common_backend(x, y)
-    rx = reduce_vector(x, tol).irreducible
-    ry = reduce_vector(y, tol).irreducible
-    if rx.shape != ry.shape:
-        return False
-    if exact:
-        return bool(all(a == b for a, b in zip(rx, ry)))
-    return all(tol.close(float(a), float(b)) for a, b in zip(rx, ry))
+    (x, y), _ = _common_backend(x, y)
+    return _reps_equal(reduce_vector(x, tol).irreducible,
+                       reduce_vector(y, tol).irreducible, tol)
 
 
 def vec_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,29 +137,6 @@ def vec_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def vec_sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vec_add(x, -np.asarray(y))
-
-
-def _j_blocks_constant(A: np.ndarray, s: int, tol: Tolerance) -> bool:
-    """Check A = A0 (x) J_s: every s x s block constant."""
-    m, n = A.shape
-    view = A.reshape(m // s, s, n // s, s)
-    if is_exact(A):
-        return all(
-            all(view[i, a, j, b] == view[i, 0, j, 0]
-                for a in range(s) for b in range(s))
-            for i in range(m // s) for j in range(n // s))
-    return all(
-        tol.close(float(view[i, a, j, b]), float(view[i, 0, j, 0]))
-        for i in range(m // s) for j in range(n // s)
-        for a in range(s) for b in range(s))
-
-
-def _j_block_representative(A: np.ndarray, s: int) -> np.ndarray:
-    m, n = A.shape
-    view = A.reshape(m // s, s, n // s, s)
-    if is_exact(A):
-        return view[:, 0, :, 0] * s
-    return view.mean(axis=(1, 3)) * s
 
 
 @dataclass(frozen=True)
@@ -154,47 +154,16 @@ class MatrixClassRep:
 def reduce_matrix(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MatrixClassRep:
     """Strip the largest factor s with A = A0 (x) J_s, recursively."""
     A = np.asarray(A)
-    B = A
-    mult = 1
-    while True:
-        m, n = B.shape
-        stripped = False
-        for s in _divisors_desc(math.gcd(m, n)):
-            if s == 1:
-                break
-            if _j_blocks_constant(B, s, tol):
-                B = _j_block_representative(B, s)
-                mult *= s
-                stripped = True
-                break
-        if not stripped:
-            return MatrixClassRep(value=A, irreducible=B, multiplier=mult)
+    (B,), mult = _strip_factors([(A, True)], tol)
+    return MatrixClassRep(value=A, irreducible=B, multiplier=mult)
 
 
 def mat_equivalent(A: np.ndarray, B: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Matrix class equality: A (x) J_a = B (x) J_b for some a, b."""
-    (A, B), exact = _common_backend(A, B)
-    ra = reduce_matrix(A, tol).irreducible
-    rb = reduce_matrix(B, tol).irreducible
-    if ra.shape != rb.shape:
-        return False
-    if exact:
-        return bool(all(a == b for a, b in zip(ra.flat, rb.flat)))
-    return all(tol.close(float(a), float(b)) for a, b in zip(ra.flat, rb.flat))
-
-
-def _row_blocks_constant(B: np.ndarray, s: int, tol: Tolerance) -> bool:
-    """Check B = B0 (x) 1_s: rows replicated in blocks of s."""
-    m, c = B.shape
-    view = B.reshape(m // s, s, c)
-    if is_exact(B):
-        return all(
-            all(view[i, a, j] == view[i, 0, j] for a in range(s) for j in range(c))
-            for i in range(m // s))
-    return all(
-        tol.close(float(view[i, a, j]), float(view[i, 0, j]))
-        for i in range(m // s) for a in range(s) for j in range(c))
+    (A, B), _ = _common_backend(A, B)
+    return _reps_equal(reduce_matrix(A, tol).irreducible,
+                       reduce_matrix(B, tol).irreducible, tol)
 
 
 def reduce_matrix_vec(B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -205,34 +174,15 @@ def reduce_matrix_vec(B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     B = np.asarray(B)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
-    out = B
-    while True:
-        m = out.shape[0]
-        stripped = False
-        for s in _divisors_desc(m):
-            if s == 1:
-                break
-            if _row_blocks_constant(out, s, tol):
-                view = out.reshape(m // s, s, out.shape[1])
-                out = (view[:, 0, :].copy() if is_exact(out)
-                       else view.mean(axis=1))
-                stripped = True
-                break
-        if not stripped:
-            return out
+    (out,), _ = _strip_factors([(B, False)], tol)
+    return out
 
 
 def mat_vec_equivalent(B: np.ndarray, D: np.ndarray,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
     """Vector equivalence of matrices: B (x) 1_a = D (x) 1_b."""
-    (B, D), exact = _common_backend(B, D)
-    rb = reduce_matrix_vec(B, tol)
-    rd = reduce_matrix_vec(D, tol)
-    if rb.shape != rd.shape:
-        return False
-    if exact:
-        return bool(all(a == b for a, b in zip(rb.flat, rd.flat)))
-    return all(tol.close(float(a), float(b)) for a, b in zip(rb.flat, rd.flat))
+    (B, D), _ = _common_backend(B, D)
+    return _reps_equal(reduce_matrix_vec(B, tol), reduce_matrix_vec(D, tol), tol)
 
 
 def second_stp(A: np.ndarray, B: np.ndarray) -> np.ndarray:

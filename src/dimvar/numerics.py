@@ -24,14 +24,16 @@ import scipy.linalg
 class Tolerance:
     """Comparison policy for the float64 backend.
 
-    Equality is |a - b| <= max(abs_tol, rel_tol * max(|a|, |b|)).
+    Equality is |a - b| <= max(abs_tol, rel_tol * max(|a|, |b|)),
+    elementwise when a and b are arrays.
     """
 
     rel: float = 1e-9
     abs: float = 1e-12
 
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= max(self.abs, self.rel * max(abs(a), abs(b)))
+    def close(self, a, b):
+        return np.abs(a - b) <= np.maximum(
+            self.abs, self.rel * np.maximum(np.abs(a), np.abs(b)))
 
     def rank_threshold(self, rows: int, cols: int, max_entry: float) -> float:
         # standard rank-revealing threshold for pivot acceptance

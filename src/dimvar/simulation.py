@@ -212,6 +212,10 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
 
     ``quad_steps`` is accepted and ignored (see ctrb_gramian).
 
+    The input u(t) = B^T e^{A^T (te - t)} eta over [t0, te] reaches
+    W(0, te - t0) eta, so eta solves with the Gramian of the shifted
+    horizon [0, te - t0], whatever t0 is.
+
     The Gramian solve happens in controllability-decomposed coordinates
     so uncontrollable (singular-Gramian) systems are handled: the
     displacement d = z_target - e^{A(te-t0)} z0 must have no component
@@ -237,7 +241,7 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
             residual=residual)
     if k == 0:
         return ControlSignal.zero(A, Bfull, t0, te)
-    W11 = ctrb_gramian(kd.A11, kd.B_top, t0, te, quad_steps).W
+    W11 = ctrb_gramian(kd.A11, kd.B_top, 0.0, te - t0, quad_steps).W
     eta1 = np.linalg.solve(W11, dprime[:k])
     eta_prime = np.concatenate([eta1, np.zeros(A.shape[0] - k)])
     eta = kd.T.T @ eta_prime

@@ -8,7 +8,6 @@ when they share the same irreducible representative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,25 +77,8 @@ def project_system(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientSysRep:
     A and B reduce jointly so the representative is a well-formed
     system (independent reduction could produce mismatched dimensions).
     """
-    A, B = s.A, s.B
-    mult = 1
-    while True:
-        n = A.shape[0]
-        stripped = False
-        for k in mixdim._divisors_desc(n):
-            if k == 1:
-                break
-            if (mixdim._j_blocks_constant(A, k, tol) and
-                    mixdim._row_blocks_constant(B, k, tol)):
-                A = mixdim._j_block_representative(A, k)
-                view = B.reshape(n // k, k, B.shape[1])
-                B = view[:, 0, :].copy() if is_exact(B) else view.mean(axis=1)
-                mult *= k
-                stripped = True
-                break
-        if not stripped:
-            return QuotientSysRep(sys=LinSys(s.name, A, B),
-                                  multiplier_stripped=mult)
+    (A, B), mult = mixdim._strip_factors([(s.A, True), (s.B, False)], tol)
+    return QuotientSysRep(sys=LinSys(s.name, A, B), multiplier_stripped=mult)
 
 
 def systems_equivalent(s1: LinSys, s2: LinSys,
@@ -106,13 +88,8 @@ def systems_equivalent(s1: LinSys, s2: LinSys,
         raise ValueError("input counts differ")
     r1 = project_system(s1, tol).sys
     r2 = project_system(s2, tol).sys
-    if r1.dim != r2.dim:
-        return False
-    if is_exact(r1.A) and is_exact(r2.A):
-        return (bool(all(a == b for a, b in zip(r1.A.flat, r2.A.flat))) and
-                bool(all(a == b for a, b in zip(r1.B.flat, r2.B.flat))))
-    return (all(tol.close(float(a), float(b)) for a, b in zip(r1.A.flat, r2.A.flat)) and
-            all(tol.close(float(a), float(b)) for a, b in zip(r1.B.flat, r2.B.flat)))
+    return (mixdim._reps_equal(r1.A, r2.A, tol) and
+            mixdim._reps_equal(r1.B, r2.B, tol))
 
 
 def apply_pseudo_transform(s: LinSys, T: np.ndarray) -> LinSys:

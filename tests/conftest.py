@@ -1,10 +1,18 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dimvar import LinSys, build_transient_model, mat
+
+# pyproject.toml puts src/ on pytest's own path; the CLI tests start
+# `python -m dimvar.cli` subprocesses, which need it too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -183,6 +183,18 @@ def test_kalman_zero_blocks_float():
             assert np.max(np.abs(Abar[k:, :k])) <= 1e-9
 
 
+def test_kalman_completion_float_threshold():
+    # pivots of 4e-9 clear the float threshold of a 3 x 3 candidate
+    # (3e-9) but not that of the whole 3 x 5 matrix [basis | I_3]
+    # (5e-9): the one-pass completion must keep the first one
+    A = np.diag([1.0, 2.0, 3.0])
+    B = 4e-9 * np.array([[1.0], [1.0], [0.0]])
+    kd = kalman_decomposition(A, B)
+    assert kd.ctrb_dim == 2 and kd.T.shape == (3, 3)
+    assert np.max(np.abs((kd.T @ A @ np.linalg.inv(kd.T))[2:, :2])) <= 1e-12
+    assert np.max(np.abs((kd.T @ B)[2:])) <= 1e-20
+
+
 def test_gramian_constants():
     W = ctrb_gramian(np.zeros((1, 1)), np.ones((1, 1)), 0.0, 2.5).W
     assert abs(W[0, 0] - 2.5) < 1e-12

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_rational_matrix, rand_rational_vector
-from dimvar import (j_matrix, kron, mat, mat_equivalent, mat_vec_equivalent,
-                    ones_vector, reduce_matrix, reduce_matrix_vec,
+from dimvar import (DEFAULT_TOL, LinSys, j_matrix, kron, lift_system, mat,
+                    mat_equivalent, mat_vec_equivalent, ones_vector,
+                    project_system, reduce_matrix, reduce_matrix_vec,
                     reduce_vector, second_stp, stp_action, stp_action_matrix,
                     stp_identity_action, vec, vec_add, vec_equivalent,
                     vec_sub)
-from dimvar.numerics import eye, inverse
+from dimvar.numerics import Tolerance, eye, inverse
 
 
 def test_reduce_vector_basic():
@@ -185,3 +186,139 @@ def test_identity_action_invertible_on_classes():
         y = stp_identity_action(inverse(T), stp_identity_action(T, x))
         assert vec_equivalent(y, x)
         done += 1
+
+
+# -- factor stripping against a scalar reference ----------------------------
+
+def _ref_block_constant(X, s, j, tol):
+    """Every entry equals the first entry of its s x s (j) or s x 1 block."""
+    t = s if j else 1
+    m, n = X.shape
+    for i in range(m):
+        for c in range(n):
+            a, first = X[i, c], X[i - i % s, c - c % t]
+            if X.dtype == object:
+                ok = a == first
+            else:
+                a, first = float(a), float(first)
+                ok = abs(a - first) <= max(tol.abs,
+                                           tol.rel * max(abs(a), abs(first)))
+            if not ok:
+                return False
+    return True
+
+
+def _ref_block_rep(X, s, j):
+    """First entry (exact) or mean (float) of each block, times s for J."""
+    t = s if j else 1
+    m, n = X.shape
+    rows = []
+    for i in range(0, m, s):
+        row = []
+        for c in range(0, n, t):
+            block = [X[i + a, c + b] for a in range(s) for b in range(t)]
+            v = block[0] if X.dtype == object else sum(block) / len(block)
+            row.append(v * t)
+        rows.append(row)
+    return np.array(rows, dtype=X.dtype).reshape(m // s, n // t)
+
+
+def _ref_strip(parts, tol=DEFAULT_TOL):
+    """Largest divisor first, entry by entry, repeated until none strips."""
+    reps = [X for X, _ in parts]
+    mult = 1
+    while True:
+        g = 0
+        for X, (_, j) in zip(reps, parts):
+            g = math.gcd(g, X.shape[0], X.shape[1] if j else 0)
+        for s in range(g, 1, -1):
+            if g % s == 0 and all(_ref_block_constant(X, s, j, tol)
+                                  for X, (_, j) in zip(reps, parts)):
+                reps = [_ref_block_rep(X, s, j) for X, (_, j) in zip(reps, parts)]
+                mult *= s
+                break
+        else:
+            return reps, mult
+
+
+def _assert_same(got, want):
+    assert got.shape == want.shape
+    if want.dtype == object:
+        assert got.dtype == object and got.tolist() == want.tolist()
+    else:
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def _check_strip_matches_reference(A, B, x, tol=DEFAULT_TOL):
+    (rx,), _ = _ref_strip([(x.reshape(-1, 1), False)], tol)
+    _assert_same(reduce_vector(x, tol).irreducible, rx[:, 0])
+    (ra,), ka = _ref_strip([(A, True)], tol)
+    rep = reduce_matrix(A, tol)
+    _assert_same(rep.irreducible, ra)
+    assert rep.multiplier == ka
+    (rb,), _ = _ref_strip([(B, False)], tol)
+    _assert_same(reduce_matrix_vec(B, tol), rb)
+    (rsa, rsb), ks = _ref_strip([(A, True), (B, False)], tol)
+    if A.shape[0] == A.shape[1]:
+        prj = project_system(LinSys("s", A, B), tol)
+        _assert_same(prj.sys.A, rsa)
+        _assert_same(prj.sys.B, rsb)
+        assert prj.multiplier_stripped == ks
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_strip_matches_reference_on_lifts(exact):
+    rng = random.Random(31 if exact else 37)
+    for trial in range(60):
+        p, k = rng.randint(1, 3), rng.choice([1, 2, 3, 4, 6, 12])
+        inputs = rng.randint(0, 2)
+        s = LinSys("s", rand_rational_matrix(rng, p, p),
+                   rand_rational_matrix(rng, p, inputs))
+        big = lift_system(s, p * k)
+        A, B = big.A.copy(), big.B
+        x = kron(rand_rational_vector(rng, p), ones_vector(k))
+        if trial % 4 == 0:                 # break one block
+            A[-1, 0] += 1
+            x[-1] += 1
+        if not exact:
+            A, B, x = (M.astype(float) for M in (A, B, x))
+        _check_strip_matches_reference(A, B, x)
+
+
+def test_strip_matches_reference_near_tolerance():
+    # strips 2, then 2 again: the block means fall within the tolerance
+    x = np.array([0, 8e-13, 8e-13, 1.6e-12])
+    assert reduce_vector(x).irreducible.tolist() == [8e-13]
+    assert reduce_vector(x).multiplicity == 4
+    eps = DEFAULT_TOL.rel
+    for x in (x,
+              np.array([1.0, 1.0 + 0.9 * eps, 1.0, 1.0 + 0.9 * eps]),
+              np.array([1.0, 1.0 + 1.1 * eps, 1.0, 1.0 + 1.1 * eps]),
+              np.array([0.0, 0.9e-12, 2.0, 2.0 + 1.9 * eps]),
+              np.arange(8) * 1e-12 / 7,
+              np.arange(12) * 3e-13):
+        A = np.outer(x, x[::-1])
+        _check_strip_matches_reference(A, np.column_stack([x, 2 * x]), x)
+    loose = Tolerance(rel=1e-6, abs=1e-8)
+    x = np.kron([1.0, -2.0, 3.0], np.ones(6)) * (1 + 1e-7 * np.arange(18))
+    _check_strip_matches_reference(np.outer(x, x), x.reshape(-1, 1), x, loose)
+
+
+def test_strip_matches_reference_zero_input_columns():
+    A = kron(mat([[1, 2], [3, 4]]), j_matrix(3))
+    for B in (np.zeros((6, 0), dtype=object), np.zeros((6, 0))):
+        A_ = A if B.dtype == object else A.astype(float)
+        _check_strip_matches_reference(A_, B, A_[:, 0])
+        assert project_system(LinSys("s", A_, B)).sys.B.shape == (2, 0)
+
+
+def test_strip_matches_reference_non_square():
+    rng = random.Random(41)
+    for _ in range(20):
+        A0 = rand_rational_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        A = kron(A0, j_matrix(rng.choice([1, 2, 3, 4])))
+        for M in (A, A.astype(float), np.hstack([A, A]), A[:, :1]):
+            (ra,), ka = _ref_strip([(M, True)])
+            rep = reduce_matrix(M)
+            _assert_same(rep.irreducible, ra)
+            assert rep.multiplier == ka

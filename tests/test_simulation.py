@@ -322,3 +322,17 @@ def test_export_trajectory_matches_per_value_writer(tmp_path):
     export_trajectory(tr, tmp_path / "new.csv")
     _export_per_value(tr, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("t0,te", [(0.5, 1.5), (-1.0, 0.0), (2.0, 2.7)])
+def test_min_energy_shifted_horizon(t0, te):
+    # u(t) = B^T e^{A^T (te - t)} eta over [t0, te] reaches W(0, te - t0) eta,
+    # so a horizon that does not start at 0 must still hit the target
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((4, 4))
+    B = rng.standard_normal((4, 2))
+    z0 = rng.standard_normal(4)
+    zt = rng.standard_normal(4)
+    u = min_energy_control(A, B, z0, zt, t0, te)
+    tr = rk4_integrate(A, B, u, z0, t0, te, 1e-3)
+    assert np.max(np.abs(tr.states[-1] - zt)) <= 1e-8
