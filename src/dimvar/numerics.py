@@ -115,21 +115,24 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
-def _echelon(M: np.ndarray, tol: Tolerance):
-    """Row-reduce a copy of M; return (rank, pivot column indices).
+def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,
+             thresh: float | None = None):
+    """Row-reduce a copy of M; return (rank, pivot column indices, copy).
 
     Exact arrays eliminate with exact zero tests; float arrays use the
-    rank threshold of `tol` with partial (max-abs) row pivoting.
+    rank threshold of `tol` (or `thresh`) with partial (max-abs) row
+    pivoting.  Only the first `ncols` columns (default all) may pivot;
+    the row operations still reach every column.
     """
     A = M.copy()
     m, n = A.shape
     exact = is_exact(A)
-    if not exact:
+    if not exact and thresh is None:
         max_entry = float(np.max(np.abs(A))) if A.size else 0.0
         thresh = tol.rank_threshold(m, n, max_entry)
     piv_row = 0
     pivots = []
-    for c in range(n):
+    for c in range(n if ncols is None else ncols):
         if piv_row >= m:
             break
         col = A[piv_row:, c]
@@ -153,21 +156,21 @@ def _echelon(M: np.ndarray, tol: Tolerance):
                 A[r, c:] = A[r, c:] - (A[r, c] / p) * A[piv_row, c:]
         pivots.append(c)
         piv_row += 1
-    return piv_row, pivots
+    return piv_row, pivots, A
 
 
 def rank(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank by Gaussian elimination; exact under the rational backend."""
     if M.size == 0:
         return 0
-    r, _ = _echelon(M, tol)
+    r, _, _ = _echelon(M, tol)
     return r
 
 
 def pivot_columns(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     if M.size == 0:
         return []
-    _, piv = _echelon(M, tol)
+    _, piv, _ = _echelon(M, tol)
     return piv
 
 
@@ -206,17 +209,54 @@ def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bo
     v = np.asarray(v)
     if v.ndim == 2:
         v = v[:, 0]
-    if v.shape[0] != S.ambient_dim:
+    return in_span_columns(S, v.reshape(-1, 1), tol)[0]
+
+
+def in_span_columns(S: SubspaceBasis, W: np.ndarray,
+                    tol: Tolerance = DEFAULT_TOL) -> list[bool]:
+    """Membership of every column of W in span(S), from one elimination.
+
+    [S | W] is eliminated with pivots taken only in S's columns; column
+    w_j lies in the span iff its residual below S's pivots is zero
+    (exact) or at most the rank threshold of [S | w_j] (float).  That is
+    the decision of rank([S | w_j]) == dim S, which is recomputed for a
+    column only where S itself would lose a pivot under w_j's threshold.
+    """
+    W = np.asarray(W)
+    if W.ndim != 2 or W.shape[0] != S.ambient_dim:
         raise ValueError(
-            f"vector of dim {v.shape[0]} against ambient dim {S.ambient_dim}")
-    if S.dim == 0:
-        if is_exact(v):
-            return bool(all(x == 0 for x in v))
-        m = float(np.max(np.abs(v))) if v.size else 0.0
-        return m <= tol.rank_threshold(v.shape[0], 1, max(m, 1.0)) or \
-            all(tol.close(float(x), 0.0) for x in v)
-    aug = np.hstack([S.basis, v.reshape(-1, 1)])
-    return rank(aug, tol) == S.dim
+            f"vector of dim {W.shape[0]} against ambient dim {S.ambient_dim}")
+    m, d = S.basis.shape
+    if d == 0:
+        return [_in_zero_span(W[:, j], tol) for j in range(W.shape[1])]
+    aug = np.hstack([S.basis, W])
+    exact = is_exact(aug)
+    r, piv, R = _echelon(aug, tol, ncols=d, thresh=0.0)
+    res = R[r:, d:]
+    if not exact:
+        s_max = float(np.max(np.abs(S.basis)))
+        smallest = min((abs(float(R[i, c])) for i, c in enumerate(piv)),
+                       default=0.0)
+    out = []
+    for j in range(W.shape[1]):
+        if exact:
+            keeps, ok = r == d, all(x == 0 for x in res[:, j])
+        else:
+            t = tol.rank_threshold(
+                m, d + 1, max(s_max, float(np.max(np.abs(W[:, j])))))
+            keeps = r == d and t < smallest
+            ok = not res.size or float(np.max(np.abs(res[:, j]))) <= t
+        out.append(ok if keeps else
+                   rank(np.hstack([S.basis, W[:, j:j + 1]]), tol) == d)
+    return out
+
+
+def _in_zero_span(v: np.ndarray, tol: Tolerance) -> bool:
+    if is_exact(v):
+        return bool(all(x == 0 for x in v))
+    m = float(np.max(np.abs(v))) if v.size else 0.0
+    return m <= tol.rank_threshold(v.shape[0], 1, max(m, 1.0)) or \
+        all(tol.close(float(x), 0.0) for x in v)
 
 
 def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
@@ -224,8 +264,8 @@ def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
     """Mutual inclusion of two subspaces of the same ambient space."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return (all(in_span(S, T.basis[:, j], tol) for j in range(T.dim)) and
-            all(in_span(T, S.basis[:, j], tol) for j in range(S.dim)))
+    return (all(in_span_columns(S, T.basis, tol)) and
+            all(in_span_columns(T, S.basis, tol)))
 
 
 def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

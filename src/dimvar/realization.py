@@ -17,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .controllability import ctrb_subspace
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, in_span,
-                       is_exact, kron, ones_vector, rank, zeros)
-from .systems import LinSys, lift_system
+from .controllability import ctrb_matrix, ctrb_subspace
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
+                       column_space_basis, eye, in_span_columns, is_exact,
+                       kron, ones_vector, rank, zeros)
+from .systems import LinSys, _lift_parts
 
 
 def augment_with_zero_dynamics(s: LinSys, q: int) -> LinSys:
@@ -183,10 +184,10 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     exact = is_exact(s1.A) and is_exact(s2.A)
     if not exact:
         alpha, beta = float(alpha), float(beta)
-    l1 = lift_system(s1, n)
-    l2 = lift_system(s2, n)
-    A = alpha * l1.A + beta * l2.A
-    B = np.hstack([alpha * l1.B, beta * l2.B])
+    A1, B1 = _lift_parts(s1, n, alpha)
+    A2, B2 = _lift_parts(s2, n, beta)
+    A = A1 + A2
+    B = np.hstack([B1, B2])
     base = LinSys(name=f"blend({s1.name},{s2.name})", A=A, B=B)
     return TransientModel(base=base, weights=(alpha, beta),
                           source_dims=(p, q),
@@ -207,24 +208,67 @@ class ModelingReport:
     dim_Cz: int
 
 
+def _block_average(p: int, q: int, n: int, exact: bool) -> np.ndarray:
+    """The p x q map sending w to the means of w (x) 1_{n/q} over its p
+    blocks of length n/p: entry (r // (n/p), r // (n/q)) gains p/n for
+    every r < n."""
+    k, m = n // p, n // q
+    counts = np.zeros((p, q), dtype=int)
+    r = np.arange(n)
+    np.add.at(counts, (r // k, r // m), 1)
+    if exact:
+        return np.array([[Fraction(int(c), k) for c in row] for row in counts],
+                        dtype=object)
+    return counts / k
+
+
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
                              tol: Tolerance = DEFAULT_TOL) -> ModelingReport:
     """Check that the blend's controllable subspace contains both
-    subsystems' controllable subspaces after lifting to dimension n."""
-    n = model.dim
-    if model.source_dims != (s1.dim, s2.dim):
+    subsystems' controllable subspaces after lifting to dimension n.
+
+    Every lifted part of the blend maps R^n into V = R^p (x) 1_k +
+    R^q (x) 1_m (k = n/p, m = n/q), which has dimension p + q - g with
+    g = gcd(p, q), so the check runs in the coordinates R^(p+q) of
+    M = [I_p (x) 1_k | I_q (x) 1_m].  With Pi the block-averaging maps,
+    the blend satisfies A M = M At and B = M Bt for
+
+        At = [[alpha A1, alpha A1 Pi_qp], [beta A2 Pi_pq, beta A2]],
+        Bt = diag(alpha B1, beta B2),
+
+    so C_z = M span(ctrb(At, Bt)).  N = [I_g (x) 1_(p/g); -I_g (x) 1_(q/g)]
+    spans ker M; with S = span[ctrb(At, Bt) | N], dim C_z = dim S - g,
+    and v (x) 1_k lies in C_z iff [v; 0] lies in S (w (x) 1_m: [0; w]).
+    All lifted vectors are tested in one elimination.  Only the two
+    systems and the model's weights are read; no n-dimensional matrix
+    is formed.
+    """
+    p, q = s1.dim, s2.dim
+    if model.source_dims != (p, q):
         raise ValueError("model was not built from these systems")
-    Cz = ctrb_subspace(model.base.A, model.base.B, tol)
-    tested = []
-    holds = True
-    exact = is_exact(s1.A)
-    for s in (s1, s2):
-        C = ctrb_subspace(s.A, s.B, tol)
-        k = n // s.dim
-        for j in range(C.basis.dim):
-            v = kron(C.basis.basis[:, j], ones_vector(k, exact))
-            ok = in_span(Cz.basis, v, tol)
-            tested.append((v, ok))
-            holds = holds and ok
-    return ModelingReport(holds=holds, n=n, tested_vectors=tested,
-                          dim_Cz=Cz.rank)
+    if model.input_split != (s1.n_inputs, s2.n_inputs):
+        raise ValueError("model was not built from these systems' inputs")
+    n, g = math.lcm(p, q), math.gcd(p, q)
+    exact = is_exact(s1.A) and is_exact(s2.A)
+    alpha, beta = model.weights
+    A1, B1, A2, B2 = s1.A, s1.B, s2.A, s2.B
+    At = np.block([[alpha * A1, alpha * (A1 @ _block_average(p, q, n, exact))],
+                   [beta * (A2 @ _block_average(q, p, n, exact)), beta * A2]])
+    Bt = np.block([[alpha * B1, zeros((p, B2.shape[1]), exact)],
+                   [zeros((q, B1.shape[1]), exact), beta * B2]])
+    I_g = eye(g, exact)
+    N = np.vstack([np.repeat(I_g, p // g, axis=0),
+                   -np.repeat(I_g, q // g, axis=0)])
+    S = column_space_basis(np.hstack([ctrb_matrix(At, Bt), N]), tol)
+    lifted, columns = [], []
+    for s, offset in ((s1, 0), (s2, p)):
+        C = ctrb_subspace(s.A, s.B, tol).basis.basis
+        W = zeros((p + q, C.shape[1]), exact)
+        W[offset:offset + s.dim] = C
+        columns.append(W)
+        lifted += [kron(C[:, j], ones_vector(n // s.dim, exact))
+                   for j in range(C.shape[1])]
+    inside = in_span_columns(S, np.hstack(columns), tol)
+    return ModelingReport(holds=all(inside), n=n,
+                          tested_vectors=list(zip(lifted, inside)),
+                          dim_Cz=S.dim - g)

@@ -9,12 +9,13 @@ when they share the same irreducible representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import mixdim
-from .numerics import (DEFAULT_TOL, Tolerance, eye, inverse, is_exact,
-                       j_matrix, kron, ones_vector, rank)
+from .numerics import (DEFAULT_TOL, Tolerance, eye, inverse, is_exact, kron,
+                       rank)
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,26 @@ def lift_system(s: LinSys, n: int) -> LinSys:
     p = s.dim
     if n % p != 0:
         raise ValueError(f"cannot lift dimension {p} to {n}: {p} does not divide {n}")
-    k = n // p
-    if k == 1:
+    if n == p:
         return s
-    exact = is_exact(s.A)
-    A = kron(s.A, j_matrix(k, exact))
-    B = kron(s.B, ones_vector(k, exact).reshape(-1, 1))
+    A, B = _lift_parts(s, n)
     return LinSys(name=s.name, A=A, B=B)
+
+
+def _lift_parts(s: LinSys, n: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
+    """(w A) (x) J_k and (w B) (x) 1_k for k = n / dim(s), by replication.
+
+    A (x) J_k repeats A * (1/k) k times along both axes and B (x) 1_k
+    repeats the rows of B, so each entry is computed once, in the same
+    operand order as the Kronecker product: w * (a * (1/k)).
+    """
+    k = n // s.dim
+    A = s.A * (Fraction(1, k) if is_exact(s.A) else 1.0 / k)
+    B = s.B
+    if weight is not None:
+        A, B = weight * A, weight * B
+    return (np.repeat(np.repeat(A, k, axis=0), k, axis=1),
+            np.repeat(B, k, axis=0))
 
 
 def project_system(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientSysRep:

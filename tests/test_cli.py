@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimvar.cli import main
@@ -244,3 +245,23 @@ def test_exit_code_numerical_failure(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "numerical failure: Singular matrix\n"
+
+
+def test_check_large_coprime_blend(capsys, tmp_path):
+    # (11, 13) blends on n = 143; the modeling check runs in the
+    # 24 coordinates of the blend's invariant subspace
+    rng = np.random.default_rng(143)
+
+    def system(dim):
+        return {"A": rng.integers(-3, 4, size=(dim, dim)).astype(str).tolist(),
+                "B": rng.integers(-3, 4, size=(dim, 1)).astype(str).tolist()}
+
+    doc = {"sigma1": system(11), "sigma2": system(13),
+           "transient": {"masses": ["1", "1"]}}
+    code, out, err = run(capsys, "check", write_case(tmp_path, doc), "--json")
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    modeling = json.loads(out)["modeling"]
+    assert modeling["n"] == 143
+    assert modeling["dim_Cz"] <= 11 + 13 - 1
+    assert all(len(t["vector"]) == 143 for t in modeling["tested"])

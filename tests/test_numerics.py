@@ -8,7 +8,7 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, matrix_exponential_apply, ones_vector,
                     parse_scalar, rank, vec)
-from dimvar.numerics import eye, inverse, solve, to_float, zeros
+from dimvar.numerics import eye, in_span_columns, inverse, solve, to_float, zeros
 
 
 def test_parse_scalar_grammar():
@@ -129,3 +129,76 @@ def test_matrix_exponential_apply():
     assert np.allclose(out, [1.0, 1.0], atol=1e-12)
     with pytest.raises(TypeError):
         matrix_exponential_apply(mat([[1]]), 1.0, vec([1]))
+
+
+def _rank_in_span(S, w):
+    """The membership rule in_span has always used: appending w keeps
+    the rank (a nonempty S)."""
+    return rank(np.hstack([S.basis, w.reshape(-1, 1)])) == S.dim
+
+
+def test_in_span_columns_exact_matches_one_column_tests():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        S = column_space_basis(rand_rational_matrix(rng, n, rng.randint(1, 4)))
+        if S.dim == 0:
+            continue
+        members = S.basis @ rand_rational_matrix(rng, S.dim, 2)
+        W = np.hstack([members, rand_rational_matrix(rng, n, 3),
+                       zeros((n, 1))])
+        got = in_span_columns(S, W)
+        assert got == [in_span(S, W[:, j]) for j in range(W.shape[1])]
+        assert got == [_rank_in_span(S, W[:, j]) for j in range(W.shape[1])]
+        assert all(got[:2]) and got[-1]
+
+
+def test_in_span_columns_float_near_threshold():
+    # members of span(S) pushed off it along a direction orthogonal to S,
+    # by amounts bisected onto the one-column test's threshold: the
+    # columns just inside and just outside must be decided as by their
+    # own rank tests
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        n = int(rng.integers(2, 8))
+        d = int(rng.integers(1, n))
+        S = column_space_basis(rng.normal(size=(n, d)) *
+                               10.0 ** rng.integers(-3, 4))
+        off = np.linalg.svd(S.basis)[0][:, -1]     # orthogonal to S
+        cols = []
+        for _ in range(3):
+            w = S.basis @ rng.normal(size=S.dim)
+            lo, hi = 0.0, float(np.max(np.abs(w))) * 1e-6
+            while _rank_in_span(S, w + hi * off):
+                hi *= 2
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _rank_in_span(S, w + mid * off) else (lo, mid)
+            cols += [w, w + lo * off, w + hi * off, w + 1e3 * hi * off]
+        W = np.column_stack(cols)
+        got = in_span_columns(S, W)
+        assert got == [_rank_in_span(S, W[:, j]) for j in range(W.shape[1])]
+        assert got == [in_span(S, W[:, j]) for j in range(W.shape[1])]
+        assert got == [True, True, False, False] * 3
+
+
+def test_in_span_columns_float_basis_below_column_threshold():
+    # S's second pivot (1e-9) falls under the rank threshold of every
+    # [S | w_j] (3e-9 and more), so the one-column rank test drops it:
+    # it then rejects the member e1 and accepts e3; the multi-column
+    # test must give every column that same answer
+    S = SubspaceBasis(3, np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]]))
+    W = np.array([[1.0, 0.0, 1e3], [0.0, 0.0, 0.0], [0.0, 1.0, 1e3]])
+    got = in_span_columns(S, W)
+    assert got == [_rank_in_span(S, W[:, j]) for j in range(3)]
+    assert got == [False, True, True]
+
+
+def test_in_span_columns_zero_basis_and_shapes():
+    Z = SubspaceBasis.zero(2)
+    assert in_span_columns(Z, mat([[0, 1], [0, 0]])) == [True, False]
+    assert in_span_columns(Z, np.array([[1e-13], [0.0]])) == [True]
+    S = column_space_basis(mat([[0], [1]]))
+    assert in_span_columns(S, zeros((2, 0))) == []
+    with pytest.raises(ValueError):
+        in_span_columns(S, zeros((3, 1)))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from conftest import rand_rational_matrix, rand_system
 from dimvar import (LinSys, SubspaceBasis, augment_with_zero_dynamics,
                     build_transient_model, check_modeling_condition,
                     check_realization, column_space_basis, ctrb_matrix,
-                    direct_sum_check, embed, embed_subspace, mat, rank, vec)
+                    ctrb_subspace, direct_sum_check, embed, embed_subspace,
+                    in_span, kron, mat, ones_vector, rank, vec)
 from dimvar.numerics import eye, zeros
 
 
@@ -185,3 +187,102 @@ def test_mu_blend_always_satisfies_modeling_condition():
         mu = Fraction(rng.randint(1, 3), 4)
         m = build_transient_model(s1, s2, alpha=mu, beta=1 - mu)
         assert check_modeling_condition(s1, s2, m).holds
+
+
+def _int_system(rng, name, dim, n_inputs, exact=True):
+    A = rng.integers(-3, 4, size=(dim, dim))
+    B = rng.integers(-3, 4, size=(dim, n_inputs))
+    if exact:
+        to_frac = np.vectorize(Fraction, otypes=[object])
+        return LinSys(name, to_frac(A), to_frac(B))
+    return LinSys(name, A.astype(float), B.astype(float))
+
+
+def _direct_modeling(s1, s2, model):
+    """The modeling check written out on the n-dimensional blend."""
+    Cz = ctrb_subspace(model.base.A, model.base.B)
+    tested = []
+    for s in (s1, s2):
+        C = ctrb_subspace(s.A, s.B).basis.basis
+        for j in range(C.shape[1]):
+            v = kron(C[:, j], ones_vector(model.dim // s.dim))
+            tested.append((v, in_span(Cz.basis, v)))
+    return Cz.rank, tested
+
+
+@pytest.mark.parametrize("dims,inputs,weights", [
+    ((2, 3), (1, 1), {"masses": (1, 1)}),
+    ((2, 3), (2, 1), {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)}),
+    ((4, 6), (1, 2), {"masses": (1, 3)}),
+    ((4, 6), (1, 1), {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)}),
+    ((5, 6), (1, 1), {"masses": (1, 1)}),
+    ((5, 6), (2, 1), {"alpha": Fraction(2), "beta": Fraction(1, 3)}),
+    ((5, 7), (1, 1), {"masses": (2, 1)}),
+    ((6, 10), (1, 1), {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)}),
+])
+def test_modeling_condition_matches_direct_computation(dims, inputs, weights):
+    # the check in the (p + q)-dimensional coordinates of V against the
+    # n-dimensional Krylov computation, on two seeds per case
+    p, q = dims
+    for seed in range(2):
+        rng = np.random.default_rng([seed, p, q, *inputs])
+        s1 = _int_system(rng, "s1", p, inputs[0])
+        s2 = _int_system(rng, "s2", q, inputs[1])
+        model = build_transient_model(s1, s2, **weights)
+        rep = check_modeling_condition(s1, s2, model)
+        dim_Cz, tested = _direct_modeling(s1, s2, model)
+        assert rep.dim_Cz == dim_Cz
+        assert rep.dim_Cz <= p + q - math.gcd(p, q)
+        assert rep.holds == all(ok for _, ok in tested)
+        assert len(rep.tested_vectors) == len(tested)
+        for (v, ok), (v_ref, ok_ref) in zip(rep.tested_vectors, tested):
+            assert np.array_equal(v, v_ref) and ok is ok_ref
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_modeling_condition_detects_missing_vectors(exact):
+    # sigma2 cancels sigma1's drift (A = A1 - A1 = 0) and has no input,
+    # so Cz = span(B1) misses the lifted A1 B1
+    A1 = mat([[0, 1], [0, 0]], exact)
+    s1 = LinSys("a", A1, mat([[0], [1]], exact))
+    s2 = LinSys("b", -A1, zeros((2, 1), exact))
+    model = build_transient_model(s1, s2, alpha=1, beta=1)
+    rep = check_modeling_condition(s1, s2, model)
+    assert not rep.holds and rep.dim_Cz == 1
+    assert [ok for _, ok in rep.tested_vectors] == [True, False]
+    if exact:
+        dim_Cz, tested = _direct_modeling(s1, s2, model)
+        assert dim_Cz == 1
+        assert [ok for _, ok in tested] == [True, False]
+
+
+def test_modeling_condition_rejects_foreign_model(ex1_s1, ex1_s2, ex1_model):
+    two_inputs = LinSys("sigma2", ex1_s2.A, np.hstack([ex1_s2.B, ex1_s2.B]))
+    with pytest.raises(ValueError):
+        check_modeling_condition(ex1_s1, two_inputs, ex1_model)
+    with pytest.raises(ValueError):
+        check_modeling_condition(ex1_s2, ex1_s1, ex1_model)
+
+
+def test_float_check_agrees_with_exact_on_ladder():
+    # seeded integer systems with one input each and masses (1, 1), as
+    # in the benchmark ladder; n = 12, 30 and 35
+    mismatches = []
+    for p, q in ((4, 6), (5, 6), (5, 7)):
+        for seed in range(3):
+            for i in range(12):
+                rng = np.random.default_rng([seed, p, q, i])
+                e1 = _int_system(rng, "s1", p, 1)
+                e2 = _int_system(rng, "s2", q, 1)
+                f1 = LinSys("s1", e1.A.astype(float), e1.B.astype(float))
+                f2 = LinSys("s2", e2.A.astype(float), e2.B.astype(float))
+                out = []
+                for s1, s2 in ((e1, e2), (f1, f2)):
+                    model = build_transient_model(s1, s2, masses=(1, 1))
+                    real = check_realization(s1, s2)
+                    mod = check_modeling_condition(s1, s2, model)
+                    out.append([real.dim_C1, real.dim_C2, mod.dim_Cz,
+                                real.realizable, mod.holds])
+                if out[0] != out[1]:
+                    mismatches.append((p, q, seed, i, out))
+    assert mismatches == []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_rational_matrix, rand_system
-from dimvar import (LinSys, apply_pseudo_transform, ctrb_matrix,
-                    kalman_decomposition, kron, lift_system, mat,
+from dimvar import (LinSys, apply_pseudo_transform, build_transient_model,
+                    ctrb_matrix, kalman_decomposition, kron, lift_system, mat,
                     ones_vector, project_system, rank, systems_equivalent,
                     vec)
 from dimvar.numerics import eye, inverse, j_matrix
@@ -122,3 +123,30 @@ def test_pseudo_transform_reaches_kalman_form(ex1_model):
                for i in range(k, base.dim) for j in range(k))
     assert all(transformed.B[i, j] == 0
                for i in range(k, base.dim) for j in range(base.n_inputs))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_lift_and_blend_match_kronecker_reference(exact):
+    # replication gives the Kronecker products entry for entry, Fraction
+    # for Fraction in exact and bit for bit in float
+    rng = random.Random(31)
+    for p, q in ((2, 3), (4, 6), (3, 3), (2, 6)):
+        s1, s2 = rand_system(rng, p, 2), rand_system(rng, q, 1)
+        if not exact:
+            s1, s2 = (LinSys(s.name, s.A.astype(float) * rng.uniform(0.1, 10),
+                             s.B.astype(float)) for s in (s1, s2))
+        n = math.lcm(p, q)
+        J = {d: j_matrix(n // d, exact) for d in (p, q)}
+        ones = {d: ones_vector(n // d, exact).reshape(-1, 1) for d in (p, q)}
+        l1 = lift_system(s1, n)
+        assert np.array_equal(l1.A, np.kron(s1.A, J[p]))
+        assert np.array_equal(l1.B, np.kron(s1.B, ones[p]))
+        for alpha, beta in ((Fraction(3, 2), Fraction(1, 2)), (0.3, 0.7)):
+            model = build_transient_model(s1, s2, alpha=alpha, beta=beta)
+            a, b = model.weights
+            assert np.array_equal(model.base.A, a * np.kron(s1.A, J[p]) +
+                                  b * np.kron(s2.A, J[q]))
+            assert np.array_equal(model.base.B, np.hstack([
+                a * np.kron(s1.B, ones[p]), b * np.kron(s2.B, ones[q])]))
+            if exact:
+                assert all(isinstance(x, Fraction) for x in model.base.A.flat)
