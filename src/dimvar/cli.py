@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .controllability import ctrb_subspace, quotient_ctrb_subspace
+from .controllability import _class_reps, ctrb_subspace
 from .mixdim import reduce_vector
 from .numerics import DEFAULT_TOL, Tolerance, mat, parse_scalar, vec
 from .realization import (build_transient_model, check_modeling_condition,
@@ -199,18 +199,20 @@ def cmd_ctrb(args) -> int:
     res = ctrb_subspace(sys_.A, sys_.B, tol)
     matrix = res.matrix
     if args.blend:
-        # group columns by input channel: [B1, A B1, ... | B2, A B2, ...]
-        from .controllability import ctrb_matrix
-        matrix = np.hstack([ctrb_matrix(sys_.A, model.B1_star),
-                            ctrb_matrix(sys_.A, model.B2_star)])
-    qc = quotient_ctrb_subspace(sys_, tol)
+        # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
+        # column j m + i of res.matrix is A^j times input column i
+        cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)
+        split = model.input_split[0]
+        matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
+                                           cols[:, split:].ravel()])]
+    reps = _class_reps(res.basis, tol)
     if args.json:
         payload = {
             "system": label,
             "rank": res.rank,
             "ctrb_matrix": _json_matrix(matrix),
             "basis": _json_matrix(res.basis.basis.T),
-            "class_reps": [_json_vector(r.irreducible) for r in qc.reps],
+            "class_reps": [_json_vector(r.irreducible) for r in reps],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -222,7 +224,7 @@ def cmd_ctrb(args) -> int:
         for j in range(res.basis.dim):
             print("    " + _fmt_vector(res.basis.basis[:, j]))
         print("  quotient class representatives:")
-        for r in qc.reps:
+        for r in reps:
             print("    " + _fmt_vector(r.irreducible))
         _print_notes(doc, sys.stdout)
     return 0

@@ -9,28 +9,43 @@ horizon Gramians for minimum-energy steering.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from .mixdim import MixVector, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       column_space_basis, eye, inverse, is_exact,
-                       pivot_columns, zeros)
+                       _integer_scaled, column_space_basis, eye, inverse,
+                       is_exact, pivot_columns, zeros)
 from .systems import LinSys
 
 
 def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Horizontal concatenation [B, AB, ..., A^{n-1}B]."""
+    """Horizontal concatenation [B, AB, ..., A^{n-1}B].
+
+    Exact inputs are multiplied in integers: with L the lcm of the
+    denominators of [A | B], block j of [LB, (LA)LB, ...] is
+    L^(j+1) A^j B, and is divided back into Fractions.
+    """
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise ValueError("incompatible dimensions")
     if B.ndim == 1:
         B = B.reshape(-1, 1)
+    exact = is_exact(A) and is_exact(B)
+    if exact:
+        Z, L = _integer_scaled(np.hstack([A, B]))
+        A, B = Z[:, :n], Z[:, n:]
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+    C = np.hstack(blocks)
+    if not exact:
+        return C
+    dens = [L ** (c // B.shape[1] + 1) for c in range(C.shape[1])]
+    return np.array([[Fraction(x, d) for x, d in zip(row, dens)] for row in C],
+                    dtype=object).reshape(C.shape)
 
 
 @dataclass(frozen=True)
@@ -75,12 +90,17 @@ def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientC
     duplicates (equivalent classes) are dropped.
     """
     res = ctrb_subspace(s.A, s.B, tol)
+    return QuotientCtrb(reps=_class_reps(res.basis, tol), ambient_class_dim=s.dim)
+
+
+def _class_reps(S: SubspaceBasis, tol: Tolerance) -> list[MixVector]:
+    """Irreducible members of S's basis columns, equivalent ones dropped."""
     reps: list[MixVector] = []
-    for j in range(res.basis.dim):
-        mv = reduce_vector(res.basis.basis[:, j], tol)
+    for j in range(S.dim):
+        mv = reduce_vector(S.basis[:, j], tol)
         if not any(_reps_equal(mv.irreducible, r.irreducible, tol) for r in reps):
             reps.append(mv)
-    return QuotientCtrb(reps=reps, ambient_class_dim=s.dim)
+    return reps
 
 
 @dataclass(frozen=True)

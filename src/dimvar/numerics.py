@@ -3,8 +3,12 @@
 Two scalar backends are supported throughout the package:
 
 * exact rationals: numpy object arrays holding ``fractions.Fraction``
-  entries.  All algebraic decisions (rank, equivalence, realization
-  checks) default to this backend.
+  entries (plain ``int`` entries are accepted too).  All algebraic
+  decisions (rank, equivalence, realization checks) default to this
+  backend.  They are made by fraction-free (Bareiss) elimination of a
+  copy scaled to Python ints by the lcm of its denominators, which
+  gives the pivots and zero patterns of Gaussian elimination over the
+  rationals without any Fraction arithmetic.
 * float64: plain numpy float arrays with a tolerance policy, used for
   integration and Gramians.
 
@@ -13,6 +17,7 @@ An array's backend is recognised from its dtype (``object`` = exact).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,19 +120,41 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
+def _integer_scaled(M: np.ndarray):
+    """Scale an exact array by the lcm L of its entries' denominators.
+
+    Returns (Z, L) with Z = L * M an object array of Python ints.
+    Entries may be Fractions or plain ints.
+    """
+    flat = M.ravel()
+    dens = [x.denominator for x in flat]
+    L = math.lcm(*dens)
+    Z = [x.numerator * (L // d) for x, d in zip(flat, dens)]
+    return np.array(Z, dtype=object).reshape(M.shape), L
+
+
 def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,
              thresh: float | None = None):
     """Row-reduce a copy of M; return (rank, pivot column indices, copy).
 
-    Exact arrays eliminate with exact zero tests; float arrays use the
-    rank threshold of `tol` (or `thresh`) with partial (max-abs) row
-    pivoting.  Only the first `ncols` columns (default all) may pivot;
-    the row operations still reach every column.
+    Exact arrays are reduced fraction-free: Bareiss elimination
+    ("Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968) of the integer-scaled copy, with the first
+    nonzero entry of a column as its pivot.  Every entry below a pivot
+    row is then a minor of the scaled matrix, i.e. the Gaussian
+    elimination entry times a nonzero product of pivots, so the pivot
+    columns, the rank and the zero pattern of the reduced rows are
+    those of Gaussian elimination over the rationals; the returned copy
+    holds those integers.  Float arrays use the rank threshold of `tol`
+    (or `thresh`) with partial (max-abs) row pivoting.  Only the first
+    `ncols` columns (default all) may pivot; the row operations still
+    reach every column.
     """
+    if is_exact(M):
+        return _bareiss(M, ncols)
     A = M.copy()
     m, n = A.shape
-    exact = is_exact(A)
-    if not exact and thresh is None:
+    if thresh is None:
         max_entry = float(np.max(np.abs(A))) if A.size else 0.0
         thresh = tol.rank_threshold(m, n, max_entry)
     piv_row = 0
@@ -135,19 +162,9 @@ def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,
     for c in range(n if ncols is None else ncols):
         if piv_row >= m:
             break
-        col = A[piv_row:, c]
-        if exact:
-            sel = None
-            for i, a in enumerate(col):
-                if a != 0:
-                    sel = piv_row + i
-                    break
-            if sel is None:
-                continue
-        else:
-            sel = piv_row + int(np.argmax(np.abs(col.astype(float))))
-            if abs(float(A[sel, c])) <= thresh:
-                continue
+        sel = piv_row + int(np.argmax(np.abs(A[piv_row:, c])))
+        if abs(float(A[sel, c])) <= thresh:
+            continue
         if sel != piv_row:
             A[[piv_row, sel]] = A[[sel, piv_row]]
         p = A[piv_row, c]
@@ -156,6 +173,32 @@ def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,
                 A[r, c:] = A[r, c:] - (A[r, c] / p) * A[piv_row, c:]
         pivots.append(c)
         piv_row += 1
+    return piv_row, pivots, A
+
+
+def _bareiss(M: np.ndarray, ncols: int | None):
+    """The exact branch of `_echelon`."""
+    A, _ = _integer_scaled(M)
+    m, n = A.shape
+    piv_row, prev = 0, 1
+    pivots = []
+    for c in range(n if ncols is None else ncols):
+        if piv_row >= m:
+            break
+        nonzero = np.flatnonzero(A[piv_row:, c])
+        if not nonzero.size:
+            continue
+        sel = piv_row + int(nonzero[0])
+        if sel != piv_row:
+            A[[piv_row, sel]] = A[[sel, piv_row]]
+        p = A[piv_row, c]
+        # every row below is updated, also where its entry in column c
+        # is zero: the exact division by prev needs all of them
+        below = A[piv_row + 1:, c:]
+        A[piv_row + 1:, c:] = (p * below - below[:, :1] * A[piv_row, c:]) // prev
+        pivots.append(c)
+        piv_row += 1
+        prev = p
     return piv_row, pivots, A
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .controllability import ctrb_matrix, ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
                        column_space_basis, eye, in_span_columns, is_exact,
-                       kron, ones_vector, rank, zeros)
+                       rank, zeros)
 from .systems import LinSys, _lift_parts
 
 
@@ -266,8 +266,7 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
         W = zeros((p + q, C.shape[1]), exact)
         W[offset:offset + s.dim] = C
         columns.append(W)
-        lifted += [kron(C[:, j], ones_vector(n // s.dim, exact))
-                   for j in range(C.shape[1])]
+        lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]
     inside = in_span_columns(S, np.hstack(columns), tol)
     return ModelingReport(holds=all(inside), n=n,
                           tested_vectors=list(zip(lifted, inside)),

@@ -6,9 +6,11 @@ import pytest
 import scipy.linalg
 
 from conftest import rand_rational_matrix, rand_system
-from dimvar import (LinSys, ctrb_gramian, ctrb_matrix, ctrb_subspace,
+from dimvar import (LinSys, build_transient_model, check_modeling_condition,
+                    ctrb_gramian, ctrb_matrix, ctrb_subspace,
                     in_span, kalman_decomposition, lift_system, mat,
                     quotient_ctrb_subspace, rank, vec, vec_equivalent)
+from dimvar import realization
 from dimvar.numerics import to_float, zeros
 
 # the blend controllability matrix of the running example, frozen from
@@ -47,6 +49,45 @@ def test_ctrb_matrix_example1_blend(ex1_model):
     # the corrected entry at row 3 of the second column: row 3 of A
     # dotted with B1 gives (1/2)(3/2) = 9/4
     assert grouped[2, 1] == Fraction(9, 4)
+
+
+def _fraction_krylov(A, B):
+    """Reference: [B, AB, ..., A^{n-1}B] by plain Fraction products."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def test_ctrb_matrix_matches_fraction_products(monkeypatch):
+    # the (p + q)-dimensional system the modeling check forms for a
+    # (5,7) pair with weights 3/2 and 1/3, caught on its way into
+    # ctrb_matrix
+    seen = []
+
+    def spy(A, B):
+        seen.append((A, B))
+        return ctrb_matrix(A, B)
+
+    monkeypatch.setattr(realization, "ctrb_matrix", spy)
+    rng = random.Random(41)
+    s1, s2 = rand_system(rng, 5, 2), rand_system(rng, 7)
+    model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
+                                  beta=Fraction(1, 3))
+    check_modeling_condition(s1, s2, model)
+    (At, Bt), = seen
+    assert At.shape == (12, 12) and Bt.shape == (12, 3)
+    assert max(x.denominator for x in At.flat) > 1
+    for A, B in ((At, Bt), (At, Bt[:, :1]), (model.base.A, model.base.B)):
+        C = ctrb_matrix(A, B)
+        ref = _fraction_krylov(A, B)
+        assert C.shape == ref.shape
+        assert all(isinstance(x, Fraction) for x in C.flat)
+        assert all(x == y for x, y in zip(C.flat, ref.flat))
+    ints = np.array([[1, 2], [0, -3]], dtype=object)
+    C = ctrb_matrix(ints, np.array([[1], [1]], dtype=object))
+    assert C.tolist() == [[1, 3], [1, -3]]
+    assert all(isinstance(x, Fraction) for x in C.flat)
 
 
 def test_ctrb_subspace_example1(ex1_s1, ex1_model):

@@ -8,7 +8,9 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, matrix_exponential_apply, ones_vector,
                     parse_scalar, rank, vec)
-from dimvar.numerics import eye, in_span_columns, inverse, solve, to_float, zeros
+from dimvar.numerics import (DEFAULT_TOL, _echelon, eye, in_span_columns,
+                             inverse, pivot_columns, solve, spans_equal,
+                             to_float, zeros)
 
 
 def test_parse_scalar_grammar():
@@ -202,3 +204,109 @@ def test_in_span_columns_zero_basis_and_shapes():
     assert in_span_columns(S, zeros((2, 0))) == []
     with pytest.raises(ValueError):
         in_span_columns(S, zeros((3, 1)))
+
+
+def _fraction_echelon(M, ncols=None):
+    """Reference: the Fraction Gaussian elimination the exact backend
+    used before fraction-free elimination (first nonzero entry of a
+    column as pivot; rows with a nonzero entry below it reduced)."""
+    A = np.array([[Fraction(x) for x in row] for row in M],
+                 dtype=object).reshape(M.shape)
+    m, n = A.shape
+    piv_row, pivots = 0, []
+    for c in range(n if ncols is None else ncols):
+        if piv_row >= m:
+            break
+        sel = next((piv_row + i for i, a in enumerate(A[piv_row:, c]) if a != 0),
+                   None)
+        if sel is None:
+            continue
+        if sel != piv_row:
+            A[[piv_row, sel]] = A[[sel, piv_row]]
+        p = A[piv_row, c]
+        for r in range(piv_row + 1, m):
+            if A[r, c] != 0:
+                A[r, c:] = A[r, c:] - (A[r, c] / p) * A[piv_row, c:]
+        pivots.append(c)
+        piv_row += 1
+    return piv_row, pivots, A
+
+
+def _mixed(rng, rows, cols):
+    return np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                      for _ in range(cols)] for _ in range(rows)], dtype=object)
+
+
+def _exact_corpus():
+    """Seeded exact matrices: mixed denominators 1-12, rank-deficient
+    products of thin factors, sparse matrices, zero rows and columns,
+    wide and tall shapes, 1x1, and object arrays of plain ints."""
+    rng = random.Random(31)
+    out = [mat([[0]]), mat([[Fraction(3, 7)]]), np.array([[5]], dtype=object),
+           np.array([[0]], dtype=object)]
+    for _ in range(25):
+        out.append(_mixed(rng, rng.randint(1, 8), rng.randint(1, 8)))
+    for _ in range(25):
+        m, n = rng.randint(2, 9), rng.randint(2, 9)
+        k = rng.randint(1, min(m, n) - 1) if min(m, n) > 2 else 1
+        out.append(_mixed(rng, m, k) @ _mixed(rng, k, n))
+    for _ in range(60):
+        # sparse, as the blocks of the modeling check's matrices are
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        out.append(np.where([[rng.random() < 0.35 for _ in range(n)]
+                             for _ in range(m)], _mixed(rng, m, n), Fraction(0)))
+    for _ in range(15):
+        M = _mixed(rng, rng.randint(2, 8), rng.randint(2, 8))
+        M[rng.randrange(M.shape[0]), :] = Fraction(0)
+        M[:, rng.randrange(M.shape[1])] = Fraction(0)
+        out.append(M)
+    for shape in ((1, 9), (2, 11), (9, 1), (12, 3), (3, 12)):
+        out.append(_mixed(rng, *shape))
+        out.append(_mixed(rng, shape[0], 1) @ _mixed(rng, 1, shape[1]))
+    for _ in range(15):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        ints = np.array([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)],
+                        dtype=object)
+        if m > 1:
+            ints[rng.randrange(m), :] = 0
+        out.append(ints)
+    return out
+
+
+def test_exact_elimination_matches_fraction_reference():
+    for M in _exact_corpus():
+        r, piv, _ = _fraction_echelon(M)
+        assert rank(M) == r and pivot_columns(M) == piv
+        S = column_space_basis(M)
+        assert S.dim == r and np.array_equal(S.basis, M[:, piv])
+        for ncols in range(M.shape[1] + 1):
+            ref = _fraction_echelon(M, ncols)
+            got = _echelon(M, DEFAULT_TOL, ncols=ncols)
+            assert got[:2] == ref[:2]
+            # same zero pattern of the reduced rows, entry for entry
+            assert np.array_equal(got[2] == 0, ref[2] == 0)
+
+
+def test_exact_elimination_empty_shapes():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        M = np.zeros(shape, dtype=object)
+        assert rank(M) == 0 and pivot_columns(M) == []
+        assert _echelon(M, DEFAULT_TOL)[:2] == (0, [])
+
+
+def test_exact_in_span_columns_matches_fraction_reference():
+    rng = random.Random(37)
+    for M in _exact_corpus():
+        S = column_space_basis(M)
+        m = M.shape[0]
+        if S.dim == 0:
+            continue
+        W = np.hstack([S.basis @ _mixed(rng, S.dim, 2), _mixed(rng, m, 2),
+                       np.zeros((m, 1), dtype=object),
+                       np.array([[rng.randint(-3, 3)] for _ in range(m)],
+                                dtype=object)])
+        expected = [_fraction_echelon(np.hstack([S.basis, W[:, j:j + 1]]))[0]
+                    == S.dim for j in range(W.shape[1])]
+        assert in_span_columns(S, W) == expected
+        assert expected[:2] == [True, True] and expected[4]
+        assert spans_equal(S, column_space_basis(M[:, ::-1]))
