@@ -68,7 +68,7 @@ def _json_vector(v):
     return [_json_scalar(x) for x in np.asarray(v).reshape(-1)]
 
 
-def _load_file(path: str, exact: bool = True) -> dict:
+def _load_file(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -86,13 +86,11 @@ def _parse_system(doc: dict, key: str, path: str, exact: bool) -> LinSys:
         raise InputError(f"{path}: missing field '{key}'")
     entry = doc[key]
     try:
-        A = mat(entry["A"], exact=exact) if exact else np.array(
-            [[float(Fraction(str(e))) for e in row] for row in entry["A"]])
-        B = mat(entry["B"], exact=exact) if exact else np.array(
-            [[float(Fraction(str(e))) for e in row] for row in entry["B"]])
+        A = mat(entry["A"], exact)
+        B = mat(entry["B"], exact)
     except KeyError as exc:
         raise InputError(f"{path}: '{key}' is missing field {exc}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: '{key}' has an unparseable entry: {exc}")
     try:
         return LinSys(name=key, A=A, B=B)
@@ -112,12 +110,19 @@ def _parse_weights(doc: dict, path: str) -> dict:
                   "beta": Fraction(str(tr["beta"]))}
     except KeyError as exc:
         raise InputError(f"{path}: 'transient' is missing field {exc}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: 'transient' has an unparseable entry: {exc}")
     for v in kw.get("masses", ()) or (kw.get("alpha"), kw.get("beta")):
         if v is not None and v <= 0:
             raise InputError(f"{path}: transient weights must be strictly positive")
     return kw
+
+
+def _parse_case(doc: dict, args) -> tuple[LinSys, LinSys, dict]:
+    """Both systems, on the chosen backend, and the transient weights."""
+    return (_parse_system(doc, "sigma1", args.file, args.exact),
+            _parse_system(doc, "sigma2", args.file, args.exact),
+            _parse_weights(doc, args.file))
 
 
 def _print_notes(doc: dict, out) -> None:
@@ -127,10 +132,7 @@ def _print_notes(doc: dict, out) -> None:
 
 def cmd_check(args) -> int:
     doc = _load_file(args.file)
-    exact = args.backend == "rational"
-    s1 = _parse_system(doc, "sigma1", args.file, exact)
-    s2 = _parse_system(doc, "sigma2", args.file, exact)
-    weights = _parse_weights(doc, args.file)
+    s1, s2, weights = _parse_case(doc, args)
     tol = args.tolerance
     model = build_transient_model(s1, s2, **weights)
     real = check_realization(s1, s2, tol)
@@ -181,12 +183,9 @@ def cmd_check(args) -> int:
 
 def cmd_ctrb(args) -> int:
     doc = _load_file(args.file)
-    exact = args.backend == "rational"
     tol = args.tolerance
     if args.blend:
-        s1 = _parse_system(doc, "sigma1", args.file, exact)
-        s2 = _parse_system(doc, "sigma2", args.file, exact)
-        weights = _parse_weights(doc, args.file)
+        s1, s2, weights = _parse_case(doc, args)
         model = build_transient_model(s1, s2, **weights)
         sys_ = model.base
         label = sys_.name
@@ -194,7 +193,7 @@ def cmd_ctrb(args) -> int:
         if args.system not in ("sigma1", "sigma2"):
             raise InputError(f"unknown system name: {args.system!r} "
                              "(expected sigma1 or sigma2)")
-        sys_ = _parse_system(doc, args.system, args.file, exact)
+        sys_ = _parse_system(doc, args.system, args.file, args.exact)
         label = args.system
     res = ctrb_subspace(sys_.A, sys_.B, tol)
     matrix = res.matrix
@@ -237,8 +236,7 @@ def cmd_reduce(args) -> int:
         raise InputError(f"cannot parse vector: {exc}")
     if not entries:
         raise InputError("empty vector")
-    mv = reduce_vector(vec(entries, exact=args.backend == "rational"),
-                       args.tolerance)
+    mv = reduce_vector(vec(entries, args.exact), args.tolerance)
     if args.json:
         print(json.dumps({"irreducible": _json_vector(mv.irreducible),
                           "multiplicity": mv.multiplicity}))
@@ -249,10 +247,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_blend(args) -> int:
     doc = _load_file(args.file)
-    exact = args.backend == "rational"
-    s1 = _parse_system(doc, "sigma1", args.file, exact)
-    s2 = _parse_system(doc, "sigma2", args.file, exact)
-    weights = _parse_weights(doc, args.file)
+    s1, s2, weights = _parse_case(doc, args)
     model = build_transient_model(s1, s2, **weights)
     a, b = model.weights
     if args.json:
@@ -280,23 +275,20 @@ def cmd_blend(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = _load_file(args.file)
-    exact = args.backend == "rational"
-    s1 = _parse_system(doc, "sigma1", args.file, exact)
-    s2 = _parse_system(doc, "sigma2", args.file, exact)
-    weights = _parse_weights(doc, args.file)
+    s1, s2, weights = _parse_case(doc, args)
     if "scenario" not in doc:
         raise InputError(f"{args.file}: missing field 'scenario'")
     scd = doc["scenario"]
     try:
         sc = Scenario(
             t0=float(scd["t0"]), te=float(scd["te"]),
-            x_start=np.array([float(Fraction(str(x))) for x in scd["x_start"]]),
-            y_target=np.array([float(Fraction(str(x))) for x in scd["y_target"]]),
+            x_start=vec(scd["x_start"], exact=False),
+            y_target=vec(scd["y_target"], exact=False),
             step=float(scd.get("step", 1e-3)),
             quad_steps=int(scd.get("quad_steps", 512)))
     except KeyError as exc:
         raise InputError(f"{args.file}: 'scenario' is missing field {exc}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.file}: bad scenario: {exc}")
     try:
         traj, outcome = run_transient_scenario(
@@ -379,6 +371,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.tolerance = (Tolerance(rel=args.tol, abs=args.tol)
                       if getattr(args, "tol", None) else DEFAULT_TOL)
+    args.exact = args.backend == "rational"
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:    # a ValueError, but not an input error

@@ -16,8 +16,9 @@ import scipy.linalg
 
 from .mixdim import MixVector, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       _integer_scaled, column_space_basis, eye, inverse,
-                       is_exact, pivot_columns, zeros)
+                       _integer_scaled, as_backend, column_space_basis,
+                       common_backend, float_only, inverse, is_exact,
+                       pivot_columns)
 from .systems import LinSys
 
 
@@ -33,7 +34,8 @@ def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError("incompatible dimensions")
     if B.ndim == 1:
         B = B.reshape(-1, 1)
-    exact = is_exact(A) and is_exact(B)
+    A, B = common_backend(A, B)
+    exact = is_exact(A)
     if exact:
         Z, L = _integer_scaled(np.hstack([A, B]))
         A, B = Z[:, :n], Z[:, n:]
@@ -60,12 +62,6 @@ class CtrbResult:
 def ctrb_subspace(A: np.ndarray, B: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> CtrbResult:
     """Controllable subspace span{B, AB, ...} with a pivot-column basis."""
-    n = A.shape[0]
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.shape[1] == 0:
-        return CtrbResult(matrix=zeros((n, 0), is_exact(A)), rank=0,
-                          basis=SubspaceBasis.zero(n, is_exact(A)))
     C = ctrb_matrix(A, B)
     basis = column_space_basis(C, tol)
     return CtrbResult(matrix=C, rank=basis.dim, basis=basis)
@@ -131,7 +127,7 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
     res = ctrb_subspace(A, B, tol)
     V = res.basis.basis
     n, k = V.shape
-    I = eye(n, is_exact(A))
+    I = as_backend(np.eye(n), A)
     chosen = []
     if k < n:
         # one elimination of [V | I_n] makes the greedy choice; the
@@ -170,10 +166,7 @@ def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
     """
     if te <= t0:
         raise ValueError(f"empty horizon: te={te} <= t0={t0}")
-    if is_exact(A) or is_exact(np.asarray(B)):
-        raise TypeError("Gramian requires the float64 backend")
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = float_only("Gramian", A, B)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     n = A.shape[0]

@@ -17,23 +17,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerance, is_exact, j_matrix, kron,
-                       ones_vector, to_float)
+from .numerics import (DEFAULT_TOL, Tolerance, as_backend, common_backend,
+                       is_exact)
 
 
 def _divisors_desc(n: int) -> list[int]:
     return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
 
 
-def _common_backend(*arrays):
-    """Promote to float unless every argument is exact."""
-    exact = all(is_exact(np.asarray(a)) for a in arrays)
-    if exact:
-        return [np.asarray(a) for a in arrays], True
-    return [to_float(np.asarray(a)) for a in arrays], False
+def _replicate(X: np.ndarray, s: int, j: bool) -> np.ndarray:
+    """Repeat every entry of X s times along its rows, and with j true
+    also along its columns: X (x) 1_s, or X (x) (1_s 1_s^T)."""
+    X = np.repeat(X, s, axis=0)
+    return np.repeat(X, s, axis=1) if j else X
+
+
+def _kron_j(A: np.ndarray, s: int) -> np.ndarray:
+    """A (x) J_s by replication, each entry computed once as a * (1/s)."""
+    return _replicate(A * as_backend(Fraction(1, s), A), s, True)
 
 
 def _entries_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
@@ -120,19 +125,19 @@ def reduce_vector(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MixVector:
 def vec_equivalent(x: np.ndarray, y: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Class equality: identical irreducible representatives."""
-    (x, y), _ = _common_backend(x, y)
+    x, y = common_backend(x, y)
     return _reps_equal(reduce_vector(x, tol).irreducible,
                        reduce_vector(y, tol).irreducible, tol)
 
 
 def vec_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross-dimensional addition on the lcm dimension."""
-    (x, y), exact = _common_backend(x, y)
+    x, y = common_backend(x, y)
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("vec_add expects 1-D vectors")
     t = math.lcm(x.shape[0], y.shape[0])
-    return (kron(x, ones_vector(t // x.shape[0], exact)) +
-            kron(y, ones_vector(t // y.shape[0], exact)))
+    return (_replicate(x, t // x.shape[0], False) +
+            _replicate(y, t // y.shape[0], False))
 
 
 def vec_sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -161,7 +166,7 @@ def reduce_matrix(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MatrixClassRep
 def mat_equivalent(A: np.ndarray, B: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Matrix class equality: A (x) J_a = B (x) J_b for some a, b."""
-    (A, B), _ = _common_backend(A, B)
+    A, B = common_backend(A, B)
     return _reps_equal(reduce_matrix(A, tol).irreducible,
                        reduce_matrix(B, tol).irreducible, tol)
 
@@ -181,39 +186,39 @@ def reduce_matrix_vec(B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 def mat_vec_equivalent(B: np.ndarray, D: np.ndarray,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
     """Vector equivalence of matrices: B (x) 1_a = D (x) 1_b."""
-    (B, D), _ = _common_backend(B, D)
+    B, D = common_backend(B, D)
     return _reps_equal(reduce_matrix_vec(B, tol), reduce_matrix_vec(D, tol), tol)
 
 
 def second_stp(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A (x) J_{t/n}) (B (x) J_{t/p}) with t = lcm(cols A, rows B)."""
-    (A, B), exact = _common_backend(A, B)
+    A, B = common_backend(A, B)
     n = A.shape[1]
     p = B.shape[0]
     t = math.lcm(n, p)
-    return kron(A, j_matrix(t // n, exact)) @ kron(B, j_matrix(t // p, exact))
+    return _kron_j(A, t // n) @ _kron_j(B, t // p)
 
 
 def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(A (x) J_{t/n}) (x (x) 1_{t/r}): the class action on vectors."""
-    (A, x), exact = _common_backend(A, x)
+    A, x = common_backend(A, x)
     if x.ndim == 2:
         x = x[:, 0]
     n = A.shape[1]
     r = x.shape[0]
     t = math.lcm(n, r)
-    return kron(A, j_matrix(t // n, exact)) @ kron(x, ones_vector(t // r, exact))
+    return _kron_j(A, t // n) @ _replicate(x, t // r, False)
 
 
 def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-wise class action: (A (x) J_{t/n}) (B (x) 1_{t/r})."""
-    (A, B), exact = _common_backend(A, B)
+    A, B = common_backend(A, B)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     n = A.shape[1]
     r = B.shape[0]
     t = math.lcm(n, r)
-    return kron(A, j_matrix(t // n, exact)) @ kron(B, ones_vector(t // r, exact).reshape(-1, 1))
+    return _kron_j(A, t // n) @ _replicate(B, t // r, False)
 
 
 def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -222,11 +227,11 @@ def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     For square nonsingular A this acts as a pseudo-coordinate
     transformation on classes.
     """
-    (A, x), exact = _common_backend(A, x)
+    A, x = common_backend(A, x)
     if x.ndim == 2:
         x = x[:, 0]
     n = A.shape[1]
     r = x.shape[0]
     t = math.lcm(n, r)
-    from .numerics import eye
-    return kron(A, eye(t // n, exact)) @ kron(x, ones_vector(t // r, exact))
+    return (np.kron(A, as_backend(np.eye(t // n), A)) @
+            _replicate(x, t // r, False))

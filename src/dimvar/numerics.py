@@ -13,6 +13,11 @@ Two scalar backends are supported throughout the package:
   integration and Gramians.
 
 An array's backend is recognised from its dtype (``object`` = exact).
+Only this module turns the dtype into a choice of construction: other
+modules build arrays on an operand's backend with `as_backend` and
+promote mixed operands with `common_backend`, and read `is_exact` only
+where their algorithm differs by backend.  Exact `solve` and `inverse`
+run on the same Bareiss kernel as rank and span decisions.
 """
 
 from __future__ import annotations
@@ -62,24 +67,53 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def mat(rows, exact: bool = True) -> np.ndarray:
-    """Build a 2-D matrix from nested scalars or strings."""
-    if exact:
-        data = [[Fraction(str(e)) if isinstance(e, (str, float)) else Fraction(e)
-                 for e in row] for row in rows]
-        return np.array(data, dtype=object)
-    return np.array(rows, dtype=float)
+    """Build a 2-D matrix from nested scalars or strings.
+
+    Each entry is parsed as a Fraction ("3/2", "0.75", 3); the float
+    backend rounds that Fraction once.
+    """
+    data = [[Fraction(str(e)) if isinstance(e, (str, float)) else Fraction(e)
+             for e in row] for row in rows]
+    return np.array(data, dtype=object if exact else float)
 
 
 def vec(entries, exact: bool = True) -> np.ndarray:
-    """Build a 1-D column vector from scalars or strings."""
-    if exact:
-        return np.array([Fraction(str(e)) if isinstance(e, (str, float))
-                         else Fraction(e) for e in entries], dtype=object)
-    return np.array(entries, dtype=float)
+    """Build a 1-D column vector from scalars or strings, as `mat`."""
+    return mat([entries], exact)[0]
 
 
 def to_float(M: np.ndarray) -> np.ndarray:
     return M.astype(float)
+
+
+def as_backend(X, like: np.ndarray):
+    """X on the backend of the array `like`: Fraction entries (never
+    plain ints) when `like` is exact, float64 otherwise.  A scalar X
+    gives a scalar; float entries convert to their exact binary value.
+    """
+    X = np.asarray(X)
+    if is_exact(like):
+        X = np.array([Fraction(x) for x in X.ravel().tolist()],
+                     dtype=object).reshape(X.shape)
+    else:
+        X = np.asarray(X, dtype=float)
+    return X.item() if X.ndim == 0 else X
+
+
+def common_backend(*arrays) -> list[np.ndarray]:
+    """The arrays on one backend: as given when every one is exact,
+    otherwise all promoted to float64."""
+    arrays = [np.asarray(a) for a in arrays]
+    if all(is_exact(a) for a in arrays):
+        return arrays
+    return [np.asarray(a, dtype=float) for a in arrays]
+
+
+def float_only(what: str, *arrays) -> list[np.ndarray]:
+    """The arrays as float64; TypeError when any of them is exact."""
+    if any(is_exact(np.asarray(a)) for a in arrays):
+        raise TypeError(f"{what} requires the float64 backend")
+    return [np.asarray(a, dtype=float) for a in arrays]
 
 
 def zeros(shape, exact: bool = True) -> np.ndarray:
@@ -312,37 +346,24 @@ def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
 
 
 def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for square nonsingular A on either backend."""
+    """Solve A x = b for square nonsingular A on either backend.
+
+    Exact systems reduce [A | b] on the Bareiss kernel of `_echelon`,
+    pivoting in A's columns, and back-substitute its integer echelon
+    form in Fractions.
+    """
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
     if not is_exact(A):
         return np.linalg.solve(A, b)
-    M = A.copy()
-    rhs = b.copy().astype(object)
-    one_d = rhs.ndim == 1
-    if one_d:
-        rhs = rhs.reshape(-1, 1)
-    for c in range(n):
-        sel = None
-        for r in range(c, n):
-            if M[r, c] != 0:
-                sel = r
-                break
-        if sel is None:
-            raise ValueError("matrix is singular")
-        if sel != c:
-            M[[c, sel]] = M[[sel, c]]
-            rhs[[c, sel]] = rhs[[sel, c]]
-        p = M[c, c]
-        for r in range(n):
-            if r != c and M[r, c] != 0:
-                f = M[r, c] / p
-                M[r] = M[r] - f * M[c]
-                rhs[r] = rhs[r] - f * rhs[c]
-    for c in range(n):
-        rhs[c] = rhs[c] / M[c, c]
-    return rhs[:, 0] if one_d else rhs
+    r, _, R = _echelon(np.hstack([A, b.reshape(n, -1)]), DEFAULT_TOL, ncols=n)
+    if r < n:
+        raise ValueError("matrix is singular")
+    x = np.empty((n, R.shape[1] - n), dtype=object)
+    for i in range(n - 1, -1, -1):
+        x[i] = (R[i, n:] - R[i, i + 1:n] @ x[i + 1:]) / Fraction(R[i, i])
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def inverse(A: np.ndarray) -> np.ndarray:
@@ -353,6 +374,5 @@ def inverse(A: np.ndarray) -> np.ndarray:
 
 def matrix_exponential_apply(A: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """Compute e^{A t} v (float64 backend only)."""
-    if is_exact(A) or is_exact(np.asarray(v)):
-        raise TypeError("matrix exponential requires the float64 backend")
-    return scipy.linalg.expm(np.asarray(A, dtype=float) * t) @ np.asarray(v, dtype=float)
+    A, v = float_only("matrix exponential", A, v)
+    return scipy.linalg.expm(A * t) @ v

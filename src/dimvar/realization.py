@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .controllability import ctrb_matrix, ctrb_subspace
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       column_space_basis, eye, in_span_columns, is_exact,
-                       rank, zeros)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
+                       column_space_basis, in_span_columns, rank)
 from .systems import LinSys, _lift_parts
 
 
@@ -35,10 +34,9 @@ def augment_with_zero_dynamics(s: LinSys, q: int) -> LinSys:
         raise ValueError(f"cannot augment dimension {p} down to {q}")
     if q == p:
         return s
-    exact = is_exact(s.A)
-    A = zeros((q, q), exact)
+    A = np.full((q, q), as_backend(0, s.A))
     A[:p, :p] = s.A
-    B = zeros((q, s.n_inputs), exact)
+    B = np.full((q, s.n_inputs), as_backend(0, s.B))
     B[:p, :] = s.B
     return LinSys(name=s.name, A=A, B=B)
 
@@ -51,7 +49,7 @@ def embed(v: np.ndarray, n: int) -> np.ndarray:
     m = v.shape[0]
     if n < m:
         raise ValueError(f"cannot embed dimension {m} into {n}")
-    out = zeros(n, is_exact(v))
+    out = np.full(n, as_backend(0, v))
     out[:m] = v
     return out
 
@@ -60,7 +58,7 @@ def embed_subspace(S: SubspaceBasis, n: int) -> SubspaceBasis:
     """Zero-pad every basis column into R^n."""
     if n < S.ambient_dim:
         raise ValueError(f"cannot embed ambient {S.ambient_dim} into {n}")
-    out = zeros((n, S.dim), is_exact(S.basis))
+    out = np.full((n, S.dim), as_backend(0, S.basis))
     out[:S.ambient_dim, :] = S.basis
     return SubspaceBasis(n, out)
 
@@ -115,7 +113,6 @@ def check_realization(s1: LinSys, s2: LinSys,
     C1e = embed_subspace(C1.basis, q)
     combined = np.hstack([C1e.basis, C2.basis.basis])
     realizable = rank(combined, tol) == q
-    exact = is_exact(small.A)
     witness_cols = []
     if realizable:
         current = C1e.basis
@@ -126,8 +123,7 @@ def check_realization(s1: LinSys, s2: LinSys,
             if rank(cand, tol) == current.shape[1] + 1:
                 current = cand
                 witness_cols.append(j)
-    witness = (SubspaceBasis(q, C2.basis.basis[:, witness_cols])
-               if witness_cols else SubspaceBasis.zero(q, exact))
+    witness = SubspaceBasis(q, C2.basis.basis[:, witness_cols])
     return RealizationReport(realizable=realizable, q=q, dim_C1=C1.rank,
                              dim_C2=C2.rank, witness=witness, notes=notes)
 
@@ -181,9 +177,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
             raise ValueError("weights must be strictly positive")
     p, q = s1.dim, s2.dim
     n = math.lcm(p, q)
-    exact = is_exact(s1.A) and is_exact(s2.A)
-    if not exact:
-        alpha, beta = float(alpha), float(beta)
+    alpha, beta = as_backend(alpha, s1.A), as_backend(beta, s2.A)
     A1, B1 = _lift_parts(s1, n, alpha)
     A2, B2 = _lift_parts(s2, n, beta)
     A = A1 + A2
@@ -208,18 +202,15 @@ class ModelingReport:
     dim_Cz: int
 
 
-def _block_average(p: int, q: int, n: int, exact: bool) -> np.ndarray:
+def _block_average(p: int, q: int, n: int, like: np.ndarray) -> np.ndarray:
     """The p x q map sending w to the means of w (x) 1_{n/q} over its p
     blocks of length n/p: entry (r // (n/p), r // (n/q)) gains p/n for
-    every r < n."""
+    every r < n.  Built on the backend of `like`."""
     k, m = n // p, n // q
     counts = np.zeros((p, q), dtype=int)
     r = np.arange(n)
     np.add.at(counts, (r // k, r // m), 1)
-    if exact:
-        return np.array([[Fraction(int(c), k) for c in row] for row in counts],
-                        dtype=object)
-    return counts / k
+    return as_backend(counts, like) / k
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -249,21 +240,21 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
     n, g = math.lcm(p, q), math.gcd(p, q)
-    exact = is_exact(s1.A) and is_exact(s2.A)
     alpha, beta = model.weights
     A1, B1, A2, B2 = s1.A, s1.B, s2.A, s2.B
-    At = np.block([[alpha * A1, alpha * (A1 @ _block_average(p, q, n, exact))],
-                   [beta * (A2 @ _block_average(q, p, n, exact)), beta * A2]])
-    Bt = np.block([[alpha * B1, zeros((p, B2.shape[1]), exact)],
-                   [zeros((q, B1.shape[1]), exact), beta * B2]])
-    I_g = eye(g, exact)
+    zero = as_backend(0, A1)
+    At = np.block([[alpha * A1, alpha * (A1 @ _block_average(p, q, n, A1))],
+                   [beta * (A2 @ _block_average(q, p, n, A2)), beta * A2]])
+    Bt = np.block([[alpha * B1, np.full((p, B2.shape[1]), zero)],
+                   [np.full((q, B1.shape[1]), zero), beta * B2]])
+    I_g = as_backend(np.eye(g), A1)
     N = np.vstack([np.repeat(I_g, p // g, axis=0),
                    -np.repeat(I_g, q // g, axis=0)])
     S = column_space_basis(np.hstack([ctrb_matrix(At, Bt), N]), tol)
     lifted, columns = [], []
     for s, offset in ((s1, 0), (s2, p)):
         C = ctrb_subspace(s.A, s.B, tol).basis.basis
-        W = zeros((p + q, C.shape[1]), exact)
+        W = np.full((p + q, C.shape[1]), zero)
         W[offset:offset + s.dim] = C
         columns.append(W)
         lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import mixdim
-from .numerics import (DEFAULT_TOL, Tolerance, eye, inverse, is_exact, kron,
-                       rank)
+from .numerics import (DEFAULT_TOL, Tolerance, as_backend, common_backend,
+                       inverse, rank)
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,11 @@ def _lift_parts(s: LinSys, n: int, weight=None) -> tuple[np.ndarray, np.ndarray]
     operand order as the Kronecker product: w * (a * (1/k)).
     """
     k = n // s.dim
-    A = s.A * (Fraction(1, k) if is_exact(s.A) else 1.0 / k)
+    A = s.A * as_backend(Fraction(1, k), s.A)
     B = s.B
     if weight is not None:
         A, B = weight * A, weight * B
-    return (np.repeat(np.repeat(A, k, axis=0), k, axis=1),
-            np.repeat(B, k, axis=0))
+    return mixdim._replicate(A, k, True), mixdim._replicate(B, k, False)
 
 
 def project_system(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientSysRep:
@@ -120,10 +119,6 @@ def apply_pseudo_transform(s: LinSys, T: np.ndarray) -> LinSys:
         raise ValueError(f"transform dimension {m} does not divide system dimension {n}")
     if rank(T) < m:
         raise ValueError("T is singular")
-    exact = is_exact(s.A) and is_exact(T)
-    if not exact:
-        T = T.astype(float)
-    Tt = kron(T, eye(n // m, exact)) if n // m > 1 else T
-    A = Tt @ s.A @ inverse(Tt)
-    B = Tt @ s.B
-    return LinSys(name=s.name, A=A, B=B)
+    T, A, B = common_backend(T, s.A, s.B)
+    Tt = np.kron(T, as_backend(np.eye(n // m), T))
+    return LinSys(name=s.name, A=Tt @ A @ inverse(Tt), B=Tt @ B)

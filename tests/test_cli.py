@@ -41,6 +41,17 @@ def test_check_golden(capsys):
     assert out == (GOLDEN / "check_example1.txt").read_text()
 
 
+@pytest.mark.parametrize("argv, name", [(["check"], "check"),
+                                        (["ctrb", "--blend"], "ctrb_blend"),
+                                        (["blend"], "blend")])
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_float_backend_golden(capsys, argv, name, fmt):
+    code, out, _ = run(capsys, argv[0], CASE, *argv[1:], "--backend", "float",
+                       *(["--json"] if fmt == "json" else []))
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_example1_float.{fmt}").read_text()
+
+
 def test_outputs_deterministic(capsys):
     _, out1, _ = run(capsys, "check", CASE)
     _, out2, _ = run(capsys, "check", CASE)
@@ -161,6 +172,24 @@ def test_exit_code_bad_matrix_entry(capsys, tmp_path):
     doc["sigma1"]["A"][0][0] = "1/0"
     code, _, err = run(capsys, "check", write_case(tmp_path, doc))
     assert code == 2
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("field", ["matrix", "weights", "scenario"])
+def test_exit_code_null_entry(capsys, tmp_path, backend, field):
+    # a JSON null where a scalar belongs is an input error on both
+    # backends, not a traceback
+    doc = base_doc()
+    if field == "matrix":
+        doc["sigma1"]["A"][0][0] = None
+    elif field == "weights":
+        doc["transient"] = []
+    else:
+        doc["scenario"]["x_start"] = None
+    code, _, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                       "--backend", backend, "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_exit_code_nonpositive_weight(capsys, tmp_path):

@@ -22,6 +22,15 @@ def test_parse_scalar_grammar():
         parse_scalar("abc")
 
 
+def test_mat_and_vec_parse_strings_on_both_backends():
+    assert mat([["3/2", "0.75"]], exact=False).tolist() == [[1.5, 0.75]]
+    assert vec(["3/2", "-1/3", 2, 0.1], exact=False).tolist() == \
+        [1.5, -1 / 3, 2.0, 0.1]
+    assert vec(["3/2", "0.75"]).tolist() == [Fraction(3, 2), Fraction(3, 4)]
+    with pytest.raises(ValueError):
+        mat([["abc"]], exact=False)
+
+
 def test_ones_and_j():
     assert ones_vector(3).tolist() == [1, 1, 1]
     assert j_matrix(1).tolist() == [[1]]
