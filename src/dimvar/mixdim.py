@@ -16,13 +16,14 @@ Three cross-dimensional products are provided:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, Tolerance, as_backend, common_backend,
-                       is_exact)
+                       equality_key)
 
 
 def _divisors_desc(n: int) -> list[int]:
@@ -41,19 +42,14 @@ def _kron_j(A: np.ndarray, s: int) -> np.ndarray:
     return _replicate(A * as_backend(Fraction(1, s), A), s, True)
 
 
-def _entries_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
-    """Entry by entry, Y broadcasting: exact equality when both arrays
-    are exact, otherwise ``tol.close`` on their float values."""
-    if is_exact(X) and is_exact(Y):
-        return bool((X == Y).all())
-    return bool(tol.close(np.asarray(X, dtype=float),
-                          np.asarray(Y, dtype=float)).all())
-
-
 def _reps_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
     """Class representatives are equal: same shape, equal entries."""
-    X, Y = np.asarray(X), np.asarray(Y)
-    return X.shape == Y.shape and _entries_equal(X, Y, tol)
+    X, Y = common_backend(X, Y)
+    if X.shape != Y.shape:
+        return False
+    key = equality_key(np.array([X, Y]))      # one scale for both
+    return bool(tol.close(X, Y).all() if key is None else
+                (key[0] == key[1]).all())
 
 
 def _strip_factors(parts, tol: Tolerance):
@@ -64,35 +60,49 @@ def _strip_factors(parts, tol: Tolerance):
     otherwise as X0 (x) 1_s (rows blocked).  Divisors of the gcd of the
     blocked dimensions are tried largest first; a factor strips when
     every entry of every part equals the first entry of its block.  The
-    representative is the first entry of each block (exact) or the
-    block mean (float).  The search repeats on the representatives
-    until nothing strips, so the result does not depend on the
-    factorization order.  Returns the representatives and the product
-    of the stripped factors.
+    search repeats on the representatives until nothing strips, so the
+    result does not depend on the factorization order.  Returns the
+    representatives and the product of the stripped factors.
+
+    An exact part is tested on its `equality_key`, built once per call:
+    integers compared with ``==``, so no Fraction is compared.  Its
+    representative is the first entry of each block, so the key of a
+    representative is the same slice of the key, and the returned
+    representative is sliced from X once, at the end (times the whole
+    factor for J parts).  A float part is tested with ``tol.close``; its
+    representative is the block mean, taken at every strip.
     """
-    reps = [X for X, _ in parts]
+    keys = [equality_key(X) for X, _ in parts]
+    tests = [X if key is None else key for (X, _), key in zip(parts, keys)]
+    # one comparison per part, for each of the three checks below
+    equal = [tol.close if key is None else operator.eq for key in keys] * 3
     mult = 1
     while True:
-        dims = [d for X, (_, j) in zip(reps, parts)
+        dims = [d for X, (_, j) in zip(tests, parts)
                 for d in (X.shape if j else X.shape[:1])]
         for s in _divisors_desc(math.gcd(*dims))[:-1]:
             views = [X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
                      else X.reshape(X.shape[0] // s, s, X.shape[1], 1)
-                     for X, (_, j) in zip(reps, parts)]
+                     for X, (_, j) in zip(tests, parts)]
             # each entry against its block's first one; the first and
             # last entries of the first block's first column, then that
             # column, go first and reject most factors cheaply
-            if all(_entries_equal(w, w[:, :1, :, :1], tol)
-                   for w in [v[:1, ::s - 1, :1, :1] for v in views]
-                   + [v[:1, :, :1, :1] for v in views] + views):
+            checks = ([v[:1, ::s - 1, :1, :1] for v in views]
+                      + [v[:1, :, :1, :1] for v in views] + views)
+            if all(eq(w, w[:, :1, :, :1]).all()
+                   for w, eq in zip(checks, equal)):
                 break
         else:
-            return reps, mult
-        reps = []
-        for v, (_, j) in zip(views, parts):
-            rep = v[:, 0, :, 0].copy() if is_exact(v) else v.mean(axis=(1, 3))
-            reps.append(rep * s if j else rep)
+            break
+        tests = [v[:, 0, :, 0] if key is not None
+                 else (v.mean(axis=(1, 3)) * s if j else v.mean(axis=(1, 3)))
+                 for v, key, (_, j) in zip(views, keys, parts)]
         mult *= s
+    if mult == 1:
+        return [X for X, _ in parts], 1
+    return [rep if key is None
+            else (X[::mult, ::mult] * mult if j else X[::mult].copy())
+            for rep, key, (X, j) in zip(tests, keys, parts)], mult
 
 
 @dataclass(frozen=True)

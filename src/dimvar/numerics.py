@@ -15,8 +15,9 @@ Two scalar backends are supported throughout the package:
 An array's backend is recognised from its dtype (``object`` = exact).
 Only this module turns the dtype into a choice of construction: other
 modules build arrays on an operand's backend with `as_backend` and
-promote mixed operands with `common_backend`, and read `is_exact` only
-where their algorithm differs by backend.  Exact `solve` and `inverse`
+promote mixed operands with `common_backend`, compare exact entries on
+integer `equality_key`s, and read `is_exact` only where their algorithm
+differs by backend.  Exact `solve` and `inverse`
 run on the same Bareiss kernel as rank and span decisions.
 """
 
@@ -74,6 +75,10 @@ def mat(rows, exact: bool = True) -> np.ndarray:
     """
     data = [[Fraction(str(e)) if isinstance(e, (str, float)) else Fraction(e)
              for e in row] for row in rows]
+    for i, row in enumerate(data):
+        if len(row) != len(data[0]):
+            raise ValueError(f"row {i} has {len(row)} entries, "
+                             f"row 0 has {len(data[0])}")
     return np.array(data, dtype=object if exact else float)
 
 
@@ -165,6 +170,31 @@ def _integer_scaled(M: np.ndarray):
     L = math.lcm(*dens)
     Z = [x.numerator * (L // d) for x, d in zip(flat, dens)]
     return np.array(Z, dtype=object).reshape(M.shape), L
+
+
+def equality_key(M: np.ndarray):
+    """An integer array equal exactly where the exact array M is equal,
+    or None when M is float.
+
+    The key is the integer-scaled copy L * M: int64 where every entry
+    fits, Python ints in an object array otherwise.  It is computed once
+    per distinct entry object (a lifted array repeats a few objects) and
+    gathered.  It is meant for ``==`` only; no tolerance or float
+    conversion may touch it.
+    """
+    if not is_exact(M):
+        return None
+    flat = M.ravel().tolist()
+    ids = list(map(id, flat))
+    distinct = dict(zip(ids, flat))             # one entry per object
+    Z, _ = _integer_scaled(np.array(list(distinct.values()), dtype=object))
+    scaled = dict(zip(distinct, Z.tolist()))
+    Z = list(map(scaled.__getitem__, ids))
+    try:
+        key = np.array(Z, dtype=np.int64)
+    except OverflowError:
+        key = np.array(Z, dtype=object)
+    return key.reshape(M.shape)
 
 
 def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,

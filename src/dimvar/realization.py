@@ -20,7 +20,7 @@ import numpy as np
 from .controllability import ctrb_matrix, ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
                        column_space_basis, in_span_columns, rank)
-from .systems import LinSys, _lift_parts
+from .systems import LinSys
 
 
 def augment_with_zero_dynamics(s: LinSys, q: int) -> LinSys:
@@ -161,6 +161,13 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     Weights come either from formal masses (m1, m2), giving the convex
     pair alpha = m1/(m1+m2), beta = 1 - alpha, or directly as any
     strictly positive (alpha, beta).
+
+    A = alpha A1 (x) J_k + beta A2 (x) J_m (k = n/p, m = n/q) is
+    constant on the blocks of the common refinement of the k-blocks
+    and m-blocks of R^n: p + q - gcd(p, q) segments starting at the
+    multiples of k and of m.  Each segment pair is summed once, as
+    alpha * (a1 * (1/k)) + beta * (a2 * (1/m)) in the Kronecker
+    product's operand order, and repeated by the segment lengths.
     """
     if masses is not None:
         m1, m2 = (Fraction(str(m)) for m in masses)
@@ -177,11 +184,17 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
             raise ValueError("weights must be strictly positive")
     p, q = s1.dim, s2.dim
     n = math.lcm(p, q)
+    k, m = n // p, n // q
     alpha, beta = as_backend(alpha, s1.A), as_backend(beta, s2.A)
-    A1, B1 = _lift_parts(s1, n, alpha)
-    A2, B2 = _lift_parts(s2, n, beta)
-    A = A1 + A2
-    B = np.hstack([B1, B2])
+    starts = sorted(set(range(0, n, k)).union(range(0, n, m)))
+    lengths = np.array([b - a for a, b in zip(starts, starts[1:] + [n])])
+    i, j = [t // k for t in starts], [t // m for t in starts]
+    A1 = alpha * (s1.A * as_backend(Fraction(1, k), s1.A))
+    A2 = beta * (s2.A * as_backend(Fraction(1, m), s2.A))
+    A = A1.take(i, 0).take(i, 1) + A2.take(j, 0).take(j, 1)
+    A = np.repeat(np.repeat(A, lengths, axis=0), lengths, axis=1)
+    B = np.hstack([np.repeat(alpha * s1.B, k, axis=0),
+                   np.repeat(beta * s2.B, m, axis=0)])
     base = LinSys(name=f"blend({s1.name},{s2.name})", A=A, B=B)
     return TransientModel(base=base, weights=(alpha, beta),
                           source_dims=(p, q),

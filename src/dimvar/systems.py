@@ -9,7 +9,6 @@ when they share the same irreducible representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -64,23 +63,9 @@ def lift_system(s: LinSys, n: int) -> LinSys:
         raise ValueError(f"cannot lift dimension {p} to {n}: {p} does not divide {n}")
     if n == p:
         return s
-    A, B = _lift_parts(s, n)
-    return LinSys(name=s.name, A=A, B=B)
-
-
-def _lift_parts(s: LinSys, n: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """(w A) (x) J_k and (w B) (x) 1_k for k = n / dim(s), by replication.
-
-    A (x) J_k repeats A * (1/k) k times along both axes and B (x) 1_k
-    repeats the rows of B, so each entry is computed once, in the same
-    operand order as the Kronecker product: w * (a * (1/k)).
-    """
-    k = n // s.dim
-    A = s.A * as_backend(Fraction(1, k), s.A)
-    B = s.B
-    if weight is not None:
-        A, B = weight * A, weight * B
-    return mixdim._replicate(A, k, True), mixdim._replicate(B, k, False)
+    k = n // p
+    return LinSys(name=s.name, A=mixdim._kron_j(s.A, k),
+                  B=mixdim._replicate(s.B, k, False))
 
 
 def project_system(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientSysRep:

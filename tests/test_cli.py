@@ -192,6 +192,19 @@ def test_exit_code_null_entry(capsys, tmp_path, backend, field):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("field,rows", [("A", [["0", "1"], ["0"]]),
+                                        ("B", [["0", "1"], ["1"]])])
+def test_exit_code_ragged_rows(capsys, tmp_path, backend, field, rows):
+    # rows of unequal length are named as such on both backends
+    doc = base_doc()
+    doc["sigma1"][field] = rows
+    code, _, err = run(capsys, "check", write_case(tmp_path, doc),
+                       "--backend", backend)
+    assert code == 2
+    assert "'sigma1' has an unparseable entry: row 1 has 1 entries" in err
+
+
 def test_exit_code_nonpositive_weight(capsys, tmp_path):
     doc = base_doc()
     doc["transient"] = {"alpha": "0", "beta": "1"}

@@ -10,9 +10,9 @@ from dimvar import (DEFAULT_TOL, LinSys, j_matrix, kron, lift_system, mat,
                     mat_equivalent, mat_vec_equivalent, ones_vector,
                     project_system, reduce_matrix, reduce_matrix_vec,
                     reduce_vector, second_stp, stp_action, stp_action_matrix,
-                    stp_identity_action, vec, vec_add, vec_equivalent,
-                    vec_sub)
-from dimvar.numerics import Tolerance, eye, inverse
+                    stp_identity_action, systems_equivalent, vec, vec_add,
+                    vec_equivalent, vec_sub)
+from dimvar.numerics import Tolerance, equality_key, eye, inverse
 
 
 def test_reduce_vector_basic():
@@ -322,3 +322,109 @@ def test_strip_matches_reference_non_square():
             rep = reduce_matrix(M)
             _assert_same(rep.irreducible, ra)
             assert rep.multiplier == ka
+
+
+# -- exact comparison keys ---------------------------------------------------
+
+def _check_every_entry_point(A, B, x, A0, B0, x0, equivalent):
+    """All stripping entry points on (A, B, x) against the scalar
+    reference, and every class equality against (A0, B0, x0)."""
+    _check_strip_matches_reference(A, B, x)
+    s, s0 = LinSys("s", A, B), LinSys("s0", A0, B0)
+    assert vec_equivalent(x, x0) is equivalent
+    assert mat_equivalent(A, A0) is equivalent
+    assert mat_vec_equivalent(B, B0) is equivalent
+    assert systems_equivalent(s, s0) is equivalent
+
+
+def test_keys_keep_near_equal_large_values_apart():
+    # a 1e-9 relative tolerance would merge a and b; exact keys must not
+    a, b = Fraction(10**12, 7), Fraction(10**12 + 1, 7)
+    x = kron(np.array([a, b], dtype=object), ones_vector(3))
+    assert reduce_vector(x).irreducible.tolist() == [a, b]
+    A0 = np.array([[a, b], [b, a]], dtype=object)
+    A = kron(A0, j_matrix(3))
+    rep = reduce_matrix(A)
+    assert rep.irreducible.tolist() == A0.tolist() and rep.multiplier == 3
+    B = np.column_stack([x, x[::-1]])
+    assert reduce_matrix_vec(B).tolist() == [[a, b], [b, a]]
+    assert project_system(LinSys("s", A, B)).multiplier_stripped == 3
+    # against the class of the all-a objects, which a tolerance would join
+    full = np.full((2, 2), a, dtype=object)
+    _check_every_entry_point(A, B, x, full, full, full[0], False)
+    _check_every_entry_point(A, B, x, A0, B[::3], x[::3], True)
+
+
+def test_keys_beyond_int64_fall_back_to_python_ints():
+    big = 10**30
+    x0 = np.array([Fraction(big, big + 7), Fraction(big + 1, big + 7),
+                   Fraction(-big, 3)], dtype=object)
+    assert equality_key(x0).dtype == object
+    assert equality_key(vec([1, "2/3"])).dtype == np.int64
+    x = kron(x0, ones_vector(4))
+    A0 = np.outer(x0, x0[::-1])
+    A = kron(A0, j_matrix(4))
+    B = np.column_stack([x, -x])
+    assert reduce_vector(x).irreducible.tolist() == x0.tolist()
+    assert reduce_matrix(A).irreducible.tolist() == A0.tolist()
+    _check_every_entry_point(A, B, x, A0, B[::4], x0, True)
+    bumped, A_bumped = x.copy(), A.copy()
+    bumped[-1] += Fraction(1, big)
+    A_bumped[-1, 0] += Fraction(1, big)
+    _check_every_entry_point(A_bumped, np.column_stack([bumped, -x]), bumped,
+                             A0, B[::4], x0, False)
+
+
+def test_keys_of_plain_int_and_mixed_object_arrays():
+    x = np.array([1, Fraction(1), 1, Fraction(1), 2, 2, 2, 2], dtype=object)
+    mv = reduce_vector(x)
+    assert mv.irreducible.tolist() == [1, 2] and mv.multiplicity == 4
+    assert type(mv.irreducible[0]) is int
+    A0 = np.array([[1, -2], [0, 3]], dtype=object)
+    A = np.repeat(np.repeat(A0, 3, axis=0), 3, axis=1)    # A0 (x) 1 1^T
+    B = np.repeat(np.array([[5], [5]], dtype=object), 3, axis=0)
+    assert reduce_matrix(A).irreducible.tolist() == (3 * A0).tolist()
+    _check_every_entry_point(A, B, x, 3 * A0, B[::3], x[::4], True)
+    _check_every_entry_point(A, B, x, A0, B[::3] + 1, x[::-4], False)
+
+
+def test_keys_of_equal_fractions_that_are_distinct_objects():
+    # parsed entry by entry, so no two entries are the same object
+    x = vec(["1/3", "1/3", "1/3", "-2/5", "-2/5", "-2/5"])
+    assert len({id(e) for e in x}) == 6
+    assert reduce_vector(x).irreducible.tolist() == [Fraction(1, 3),
+                                                     Fraction(-2, 5)]
+    base = [["1/6", "0"], ["5/4", "-7"]]
+    A = mat([[e for e in row for _ in range(3)] for row in base
+             for _ in range(3)])
+    B = mat([["2/9"]] * 3 + [["1"]] * 3)
+    A0 = 3 * mat(base)
+    assert reduce_matrix(A).irreducible.tolist() == A0.tolist()
+    _check_every_entry_point(A, B, x, A0, mat([["2/9"], ["1"]]), x[::3], True)
+
+
+def test_strip_keys_match_reference_up_to_n130():
+    rng = random.Random(59)
+    cases = ((10, 13), (13, 10), (5, 26), (26, 5), (2, 65), (65, 2),
+             (1, 130), (3, 40), (4, 30), (6, 20), (12, 10), (7, 16))
+    for p, k in cases:
+        s = LinSys("s", np.array([[Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                                   for _ in range(p)] for _ in range(p)],
+                                 dtype=object),
+                   rand_rational_matrix(rng, p, rng.randint(1, 2)))
+        big = lift_system(s, p * k)
+        A, B = big.A.copy(), big.B.copy()
+        x = kron(rand_rational_vector(rng, p), ones_vector(k))
+        if rng.random() < 0.5:                 # break one block
+            i, j = rng.randrange(p * k), rng.randrange(p * k)
+            A[i, j] += Fraction(1, 10**12)
+            B[i, 0] += 1
+            x[j] += Fraction(1, 7)
+        # the same values as distinct objects
+        A_, B_, x_ = (np.array([Fraction(str(e)) for e in M.flat],
+                               dtype=object).reshape(M.shape)
+                      for M in (A, B, x))
+        _check_strip_matches_reference(A, B, x)
+        _check_strip_matches_reference(A_, B_, x_)
+        assert systems_equivalent(LinSys("a", A, B), LinSys("b", A_, B_))
+        assert mat_equivalent(A, A_) and vec_equivalent(x, x_)

@@ -150,3 +150,54 @@ def test_lift_and_blend_match_kronecker_reference(exact):
                 a * np.kron(s1.B, ones[p]), b * np.kron(s2.B, ones[q])]))
             if exact:
                 assert all(isinstance(x, Fraction) for x in model.base.A.flat)
+
+
+def _blend_reference(s1, s2, a, b):
+    """The blend from its definition: Kronecker products on R^n."""
+    n = math.lcm(s1.dim, s2.dim)
+    exact = s1.A.dtype == object
+    J = {s.dim: j_matrix(n // s.dim, exact) for s in (s1, s2)}
+    ones = {s.dim: ones_vector(n // s.dim, exact).reshape(-1, 1)
+            for s in (s1, s2)}
+    return (a * np.kron(s1.A, J[s1.dim]) + b * np.kron(s2.A, J[s2.dim]),
+            np.hstack([a * np.kron(s1.B, ones[s1.dim]),
+                       b * np.kron(s2.B, ones[s2.dim])]))
+
+
+def _identical(got, want):
+    """Same shape and dtype, and entry for entry the same type and bits."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == object:
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_blend_on_segments_matches_kronecker_reference(exact):
+    # the blend is summed once per pair of segments of the common
+    # refinement of the k-blocks and m-blocks, then repeated; entries
+    # and their types equal the Kronecker definition's
+    rng = random.Random(47)
+    dims = ((2, 6), (3, 9), (4, 4), (5, 7), (6, 10), (11, 13), (7, 2))
+    weights = (dict(masses=(1, 1)), dict(masses=(1, 2)),
+               dict(alpha=Fraction(3, 2), beta=Fraction(1, 3)),
+               dict(alpha="0.7", beta=2))
+    for p, q in dims:
+        for kw in weights:
+            s1, s2 = (LinSys(f"s{d}", rand_rational_matrix(rng, d, d, -9, 9)
+                             / rng.randint(1, 7),
+                             rand_rational_matrix(rng, d, rng.randint(1, 2)))
+                      for d in (p, q))
+            if not exact:       # ill-scaled floats, signed zeros included
+                s1, s2 = (LinSys(s.name, s.A.astype(float)
+                                 * 10.0 ** rng.uniform(-8, 8),
+                                 s.B.astype(float) * -rng.uniform(0.1, 10))
+                          for s in (s1, s2))
+            model = build_transient_model(s1, s2, **kw)
+            A, B = _blend_reference(s1, s2, *model.weights)
+            _identical(model.base.A, A)
+            _identical(model.base.B, B)
+            if exact:
+                assert all(type(x) is Fraction for x in model.base.A.flat)
