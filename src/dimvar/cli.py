@@ -10,7 +10,8 @@ simulate  run a steered transient scenario and export the trajectory
 
 Exit codes: 0 = success / condition holds, 1 = condition fails or the
 target was missed, 2 = usage or input error, 3 = numerical failure
-(a float linear-algebra routine failed on a valid input).
+(a float linear-algebra routine failed, or a computed value overflowed,
+on a valid input).
 
 System files are JSON: matrices are grids of scalar strings ("3",
 "3/2", "0.75"), parsed exactly under the rational backend.
@@ -26,11 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .controllability import _class_reps, ctrb_subspace
+from .controllability import _class_reps, ctrb_matrix
 from .mixdim import reduce_vector
-from .numerics import DEFAULT_TOL, Tolerance, mat, parse_scalar, vec
-from .realization import (build_transient_model, check_modeling_condition,
-                          check_realization)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, mat,
+                       parse_scalar, pivot_columns, vec)
+from .realization import (_segment_ctrb, build_transient_model,
+                          check_modeling_condition, check_realization)
 from .simulation import (Scenario, UnreachableTargetError, export_trajectory,
                          run_transient_scenario)
 from .systems import LinSys
@@ -78,6 +80,9 @@ def _load_file(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
+    notes = doc.get("notes", [])
+    if not (isinstance(notes, list) and all(isinstance(x, str) for x in notes)):
+        raise InputError(f"{path}: 'notes' must be a list of strings")
     return doc
 
 
@@ -92,6 +97,8 @@ def _parse_system(doc: dict, key: str, path: str, exact: bool) -> LinSys:
         raise InputError(f"{path}: '{key}' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: '{key}' has an unparseable entry: {exc}")
+    except OverflowError:
+        raise InputError(f"{path}: '{key}' has an entry beyond float range")
     try:
         return LinSys(name=key, A=A, B=B)
     except ValueError as exc:
@@ -119,10 +126,25 @@ def _parse_weights(doc: dict, path: str) -> dict:
 
 
 def _parse_case(doc: dict, args) -> tuple[LinSys, LinSys, dict]:
-    """Both systems, on the chosen backend, and the transient weights."""
-    return (_parse_system(doc, "sigma1", args.file, args.exact),
-            _parse_system(doc, "sigma2", args.file, args.exact),
-            _parse_weights(doc, args.file))
+    """Both systems, on the chosen backend, and the transient weights.
+
+    The float backend, and `simulate` on either backend, compute in
+    floats, so there every matrix entry and weight must fit in one.
+    """
+    s1, s2 = (_parse_system(doc, key, args.file, args.exact)
+              for key in ("sigma1", "sigma2"))
+    weights = _parse_weights(doc, args.file)
+    if not args.exact or args.command == "simulate":
+        for what, values in (("sigma1", [*s1.A.flat, *s1.B.flat]),
+                             ("sigma2", [*s2.A.flat, *s2.B.flat]),
+                             ("transient", [weights.get("alpha", 1),
+                                            weights.get("beta", 1)])):
+            try:
+                [float(x) for x in values]
+            except OverflowError:
+                raise InputError(
+                    f"{args.file}: '{what}' has an entry beyond float range")
+    return s1, s2, weights
 
 
 def _print_notes(doc: dict, out) -> None:
@@ -195,22 +217,24 @@ def cmd_ctrb(args) -> int:
                              "(expected sigma1 or sigma2)")
         sys_ = _parse_system(doc, args.system, args.file, args.exact)
         label = args.system
-    res = ctrb_subspace(sys_.A, sys_.B, tol)
-    matrix = res.matrix
+    matrix = ctrb_matrix(sys_.A, sys_.B)
+    piv = (_segment_ctrb(model, tol)[1] if args.blend
+           else pivot_columns(matrix, tol))
+    basis = SubspaceBasis(sys_.dim, matrix[:, piv])
     if args.blend:
         # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
-        # column j m + i of res.matrix is A^j times input column i
+        # column j m + i of the Krylov matrix is A^j times input column i
         cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)
         split = model.input_split[0]
         matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
                                            cols[:, split:].ravel()])]
-    reps = _class_reps(res.basis, tol)
+    reps = _class_reps(basis, tol)
     if args.json:
         payload = {
             "system": label,
-            "rank": res.rank,
+            "rank": basis.dim,
             "ctrb_matrix": _json_matrix(matrix),
-            "basis": _json_matrix(res.basis.basis.T),
+            "basis": _json_matrix(basis.basis.T),
             "class_reps": [_json_vector(r.irreducible) for r in reps],
         }
         print(json.dumps(payload, indent=2))
@@ -218,10 +242,10 @@ def cmd_ctrb(args) -> int:
         print(f"controllability of {label} (dim {sys_.dim})")
         print("  matrix:")
         print(_fmt_matrix(matrix, "    "))
-        print(f"  rank: {res.rank}")
+        print(f"  rank: {basis.dim}")
         print("  basis columns:")
-        for j in range(res.basis.dim):
-            print("    " + _fmt_vector(res.basis.basis[:, j]))
+        for j in range(basis.dim):
+            print("    " + _fmt_vector(basis.basis[:, j]))
         print("  quotient class representatives:")
         for r in reps:
             print("    " + _fmt_vector(r.irreducible))
@@ -290,6 +314,9 @@ def cmd_simulate(args) -> int:
         raise InputError(f"{args.file}: 'scenario' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{args.file}: bad scenario: {exc}")
+    except OverflowError:
+        raise InputError(
+            f"{args.file}: 'scenario' has an entry beyond float range")
     try:
         traj, outcome = run_transient_scenario(
             s1, s2, sc, steer=args.steer, **weights)
@@ -374,7 +401,9 @@ def main(argv=None) -> int:
     args.exact = args.backend == "rational"
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:    # a ValueError, but not an input error
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # LinAlgError is a ValueError, but not an input error; input
+        # beyond float range is rejected while parsing
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:

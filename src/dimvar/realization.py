@@ -5,21 +5,22 @@ between them is realizable (the smaller system's controllable subspace,
 zero-embedded into the larger space, can be completed to the whole
 space by part of the larger system's controllable subspace), build the
 blended transient model on the lcm dimension, and check the necessary
-modeling condition (the blend's controllable subspace must contain both
-lifted subsystem subspaces).
+modeling condition (the blend's controllable subspace, decided once in
+`_segment_ctrb` for this check and ``dimvar ctrb --blend``, must contain
+both lifted subsystem subspaces).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .controllability import ctrb_matrix, ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
-                       column_space_basis, in_span_columns, rank)
+                       in_span_columns, pivot_columns, rank)
 from .systems import LinSys
 
 
@@ -154,6 +155,17 @@ class TransientModel:
         return self.base.B[:, self.input_split[0]:]
 
 
+def _segments(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the p + q - gcd(p, q) segments of R^n,
+    n = lcm(p, q): the common refinement of its blocks of length n/p
+    and of length n/q, starting at the multiples of both lengths.  The
+    blend and every lifted vector are constant on each segment.
+    """
+    n = math.lcm(p, q)
+    starts = sorted({*range(0, n, n // p), *range(0, n, n // q)})
+    return np.array(starts), np.diff(starts + [n])
+
+
 def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
                           masses=None) -> TransientModel:
     """Blend two systems on n = lcm(p, q).
@@ -163,9 +175,8 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     strictly positive (alpha, beta).
 
     A = alpha A1 (x) J_k + beta A2 (x) J_m (k = n/p, m = n/q) is
-    constant on the blocks of the common refinement of the k-blocks
-    and m-blocks of R^n: p + q - gcd(p, q) segments starting at the
-    multiples of k and of m.  Each segment pair is summed once, as
+    constant on the blocks of the p + q - gcd(p, q) segments of
+    `_segments`.  Each segment pair is summed once, as
     alpha * (a1 * (1/k)) + beta * (a2 * (1/m)) in the Kronecker
     product's operand order, and repeated by the segment lengths.
     """
@@ -186,9 +197,8 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     n = math.lcm(p, q)
     k, m = n // p, n // q
     alpha, beta = as_backend(alpha, s1.A), as_backend(beta, s2.A)
-    starts = sorted(set(range(0, n, k)).union(range(0, n, m)))
-    lengths = np.array([b - a for a, b in zip(starts, starts[1:] + [n])])
-    i, j = [t // k for t in starts], [t // m for t in starts]
+    starts, lengths = _segments(p, q)
+    i, j = starts // k, starts // m
     A1 = alpha * (s1.A * as_backend(Fraction(1, k), s1.A))
     A2 = beta * (s2.A * as_backend(Fraction(1, m), s2.A))
     A = A1.take(i, 0).take(i, 1) + A2.take(j, 0).take(j, 1)
@@ -215,15 +225,21 @@ class ModelingReport:
     dim_Cz: int
 
 
-def _block_average(p: int, q: int, n: int, like: np.ndarray) -> np.ndarray:
-    """The p x q map sending w to the means of w (x) 1_{n/q} over its p
-    blocks of length n/p: entry (r // (n/p), r // (n/q)) gains p/n for
-    every r < n.  Built on the backend of `like`."""
-    k, m = n // p, n // q
-    counts = np.zeros((p, q), dtype=int)
-    r = np.arange(n)
-    np.add.at(counts, (r // k, r // m), 1)
-    return as_backend(counts, like) / k
+def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
+    """The blend's controllable subspace C_z in segment coordinates.
+
+    With E the n x s indicator of the s segments of `_segments`,
+    A E = E As and B = E Bs for As = A[starts][:, starts] diag(lengths)
+    and Bs = B[starts], so the blend's Krylov matrix is E ctrb(As, Bs)
+    block for block.  E is injective and blocks past s never pivot, so
+    the two have the same pivot columns, and C_z = E span ctrb(As, Bs).
+    Returns the starts, the pivots and the basis of span ctrb(As, Bs).
+    """
+    starts, lengths = _segments(*model.source_dims)
+    A, B = model.base.A, model.base.B
+    K = ctrb_matrix(A[np.ix_(starts, starts)] * lengths, B[starts])
+    piv = pivot_columns(K, tol)
+    return starts, piv, SubspaceBasis(len(starts), K[:, piv])
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -231,47 +247,25 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     """Check that the blend's controllable subspace contains both
     subsystems' controllable subspaces after lifting to dimension n.
 
-    Every lifted part of the blend maps R^n into V = R^p (x) 1_k +
-    R^q (x) 1_m (k = n/p, m = n/q), which has dimension p + q - g with
-    g = gcd(p, q), so the check runs in the coordinates R^(p+q) of
-    M = [I_p (x) 1_k | I_q (x) 1_m].  With Pi the block-averaging maps,
-    the blend satisfies A M = M At and B = M Bt for
-
-        At = [[alpha A1, alpha A1 Pi_qp], [beta A2 Pi_pq, beta A2]],
-        Bt = diag(alpha B1, beta B2),
-
-    so C_z = M span(ctrb(At, Bt)).  N = [I_g (x) 1_(p/g); -I_g (x) 1_(q/g)]
-    spans ker M; with S = span[ctrb(At, Bt) | N], dim C_z = dim S - g,
-    and v (x) 1_k lies in C_z iff [v; 0] lies in S (w (x) 1_m: [0; w]).
-    All lifted vectors are tested in one elimination.  Only the two
-    systems and the model's weights are read; no n-dimensional matrix
-    is formed.
+    C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
+    v (x) 1_k lies in C_z = E span ctrb(As, Bs) iff v[starts // k] lies
+    in span ctrb(As, Bs) (w (x) 1_m: w[starts // m]), tested for all
+    lifted vectors in one elimination.  The blend is read from
+    ``model.base``, at the segment starts; every model that
+    `build_transient_model` makes from s1 and s2 carries their blend.
     """
-    p, q = s1.dim, s2.dim
-    if model.source_dims != (p, q):
+    if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    n, g = math.lcm(p, q), math.gcd(p, q)
-    alpha, beta = model.weights
-    A1, B1, A2, B2 = s1.A, s1.B, s2.A, s2.B
-    zero = as_backend(0, A1)
-    At = np.block([[alpha * A1, alpha * (A1 @ _block_average(p, q, n, A1))],
-                   [beta * (A2 @ _block_average(q, p, n, A2)), beta * A2]])
-    Bt = np.block([[alpha * B1, np.full((p, B2.shape[1]), zero)],
-                   [np.full((q, B1.shape[1]), zero), beta * B2]])
-    I_g = as_backend(np.eye(g), A1)
-    N = np.vstack([np.repeat(I_g, p // g, axis=0),
-                   -np.repeat(I_g, q // g, axis=0)])
-    S = column_space_basis(np.hstack([ctrb_matrix(At, Bt), N]), tol)
+    n = model.dim
+    starts, _, S = _segment_ctrb(model, tol)
     lifted, columns = [], []
-    for s, offset in ((s1, 0), (s2, p)):
+    for s in (s1, s2):
         C = ctrb_subspace(s.A, s.B, tol).basis.basis
-        W = np.full((p + q, C.shape[1]), zero)
-        W[offset:offset + s.dim] = C
-        columns.append(W)
+        columns.append(C[starts // (n // s.dim)])
         lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]
     inside = in_span_columns(S, np.hstack(columns), tol)
     return ModelingReport(holds=all(inside), n=n,
                           tested_vectors=list(zip(lifted, inside)),
-                          dim_Cz=S.dim - g)
+                          dim_Cz=S.dim)

@@ -56,6 +56,9 @@ class Scenario:
     quad_steps: int = 512
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t0, self.te, self.step))):
+            raise ValueError(f"non-finite time: t0={self.t0}, te={self.te}, "
+                             f"step={self.step}")
         if self.te <= self.t0:
             raise ValueError(f"empty horizon: te={self.te} <= t0={self.t0}")
         if self.step <= 0:

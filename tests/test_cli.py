@@ -1,11 +1,14 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dimvar import SubspaceBasis
 from dimvar.cli import main
+from dimvar.numerics import in_span_columns, rank
 
 ROOT = Path(__file__).resolve().parent.parent
 CASE = str(ROOT / "cases" / "example1.json")
@@ -307,3 +310,125 @@ def test_check_large_coprime_blend(capsys, tmp_path):
     assert modeling["n"] == 143
     assert modeling["dim_Cz"] <= 11 + 13 - 1
     assert all(len(t["vector"]) == 143 for t in modeling["tested"])
+
+
+def _generated_case(tmp_path, p, q, seed, inputs=(1, 1)):
+    rng = np.random.default_rng(seed)
+
+    def system(dim, n_inputs):
+        return {"A": rng.integers(-3, 4, size=(dim, dim)).astype(str).tolist(),
+                "B": rng.integers(-3, 4, size=(dim, n_inputs)).astype(str).tolist()}
+
+    doc = {"sigma1": system(p, inputs[0]), "sigma2": system(q, inputs[1]),
+           "transient": {"alpha": "3/2", "beta": "1/3"}}
+    return write_case(tmp_path, doc, f"case_{p}_{q}.json")
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("p,q,inputs", [(5, 7, (1, 1)), (6, 10, (2, 1)),
+                                        (7, 11, (1, 2))])
+def test_ctrb_blend_rank_equals_check_dim_cz(capsys, tmp_path, backend, p, q,
+                                             inputs):
+    # `ctrb --blend` and `check` decide C_z on the same segment system,
+    # so they report one dimension on each backend
+    path = _generated_case(tmp_path, p, q, seed=p * q, inputs=inputs)
+    code, out, _ = run(capsys, "ctrb", path, "--blend", "--json",
+                       "--backend", backend)
+    assert code == 0
+    ctrb_rank = json.loads(out)["rank"]
+    code, out, _ = run(capsys, "check", path, "--json", "--backend", backend)
+    assert code in (0, 1)
+    assert json.loads(out)["modeling"]["dim_Cz"] == ctrb_rank
+
+
+def test_ctrb_blend_large_coprime(capsys, tmp_path):
+    # (11, 13): the n = 143 Krylov matrix is printed, its pivots come
+    # from the 23-dimensional segment system
+    path = _generated_case(tmp_path, 11, 13, seed=143)
+    code, out, _ = run(capsys, "ctrb", path, "--blend", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run(capsys, "check", path, "--json")
+    assert payload["rank"] == json.loads(out)["modeling"]["dim_Cz"]
+    frac = lambda x: Fraction(x["num"], x["den"])
+    K = np.array([[frac(x) for x in row] for row in payload["ctrb_matrix"]],
+                 dtype=object)
+    basis = np.array([[frac(x) for x in col] for col in payload["basis"]],
+                     dtype=object).T
+    assert K.shape == (143, 286) and basis.shape == (143, payload["rank"])
+    # the basis is independent and spans the blocks A^j B, j < 24, of
+    # each channel; by Cayley-Hamilton on the 23-dimensional segment
+    # system, later blocks add no rank
+    assert rank(basis) == payload["rank"]
+    first = np.hstack([K[:, :24], K[:, 143:167]])
+    assert all(in_span_columns(SubspaceBasis(143, basis), first))
+    assert len(payload["class_reps"]) <= payload["rank"]
+
+
+_FILE_COMMANDS = {"check": ["check"], "ctrb": ["ctrb"],
+                  "ctrb-blend": ["ctrb", "--blend"], "blend": ["blend"],
+                  "simulate": ["simulate", "--steer"]}
+_ALL = tuple(_FILE_COMMANDS)
+_WEIGHTED = ("check", "ctrb-blend", "blend", "simulate")
+_BOTH = ("rational", "float")
+_MALFORMED = [
+    # name, path into example1, value, subcommands, backends, message
+    ("notes-int", ["notes"], 5, _ALL, _BOTH, "'notes' must be a list"),
+    ("notes-str", ["notes"], "abc", _ALL, _BOTH, "'notes' must be a list"),
+    ("notes-ints", ["notes"], [1, 2], _ALL, _BOTH, "'notes' must be a list"),
+    ("ragged", ["sigma1", "A"], [["0", "1"], ["0"]], _ALL, _BOTH,
+     "'sigma1' has an unparseable entry: row 1"),
+    ("null-matrix", ["sigma1", "B"], None, _ALL, _BOTH, "'sigma1'"),
+    ("null-entry", ["sigma1", "A", 0, 0], None, _ALL, _BOTH, "'sigma1'"),
+    ("nan-entry", ["sigma1", "A", 0, 0], "nan", _ALL, _BOTH, "'sigma1'"),
+    ("inf-entry", ["sigma1", "B", 1, 0], "inf", _ALL, _BOTH, "'sigma1'"),
+    ("transient-list", ["transient"], ["3/2", "1/2"], _WEIGHTED, _BOTH,
+     "'transient'"),
+    ("transient-str", ["transient"], "abc", _WEIGHTED, _BOTH, "'transient'"),
+    ("scenario-list", ["scenario"], [0, 1], ("simulate",), _BOTH,
+     "bad scenario"),
+    ("scenario-int", ["scenario"], 5, ("simulate",), _BOTH, "bad scenario"),
+    ("huge-entry", ["sigma1", "A", 0, 1], "1e400", _ALL, ("float",),
+     "'sigma1' has an entry beyond float range"),
+    ("huge-entry", ["sigma1", "A", 0, 1], "1e400", ("simulate",),
+     ("rational",), "'sigma1' has an entry beyond float range"),
+    ("huge-weight", ["transient", "alpha"], "1e400", _WEIGHTED, ("float",),
+     "'transient' has an entry beyond float range"),
+    ("huge-weight", ["transient", "beta"], "1e400", ("simulate",),
+     ("rational",), "'transient' has an entry beyond float range"),
+    ("huge-start", ["scenario", "x_start"], ["1e400", "1"], ("simulate",),
+     _BOTH, "'scenario' has an entry beyond float range"),
+    ("huge-target", ["scenario", "y_target", 2], "-1e400", ("simulate",),
+     _BOTH, "'scenario' has an entry beyond float range"),
+    ("nan-te", ["scenario", "te"], "nan", ("simulate",), _BOTH,
+     "bad scenario: non-finite"),
+    ("inf-te", ["scenario", "te"], "inf", ("simulate",), _BOTH,
+     "bad scenario: non-finite"),
+    ("nan-t0", ["scenario", "t0"], "nan", ("simulate",), _BOTH,
+     "bad scenario: non-finite"),
+    ("inf-step", ["scenario", "step"], "inf", ("simulate",), _BOTH,
+     "bad scenario: non-finite"),
+]
+
+
+@pytest.mark.parametrize("path,value,command,backend,message", [
+    pytest.param(path, value, command, backend, message,
+                 id=f"{name}-{command}-{backend}")
+    for name, path, value, commands, backends, message in _MALFORMED
+    for command in commands for backend in backends])
+def test_malformed_input_exits_2(capsys, tmp_path, path, value, command,
+                                 backend, message):
+    # every malformed file is an input error, reported before any output
+    doc = base_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    name, *options = _FILE_COMMANDS[command]
+    code, out, err = run(capsys, name, write_case(tmp_path, doc), *options,
+                         "--backend", backend,
+                         *(["--out", str(tmp_path / "t.csv")]
+                           if name == "simulate" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err

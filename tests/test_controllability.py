@@ -60,9 +60,9 @@ def _fraction_krylov(A, B):
 
 
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
-    # the (p + q)-dimensional system the modeling check forms for a
-    # (5,7) pair with weights 3/2 and 1/3, caught on its way into
-    # ctrb_matrix
+    # the (p + q - g)-dimensional segment system the modeling check
+    # forms for a (5,7) pair with weights 3/2 and 1/3, caught on its
+    # way into ctrb_matrix
     seen = []
 
     def spy(A, B):
@@ -76,7 +76,7 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
                                   beta=Fraction(1, 3))
     check_modeling_condition(s1, s2, model)
     (At, Bt), = seen
-    assert At.shape == (12, 12) and Bt.shape == (12, 3)
+    assert At.shape == (11, 11) and Bt.shape == (11, 3)
     assert max(x.denominator for x in At.flat) > 1
     for A, B in ((At, Bt), (At, Bt[:, :1]), (model.base.A, model.base.B)):
         C = ctrb_matrix(A, B)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import rand_rational_matrix, rand_system
-from dimvar import (LinSys, SubspaceBasis, augment_with_zero_dynamics,
+from dimvar import (DEFAULT_TOL, LinSys, SubspaceBasis,
+                    augment_with_zero_dynamics,
                     build_transient_model, check_modeling_condition,
                     check_realization, column_space_basis, ctrb_matrix,
                     ctrb_subspace, direct_sum_check, embed, embed_subspace,
                     in_span, kron, mat, ones_vector, rank, vec)
+from dimvar.controllability import _class_reps
 from dimvar.numerics import eye, zeros
+from dimvar.realization import _segment_ctrb, _segments
 
 
 def test_augment_with_zero_dynamics(ex1_s1):
@@ -286,3 +289,38 @@ def test_float_check_agrees_with_exact_on_ladder():
                 if out[0] != out[1]:
                     mismatches.append((p, q, seed, i, out))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("dims,cases", [
+    ((2, 3), 6), ((4, 6), 6), ((5, 7), 6), ((7, 11), 1)])
+def test_segment_ctrb_matches_blend_elimination(dims, cases):
+    # the blend's Krylov pivots, basis and class representatives from
+    # the (p + q - g)-dimensional segment system equal those of the
+    # n-dimensional elimination; n = 6, 12, 35 and 77
+    p, q = dims
+    rng = random.Random(p * 100 + q)
+    combos = [(inputs, weights) for weights in (
+        {"alpha": Fraction(3, 2), "beta": Fraction(1, 3)}, {"masses": (1, 2)})
+        for inputs in ((1, 1), (2, 1), (1, 2))][:cases]
+    for inputs, weights in combos:
+        s1, s2 = rand_system(rng, p, inputs[0]), rand_system(rng, q, inputs[1])
+        model = build_transient_model(s1, s2, **weights)
+        A, B = model.base.A, model.base.B
+        starts, piv, S = _segment_ctrb(model)
+        assert len(starts) == S.ambient_dim == p + q - math.gcd(p, q)
+        ref = ctrb_subspace(A, B)
+        K = ref.matrix
+        # a pivot column of K equals no earlier column: its first match
+        assert piv == [next(c for c in range(K.shape[1]) if all(K[:, c] == b))
+                       for b in ref.basis.basis.T]
+        basis = K[:, piv]
+        assert basis.shape == ref.basis.basis.shape
+        for x, y in zip(basis.flat, ref.basis.basis.flat):
+            assert type(x) is type(y) and x == y
+        # C_z = E span(Ks): the segment basis repeated by segment length
+        _, lengths = _segments(p, q)
+        assert np.array_equal(np.repeat(S.basis, lengths, axis=0), basis)
+        reps = _class_reps(SubspaceBasis(model.dim, basis), DEFAULT_TOL)
+        ref_reps = _class_reps(ref.basis, DEFAULT_TOL)
+        assert [(r.multiplicity, r.irreducible.tolist()) for r in reps] == \
+            [(r.multiplicity, r.irreducible.tolist()) for r in ref_reps]
