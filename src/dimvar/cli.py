@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .controllability import _class_reps, ctrb_matrix
 from .mixdim import reduce_vector
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, mat,
-                       parse_scalar, pivot_columns, vec)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, krylov_basis,
+                       mat, parse_scalar, vec)
 from .realization import (_segment_ctrb, build_transient_model,
                           check_modeling_condition, check_realization)
 from .simulation import (Scenario, UnreachableTargetError, export_trajectory,
@@ -110,26 +110,25 @@ def _parse_weights(doc: dict, path: str) -> dict:
         raise InputError(f"{path}: missing field 'transient' (weights)")
     tr = doc["transient"]
     try:
-        if "masses" in tr:
-            kw = {"masses": tuple(Fraction(str(m)) for m in tr["masses"])}
-        else:
-            kw = {"alpha": Fraction(str(tr["alpha"])),
-                  "beta": Fraction(str(tr["beta"]))}
+        a, b = (Fraction(str(w)) for w in
+                (tr["masses"] if "masses" in tr else (tr["alpha"], tr["beta"])))
     except KeyError as exc:
         raise InputError(f"{path}: 'transient' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: 'transient' has an unparseable entry: {exc}")
-    for v in kw.get("masses", ()) or (kw.get("alpha"), kw.get("beta")):
-        if v is not None and v <= 0:
-            raise InputError(f"{path}: transient weights must be strictly positive")
-    return kw
+    if a <= 0 or b <= 0:
+        raise InputError(f"{path}: transient weights must be strictly positive")
+    if "masses" in tr:      # the convex pair of `build_transient_model`
+        a, b = a / (a + b), b / (a + b)
+    return {"alpha": a, "beta": b}
 
 
 def _parse_case(doc: dict, args) -> tuple[LinSys, LinSys, dict]:
     """Both systems, on the chosen backend, and the transient weights.
 
     The float backend, and `simulate` on either backend, compute in
-    floats, so there every matrix entry and weight must fit in one.
+    floats, so there every matrix entry and weight must fit in one, and
+    no weight may round to 0.
     """
     s1, s2 = (_parse_system(doc, key, args.file, args.exact)
               for key in ("sigma1", "sigma2"))
@@ -137,13 +136,15 @@ def _parse_case(doc: dict, args) -> tuple[LinSys, LinSys, dict]:
     if not args.exact or args.command == "simulate":
         for what, values in (("sigma1", [*s1.A.flat, *s1.B.flat]),
                              ("sigma2", [*s2.A.flat, *s2.B.flat]),
-                             ("transient", [weights.get("alpha", 1),
-                                            weights.get("beta", 1)])):
+                             ("transient", weights.values())):
             try:
                 [float(x) for x in values]
             except OverflowError:
                 raise InputError(
                     f"{args.file}: '{what}' has an entry beyond float range")
+        if not all(map(float, weights.values())):
+            raise InputError(
+                f"{args.file}: 'transient' has a weight that is 0 in floats")
     return s1, s2, weights
 
 
@@ -219,7 +220,7 @@ def cmd_ctrb(args) -> int:
         label = args.system
     matrix = ctrb_matrix(sys_.A, sys_.B)
     piv = (_segment_ctrb(model, tol)[1] if args.blend
-           else pivot_columns(matrix, tol))
+           else krylov_basis(matrix, sys_.A, tol)[0])
     basis = SubspaceBasis(sys_.dim, matrix[:, piv])
     if args.blend:
         # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];

@@ -8,7 +8,7 @@ horizon Gramians for minimum-energy steering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +16,8 @@ import scipy.linalg
 
 from .mixdim import MixVector, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       _integer_scaled, as_backend, column_space_basis,
-                       common_backend, float_only, inverse, is_exact,
-                       pivot_columns)
+                       _integer_scaled, common_backend, complete_basis,
+                       float_only, is_exact, krylov_basis)
 from .systems import LinSys
 
 
@@ -52,19 +51,26 @@ def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CtrbResult:
-    """Controllability matrix with its rank and pivot-column basis."""
+    """Controllability matrix with its rank and pivot-column basis.
+
+    ``span`` is a basis of the same subspace from `krylov_basis`: the
+    pivot columns on the exact backend, orthonormal columns on floats.
+    """
 
     matrix: np.ndarray
     rank: int
     basis: SubspaceBasis
+    span: SubspaceBasis
 
 
 def ctrb_subspace(A: np.ndarray, B: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> CtrbResult:
-    """Controllable subspace span{B, AB, ...} with a pivot-column basis."""
+    """Controllable subspace span{B, AB, ...} with a pivot-column basis;
+    the pivots are those of `krylov_basis`."""
     C = ctrb_matrix(A, B)
-    basis = column_space_basis(C, tol)
-    return CtrbResult(matrix=C, rank=basis.dim, basis=basis)
+    piv, span = krylov_basis(C, A, tol)
+    return CtrbResult(matrix=C, rank=len(piv),
+                      basis=SubspaceBasis(C.shape[0], C[:, piv]), span=span)
 
 
 @dataclass(frozen=True)
@@ -119,28 +125,15 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
                          tol: Tolerance = DEFAULT_TOL) -> KalmanDecomp:
     """Build the controllability decomposition.
 
-    The transformation assembles the controllability pivot basis,
-    completed to a full basis by standard unit vectors chosen greedily
-    by lowest index; T is the inverse of that column assembly, so the
-    result is deterministic and exact on the rational backend.
+    T^-1 = P is `complete_basis` of the controllable subspace's `span`
+    from `ctrb_subspace`.  On the exact backend that is the pivot basis
+    completed by the lowest-index unit vectors, so the result is
+    deterministic and exact; on floats T is orthogonal (T^-1 = T^T) and
+    its first ctrb_dim rows are an orthonormal basis of the subspace.
     """
-    res = ctrb_subspace(A, B, tol)
-    V = res.basis.basis
-    n, k = V.shape
-    I = as_backend(np.eye(n), A)
-    chosen = []
-    if k < n:
-        # one elimination of [V | I_n] makes the greedy choice; the
-        # relative tolerance is scaled so that every column meets the
-        # float threshold of an n x n candidate, as when testing one
-        # unit vector at a time
-        piv = pivot_columns(np.hstack([V, I]),
-                            replace(tol, rel=tol.rel * n / (n + k)))
-        chosen = [p - k for p in piv if p >= k]
-    P = np.hstack([V, I[:, chosen]])
-    T = inverse(P)
-    Ab = T @ A @ P
-    Bb = T @ (B if B.ndim == 2 else B.reshape(-1, 1))
+    V = ctrb_subspace(A, B, tol).span.basis
+    P, T = complete_basis(V)
+    Ab, Bb, k = T @ A @ P, T @ B.reshape(len(A), -1), V.shape[1]
     return KalmanDecomp(T=T, A11=Ab[:k, :k], A12=Ab[:k, k:], A22=Ab[k:, k:],
                         B_top=Bb[:k, :], ctrb_dim=k)
 

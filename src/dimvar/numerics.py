@@ -10,7 +10,8 @@ Two scalar backends are supported throughout the package:
   gives the pivots and zero patterns of Gaussian elimination over the
   rationals without any Fraction arithmetic.
 * float64: plain numpy float arrays with a tolerance policy, used for
-  integration and Gramians.
+  integration and Gramians.  Their controllable subspaces come from
+  the orthonormal staircase of `krylov_basis`.
 
 An array's backend is recognised from its dtype (``object`` = exact).
 Only this module turns the dtype into a choice of construction: other
@@ -311,6 +312,71 @@ def column_space_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SubspaceB
     return SubspaceBasis(M.shape[0], M[:, piv])
 
 
+def krylov_basis(K: np.ndarray, A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Pivot columns of a Krylov matrix K = [B, AB, ..., A^(n-1) B] and
+    a basis of their span, as (pivots, SubspaceBasis).
+
+    Exact K: the pivots of `_echelon` and K's columns at them.  Float K:
+    the controllability staircase (Van Dooren 1981; Paige 1981), which
+    returns an orthonormal basis Q.  The candidates are the columns b_i
+    of B, then A q for each accepted q of a chain, block by block.  A
+    candidate is orthogonalised twice against Q and accepted when its
+    residual norm exceeds the rank threshold of an n x nm matrix whose
+    largest entry is max ||b_i|| (first block) or ||A||_2 (later
+    blocks).  Accepted candidate j of chain i is K's column j m + i; a
+    rejected one ends its chain.  Modulo the earlier columns, A^j b_i
+    is a multiple of A q and A maps earlier columns to earlier columns,
+    so each decision is the one for K's column (j, i), made on a vector
+    of unit scale.
+    """
+    n = A.shape[0]
+    if is_exact(K):
+        piv = pivot_columns(K, tol)
+        return piv, SubspaceBasis(n, K[:, piv])
+    A, m = np.asarray(A, dtype=float), K.shape[1] // n
+    thresh = [tol.rank_threshold(n, n * m, s) for s in (
+        np.max(np.linalg.norm(K[:, :m], axis=0), initial=0.0),
+        np.linalg.norm(A, 2))]
+    Q, piv = np.empty((n, n)), []
+    queue = [(0, i, b) for i, b in enumerate(K[:, :m].T)]
+    for j, i, v in queue:           # grows while it is read, block by block
+        k = len(piv)
+        for _ in range(2):
+            v = v - Q[:, :k] @ (Q[:, :k].T @ v)
+        r = float(np.linalg.norm(v))
+        if r > thresh[j > 0] and k < n:
+            Q[:, k] = v / r
+            piv.append(j * m + i)
+            queue.append((j + 1, i, A @ Q[:, k]))
+    return piv, SubspaceBasis(n, Q[:, :len(piv)])
+
+
+def complete_basis(V: np.ndarray):
+    """(P, P^-1) for an invertible P whose first columns are those of V
+    (independent columns).
+
+    Exact V: P = [V | unit vectors], those chosen greedily by lowest
+    index (the pivot columns of [V | I]), and its Bareiss inverse.
+    Float V: P is the orthogonal Q factor of [V | I], so P^-1 = P^T;
+    its first columns equal V's up to sign when V is orthonormal.
+    """
+    VI = np.hstack([V, as_backend(np.eye(len(V)), V)])
+    if not is_exact(V):
+        P = np.linalg.qr(VI)[0]
+        return P, P.T
+    P = VI[:, pivot_columns(VI)]
+    return P, inverse(P)
+
+
+def unit_columns(W: np.ndarray) -> np.ndarray:
+    """Float W with each nonzero column divided by its largest |entry|,
+    so that column sizes do not set rank thresholds; exact W unchanged."""
+    if is_exact(W):
+        return W
+    peak = np.max(np.abs(W), axis=0, initial=0.0)
+    return W / np.where(peak > 0, peak, 1.0)
+
+
 def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership test: v in span(S) iff appending v keeps the rank."""
     v = np.asarray(v)
@@ -333,17 +399,16 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     if W.ndim != 2 or W.shape[0] != S.ambient_dim:
         raise ValueError(
             f"vector of dim {W.shape[0]} against ambient dim {S.ambient_dim}")
-    m, d = S.basis.shape
-    if d == 0:
-        return [_in_zero_span(W[:, j], tol) for j in range(W.shape[1])]
-    aug = np.hstack([S.basis, W])
+    V, W = common_backend(S.basis, W)
+    m, d = V.shape
+    aug = np.hstack([V, W])
     exact = is_exact(aug)
     r, piv, R = _echelon(aug, tol, ncols=d, thresh=0.0)
     res = R[r:, d:]
     if not exact:
-        s_max = float(np.max(np.abs(S.basis)))
+        s_max = float(np.max(np.abs(V), initial=0.0))
         smallest = min((abs(float(R[i, c])) for i, c in enumerate(piv)),
-                       default=0.0)
+                       default=math.inf)
     out = []
     for j in range(W.shape[1]):
         if exact:
@@ -354,16 +419,8 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
             keeps = r == d and t < smallest
             ok = not res.size or float(np.max(np.abs(res[:, j]))) <= t
         out.append(ok if keeps else
-                   rank(np.hstack([S.basis, W[:, j:j + 1]]), tol) == d)
+                   rank(np.hstack([V, W[:, j:j + 1]]), tol) == d)
     return out
-
-
-def _in_zero_span(v: np.ndarray, tol: Tolerance) -> bool:
-    if is_exact(v):
-        return bool(all(x == 0 for x in v))
-    m = float(np.max(np.abs(v))) if v.size else 0.0
-    return m <= tol.rank_threshold(v.shape[0], 1, max(m, 1.0)) or \
-        all(tol.close(float(x), 0.0) for x in v)
 
 
 def spans_equal(S: SubspaceBasis, T: SubspaceBasis,

@@ -20,7 +20,8 @@ import numpy as np
 
 from .controllability import ctrb_matrix, ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
-                       in_span_columns, pivot_columns, rank)
+                       in_span_columns, krylov_basis, pivot_columns, rank,
+                       unit_columns)
 from .systems import LinSys
 
 
@@ -95,10 +96,13 @@ def check_realization(s1: LinSys, s2: LinSys,
                       tol: Tolerance = DEFAULT_TOL) -> RealizationReport:
     """Decide the sufficient realization condition with a witness.
 
-    Realizable iff rank([embed(C1 basis) | C2 basis]) = q, where C1 and
-    C2 are the controllable subspaces and q the larger dimension.  The
-    witness is built greedily (lowest-index basis column first) from C2
-    columns extending the embedded C1, so embed(C1) (+) witness = R^q.
+    Realizable iff rank([embed(C1) | C2 basis]) = q, where C1 and C2 are
+    the controllable subspaces and q the larger dimension, decided by
+    one `pivot_columns`.  C1 enters as its `span` (orthonormal on
+    floats) and C2 as its pivot-basis columns, on floats each scaled to
+    largest |entry| 1 (`unit_columns`).  The witness is the C2 columns
+    at the pivots past dim C1, so embed(C1) (+) witness = R^q; on the
+    exact backend these are the lowest-index columns that extend C1.
     When dim(s1) > dim(s2) the roles are swapped and noted.
     """
     notes = ("direct sum interpreted as trivial subspace intersection; "
@@ -111,22 +115,14 @@ def check_realization(s1: LinSys, s2: LinSys,
     q = big.dim
     C1 = ctrb_subspace(small.A, small.B, tol)
     C2 = ctrb_subspace(big.A, big.B, tol)
-    C1e = embed_subspace(C1.basis, q)
-    combined = np.hstack([C1e.basis, C2.basis.basis])
-    realizable = rank(combined, tol) == q
-    witness_cols = []
-    if realizable:
-        current = C1e.basis
-        for j in range(C2.basis.dim):
-            if current.shape[1] == q:
-                break
-            cand = np.hstack([current, C2.basis.basis[:, j:j + 1]])
-            if rank(cand, tol) == current.shape[1] + 1:
-                current = cand
-                witness_cols.append(j)
-    witness = SubspaceBasis(q, C2.basis.basis[:, witness_cols])
+    W = C2.basis.basis
+    piv = pivot_columns(np.hstack([embed_subspace(C1.span, q).basis,
+                                   unit_columns(W)]), tol)
+    realizable = len(piv) == q
+    witness = W[:, [p - C1.rank for p in piv if p >= C1.rank and realizable]]
     return RealizationReport(realizable=realizable, q=q, dim_C1=C1.rank,
-                             dim_C2=C2.rank, witness=witness, notes=notes)
+                             dim_C2=C2.rank, witness=SubspaceBasis(q, witness),
+                             notes=notes)
 
 
 @dataclass(frozen=True)
@@ -233,13 +229,13 @@ def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
     and Bs = B[starts], so the blend's Krylov matrix is E ctrb(As, Bs)
     block for block.  E is injective and blocks past s never pivot, so
     the two have the same pivot columns, and C_z = E span ctrb(As, Bs).
-    Returns the starts, the pivots and the basis of span ctrb(As, Bs).
+    Returns the starts, the pivots and the `krylov_basis` span of
+    ctrb(As, Bs) (orthonormal on floats).
     """
     starts, lengths = _segments(*model.source_dims)
-    A, B = model.base.A, model.base.B
-    K = ctrb_matrix(A[np.ix_(starts, starts)] * lengths, B[starts])
-    piv = pivot_columns(K, tol)
-    return starts, piv, SubspaceBasis(len(starts), K[:, piv])
+    As = model.base.A[np.ix_(starts, starts)] * lengths
+    K = ctrb_matrix(As, model.base.B[starts])
+    return (starts, *krylov_basis(K, As, tol))
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -250,7 +246,9 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
     v (x) 1_k lies in C_z = E span ctrb(As, Bs) iff v[starts // k] lies
     in span ctrb(As, Bs) (w (x) 1_m: w[starts // m]), tested for all
-    lifted vectors in one elimination.  The blend is read from
+    lifted vectors in one elimination against the `krylov_basis` span
+    (orthonormal on floats), each tested column scaled to largest
+    |entry| 1 by `unit_columns`.  The blend is read from
     ``model.base``, at the segment starts; every model that
     `build_transient_model` makes from s1 and s2 carries their blend.
     """
@@ -265,7 +263,7 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
         C = ctrb_subspace(s.A, s.B, tol).basis.basis
         columns.append(C[starts // (n // s.dim)])
         lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]
-    inside = in_span_columns(S, np.hstack(columns), tol)
+    inside = in_span_columns(S, unit_columns(np.hstack(columns)), tol)
     return ModelingReport(holds=all(inside), n=n,
                           tested_vectors=list(zip(lifted, inside)),
                           dim_Cz=S.dim)

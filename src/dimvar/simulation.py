@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .controllability import ctrb_gramian, kalman_decomposition
+from .controllability import ctrb_gramian, ctrb_subspace
 from .mixdim import reduce_vector, vec_sub
 from .numerics import Tolerance, to_float
 from .realization import (RealizationReport, TransientModel,
@@ -29,11 +29,14 @@ from .systems import LinSys
 
 # block-constancy tolerance for reducing floating endpoints to a class
 CLASS_REDUCTION_TOL = Tolerance(rel=0.0, abs=1e-6)
+# most RK4 steps of one scenario: each step keeps a state and a CSV row
+MAX_STEPS = 10**6
 
 
 class UnreachableTargetError(ValueError):
-    """Raised when the required displacement leaves the controllable
-    subspace; ``residual`` holds the uncontrollable component."""
+    """Raised when the required displacement d leaves the controllable
+    subspace; ``residual`` holds its component d - Q Q^T d orthogonal
+    to that subspace (Q an orthonormal basis of it), an n-vector."""
 
     def __init__(self, message: str, residual: np.ndarray):
         super().__init__(message)
@@ -44,6 +47,7 @@ class UnreachableTargetError(ValueError):
 class Scenario:
     """Parameters of one steered transient run.
 
+    The horizon te - t0 must hold between 10 and MAX_STEPS steps.
     ``quad_steps`` is accepted and ignored: the Gramian is computed in
     closed form.
     """
@@ -65,6 +69,8 @@ class Scenario:
             raise ValueError("step must be positive")
         if self.te - self.t0 < 10 * self.step:
             raise ValueError("horizon shorter than 10 integration steps")
+        if self.te - self.t0 > MAX_STEPS * self.step:
+            raise ValueError(f"horizon longer than {MAX_STEPS} steps")
 
 
 class ControlSignal:
@@ -219,11 +225,13 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     W(0, te - t0) eta, so eta solves with the Gramian of the shifted
     horizon [0, te - t0], whatever t0 is.
 
-    The Gramian solve happens in controllability-decomposed coordinates
-    so uncontrollable (singular-Gramian) systems are handled: the
-    displacement d = z_target - e^{A(te-t0)} z0 must have no component
-    in the uncontrollable block, otherwise UnreachableTargetError is
-    raised with that residual.
+    The Gramian solve happens on an orthonormal basis Q of the
+    controllable subspace (the `span` of `ctrb_subspace`), so
+    uncontrollable (singular-Gramian) systems are handled: W is the
+    Gramian of (Q^T A Q, Q^T B) and eta = Q W^-1 Q^T d.  The displacement
+    d = z_target - e^{A(te-t0)} z0 must have no component d - Q Q^T d
+    outside the subspace, otherwise UnreachableTargetError is raised
+    with that residual.
     """
     A = np.asarray(A, dtype=float)
     Bfull = np.asarray(Bfull, dtype=float)
@@ -232,23 +240,17 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     z_target = np.asarray(z_target, dtype=float).reshape(-1)
     d = z_target - scipy.linalg.expm(A * (te - t0)) @ z0
-    kd = kalman_decomposition(A, Bfull)
-    k = kd.ctrb_dim
-    dprime = kd.T @ d
-    residual = dprime[k:]
-    atol = 1e-8 * max(1.0, float(np.max(np.abs(d))) if d.size else 0.0)
-    if residual.size and float(np.max(np.abs(residual))) > atol:
+    Q = ctrb_subspace(A, Bfull).span.basis
+    residual = d - Q @ (Q.T @ d)
+    if float(np.max(np.abs(residual))) > 1e-8 * max(1.0, np.max(np.abs(d))):
         raise UnreachableTargetError(
             "required displacement leaves the controllable subspace "
             f"(uncontrollable residual, max |r| = {np.max(np.abs(residual)):.3e})",
             residual=residual)
-    if k == 0:
+    if Q.shape[1] == 0:
         return ControlSignal.zero(A, Bfull, t0, te)
-    W11 = ctrb_gramian(kd.A11, kd.B_top, 0.0, te - t0, quad_steps).W
-    eta1 = np.linalg.solve(W11, dprime[:k])
-    eta_prime = np.concatenate([eta1, np.zeros(A.shape[0] - k)])
-    eta = kd.T.T @ eta_prime
-    return ControlSignal(A, Bfull, eta, t0, te)
+    W = ctrb_gramian(Q.T @ A @ Q, Q.T @ Bfull, 0.0, te - t0, quad_steps).W
+    return ControlSignal(A, Bfull, Q @ np.linalg.solve(W, Q.T @ d), t0, te)
 
 
 @dataclass(frozen=True)

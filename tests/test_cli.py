@@ -294,7 +294,7 @@ def test_exit_code_numerical_failure(capsys, tmp_path, monkeypatch):
 
 def test_check_large_coprime_blend(capsys, tmp_path):
     # (11, 13) blends on n = 143; the modeling check runs in the
-    # 24 coordinates of the blend's invariant subspace
+    # 23 segment coordinates of the blend's invariant subspace
     rng = np.random.default_rng(143)
 
     def system(dim):
@@ -432,3 +432,34 @@ def test_malformed_input_exits_2(capsys, tmp_path, path, value, command,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("transient", [{"masses": ["1e400", "1"]},
+                                       {"alpha": "1e-400", "beta": "1"}])
+@pytest.mark.parametrize("command,backend", [("check", "float"),
+                                             ("simulate", "float"),
+                                             ("simulate", "rational")])
+def test_weight_that_rounds_to_zero_exits_2(capsys, tmp_path, transient,
+                                            command, backend):
+    # in floats the weight would be 0.0 and drop one system from the blend
+    doc = base_doc()
+    doc["transient"] = transient
+    path = write_case(tmp_path, doc)
+    code, out, err = run(capsys, command, path, "--backend", backend,
+                         *(["--out", str(tmp_path / "t.csv")]
+                           if command == "simulate" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'transient'" in err
+    # the rational check computes in Fractions, where the weight is not 0
+    assert run(capsys, "check", path)[0] == 0
+
+
+def test_simulate_refuses_too_many_steps(capsys, tmp_path):
+    # 10^9 RK4 steps would need about 48 GB of states; refused at once
+    doc = base_doc()
+    doc["scenario"]["step"] = 1e-9
+    code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                         "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (2, "")
+    assert "bad scenario: horizon longer than" in err
+    assert not (tmp_path / "t.csv").exists()

@@ -224,8 +224,8 @@ def _direct_modeling(s1, s2, model):
     ((6, 10), (1, 1), {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)}),
 ])
 def test_modeling_condition_matches_direct_computation(dims, inputs, weights):
-    # the check in the (p + q)-dimensional coordinates of V against the
-    # n-dimensional Krylov computation, on two seeds per case
+    # the check in the (p + q - gcd(p, q)) segment coordinates against
+    # the n-dimensional Krylov computation, on two seeds per case
     p, q = dims
     for seed in range(2):
         rng = np.random.default_rng([seed, p, q, *inputs])

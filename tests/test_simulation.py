@@ -24,6 +24,15 @@ def test_scenario_validation():
         Scenario(0.0, 0.005, np.zeros(2), np.zeros(2), step=1e-3)
 
 
+def test_scenario_step_count_is_bounded():
+    from dimvar.simulation import MAX_STEPS
+    with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
+        Scenario(0.0, 1.0, np.zeros(2), np.zeros(2), step=1e-9)
+    with pytest.raises(ValueError, match="longer than"):
+        Scenario(-1e308, 1e308, np.zeros(2), np.zeros(2), step=1.0)
+    Scenario(0.0, 1.0, np.zeros(2), np.zeros(2), step=2.0 / MAX_STEPS)
+
+
 def test_rk4_autonomous_decay():
     A = np.array([[-1.0]])
     B = np.zeros((1, 1))
