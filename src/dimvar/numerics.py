@@ -327,24 +327,29 @@ def krylov_basis(K: np.ndarray, A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     rejected one ends its chain.  Modulo the earlier columns, A^j b_i
     is a multiple of A q and A maps earlier columns to earlier columns,
     so each decision is the one for K's column (j, i), made on a vector
-    of unit scale.
+    of unit scale.  ||A||_2 (an SVD) is computed only when a candidate
+    past the first block is tested.
     """
     n = A.shape[0]
     if is_exact(K):
         piv = pivot_columns(K, tol)
         return piv, SubspaceBasis(n, K[:, piv])
     A, m = np.asarray(A, dtype=float), K.shape[1] // n
-    thresh = [tol.rank_threshold(n, n * m, s) for s in (
-        np.max(np.linalg.norm(K[:, :m], axis=0), initial=0.0),
-        np.linalg.norm(A, 2))]
+    first = tol.rank_threshold(
+        n, n * m, np.max(np.linalg.norm(K[:, :m], axis=0), initial=0.0))
+    later = None
     Q, piv = np.empty((n, n)), []
     queue = [(0, i, b) for i, b in enumerate(K[:, :m].T)]
     for j, i, v in queue:           # grows while it is read, block by block
         k = len(piv)
+        if k == n:
+            break
+        if j and later is None:
+            later = tol.rank_threshold(n, n * m, np.linalg.norm(A, 2))
         for _ in range(2):
             v = v - Q[:, :k] @ (Q[:, :k].T @ v)
         r = float(np.linalg.norm(v))
-        if r > thresh[j > 0] and k < n:
+        if r > (later if j else first):
             Q[:, k] = v / r
             piv.append(j * m + i)
             queue.append((j + 1, i, A @ Q[:, k]))

@@ -8,8 +8,11 @@ after tolerance-based irreducible reduction of the final state.
 Steering uses closed forms instead of per-point work: the Gramian is
 Van Loan's block exponential, a ControlSignal gives the inputs at all
 RK4 stage times from a few stacked matrix exponentials, and one RK4
-step of dz/dt = A z + B u(t) is applied as one precomputed linear map,
-z+ = P z + (forcing from the step's three stage inputs).
+step of dz/dt = A z + B u(t) is one precomputed linear map,
+z+ = P z + (forcing from the step's three stage inputs).  The time grid
+is one cumulative sum, and the m steps are applied together by a
+doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
+..., not one Python step at a time.
 """
 
 from __future__ import annotations
@@ -60,17 +63,22 @@ class Scenario:
     quad_steps: int = 512
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.t0, self.te, self.step))):
-            raise ValueError(f"non-finite time: t0={self.t0}, te={self.te}, "
-                             f"step={self.step}")
+        _check_times(self.t0, self.te, self.step)
         if self.te <= self.t0:
             raise ValueError(f"empty horizon: te={self.te} <= t0={self.t0}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.te - self.t0 < 10 * self.step:
             raise ValueError("horizon shorter than 10 integration steps")
-        if self.te - self.t0 > MAX_STEPS * self.step:
-            raise ValueError(f"horizon longer than {MAX_STEPS} steps")
+
+
+def _check_times(t0: float, te: float, step: float) -> None:
+    """Refuse non-finite times, a step that is not positive and a
+    horizon te - t0 longer than MAX_STEPS steps."""
+    if not all(map(math.isfinite, (t0, te, step))):
+        raise ValueError(f"non-finite time: t0={t0}, te={te}, step={step}")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if te - t0 > MAX_STEPS * step:
+        raise ValueError(f"horizon longer than {MAX_STEPS} steps")
 
 
 class ControlSignal:
@@ -158,18 +166,82 @@ def _rk4_step_map(A: np.ndarray, Bfull: np.ndarray, h: float):
     return P, np.hstack([Q0 @ Bfull, Qmid @ Bfull, (h / 6) * Bfull])
 
 
+def _time_grid(t0: float, te: float, step: float):
+    """(times, full, short) of the accumulation loop
+    ``while t < te - 1e-15 max(1, |te|): t = t + min(step, te - t)``, bit
+    for bit: the first ``full`` steps are whole, the lengths of the
+    shortened ones that follow are the list ``short``.
+
+    The whole steps are cumulative sums of [t, step, step, ...], which
+    add in order as the loop does.  A sum is extended until it passes
+    the loop's end test, since (te - t0) / step can undercount: with a
+    large t0, t + step rounds and the grid drifts from t0 + k step.
+    Raises ValueError past MAX_STEPS whole steps.
+    """
+    end = te - 1e-15 * max(1.0, abs(te))
+    parts, t, full = [[t0]], t0, 0
+    size = min(MAX_STEPS, max(0, int((te - t0) / step))) + 1
+    while True:
+        grid = np.cumsum(np.r_[t, np.full(size, step)])
+        # the loop's test for a whole step holds up to some time, then fails
+        k = np.count_nonzero((grid[:-1] < end) & (te - grid[:-1] >= step))
+        parts.append(grid[1:k + 1])
+        t, full = grid[k], full + k
+        if full > MAX_STEPS:
+            raise ValueError(f"horizon longer than {MAX_STEPS} steps")
+        if k < size:
+            break
+        size *= 2
+    short = []
+    while t < end:
+        h = min(step, te - t)
+        t = t + h
+        parts.append([t])
+        short.append(h)
+    return np.concatenate(parts), full, short
+
+
+def _scan(P: np.ndarray, Z: np.ndarray) -> None:
+    """Replace each row j of Z by sum_(i<=j) P^(j-i) Z[i], in place.
+
+    With z_0 in row 0 and the forcings f_0, ..., f_(m-1) in rows 1..m,
+    the rows become the states z_0, ..., z_m of z_(k+1) = P z_k + f_k.
+    A work-efficient doubling scan (Brent and Kung 1982): for d = 1, 2,
+    4, ... each row 2kd - 1 adds P^d times row (2k - 1)d - 1, so it sums
+    its 2d rows; then for d = ..., 2, 1 each row (2k + 1)d - 1 adds P^d
+    times row 2kd - 1, which by then sums all rows up to itself.  About
+    2 log2(m) matmuls with P, P^2, P^4, ..., and 2m row products in all,
+    replace the m steps.
+    """
+    rounds, d = [], 1
+    while 2 * d <= len(Z):
+        # rows are states, so z P^T is P z
+        power = rounds[-1][1] @ rounds[-1][1] if rounds else P.T
+        rows = Z[2 * d - 1::2 * d]
+        rows += Z[d - 1::2 * d][:len(rows)] @ power
+        rounds.append((d, power))
+        d *= 2
+    for d, power in reversed(rounds):
+        rows = Z[3 * d - 1::2 * d]
+        rows += Z[2 * d - 1::2 * d][:len(rows)] @ power
+
+
 def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
                   t0: float, te: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 for dz/dt = A z + B u(t).
 
-    The final step is shortened to land exactly on te.  ``u`` is any
-    callable t -> input vector, called once per distinct stage time; a
-    ControlSignal instead samples its evenly spaced stage times at once
-    and is called only at the stage times of a shortened final step.
-    Each step is applied as its exact linear map (see _rk4_step_map).
+    The final step is shortened to land exactly on te; the times are
+    those of the loop t = t + min(step, te - t), bit for bit (see
+    _time_grid).  ``u`` is any callable t -> input vector, called once
+    per distinct stage time; a ControlSignal instead samples its evenly
+    spaced stage times at once and is called only at the stage times of
+    a shortened final step.  Each step is its exact linear map (see
+    _rk4_step_map), and the steps are applied together by a doubling
+    scan over the powers of P (see _scan).  Non-finite times, a step
+    that is not positive and a horizon of more than MAX_STEPS steps
+    raise ValueError.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_times(t0, te, step)
     A = np.asarray(A, dtype=float)
     Bfull = np.asarray(Bfull, dtype=float)
     if Bfull.ndim == 1:
@@ -178,19 +250,13 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     if A.shape[0] != z.shape[0] or Bfull.shape[0] != z.shape[0]:
         raise ValueError("dimension mismatch between A, B and z0")
 
-    times, hs = [t0], []
-    t = t0
-    while t < te - 1e-15 * max(1.0, abs(te)):
-        h = min(step, te - t)
-        t = t + h
-        times.append(t)
-        hs.append(h)
-    m = len(hs)
-    full = m if not hs or hs[-1] == step else m - 1
+    times, full, short = _time_grid(t0, te, step)
+    hs = np.r_[np.full(full, step), short]
+    m = hs.size
     # distinct stage times t_0, t_0 + h_0/2, t_1, ..., t_m
     stages = np.empty(2 * m + 1)
     stages[0::2] = times
-    stages[1::2] = np.array(times[:-1]) + np.array(hs) / 2
+    stages[1::2] = times[:-1] + hs / 2
     # the inputs there: a ControlSignal samples the evenly spaced stage
     # times of the full steps at once; the rest are single calls
     c = Bfull.shape[1]
@@ -202,16 +268,13 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
 
     states = np.empty((m + 1, z.size))
     states[0] = z
-    rows = list(states)                             # views, updated in place
-    for h, lo, hi in ((step, 0, full), (hs[-1] if hs else step, full, m)):
-        if lo == hi:
-            continue
-        P, R = _rk4_step_map(A, Bfull, h)
-        states[lo + 1:hi + 1] = X[lo:hi] @ R.T      # forcing of each step
-        apply = P.dot
-        for prev, nxt in zip(rows[lo:hi], rows[lo + 1:hi + 1]):
-            nxt += apply(prev)
-    return Trajectory(times=np.array(times), states=states)
+    for h, lo, hi in [(step, 0, full)] + [(h, j, j + 1)
+                                          for j, h in enumerate(short, full)]:
+        if lo < hi:
+            P, R = _rk4_step_map(A, Bfull, h)
+            states[lo + 1:hi + 1] = X[lo:hi] @ R.T  # forcing of each step
+            _scan(P, states[lo:hi + 1])
+    return Trajectory(times=times, states=states)
 
 
 def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,

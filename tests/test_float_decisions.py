@@ -69,6 +69,25 @@ def test_krylov_basis_thresholds_later_blocks_on_norm_A():
         assert piv == [0, 1] and Q.dim == 2
 
 
+def test_krylov_basis_computes_norm_A_only_past_the_first_block(monkeypatch):
+    # ||A||_2 is a full SVD: with B = 0 every first-block candidate is
+    # rejected, no later candidate is tested and the norm is not needed
+    norm, two_norms = np.linalg.norm, []
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            two_norms.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    A = np.random.default_rng(4).normal(size=(5, 5))
+    piv, Q = krylov_basis(ctrb_matrix(A, np.zeros((5, 2))), A)
+    assert piv == [] and Q.dim == 0 and two_norms == []
+    B = np.eye(5)[:, :1]
+    piv, Q = krylov_basis(ctrb_matrix(A, B), A)
+    assert piv == [0, 1, 2, 3, 4] and len(two_norms) == 1
+
+
 def test_complete_basis_and_unit_columns():
     # e1 is in span(V), so the exact completion takes e2 and e3
     V = np.array([[Fraction(2)], [Fraction(0)], [Fraction(0)]], dtype=object)

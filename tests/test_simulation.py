@@ -12,6 +12,7 @@ from dimvar import (ControlSignal, LinSys, Scenario, Trajectory,
                     run_transient_scenario, vec)
 from dimvar.controllability import ctrb_matrix, ctrb_subspace
 from dimvar.numerics import rank, to_float
+from dimvar.simulation import MAX_STEPS, _rk4_step_map
 
 
 def test_scenario_validation():
@@ -25,7 +26,7 @@ def test_scenario_validation():
 
 
 def test_scenario_step_count_is_bounded():
-    from dimvar.simulation import MAX_STEPS
+    from dimvar.simulation import MAX_STEPS, _rk4_step_map
     with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
         Scenario(0.0, 1.0, np.zeros(2), np.zeros(2), step=1e-9)
     with pytest.raises(ValueError, match="longer than"):
@@ -296,6 +297,121 @@ def test_rk4_times_and_stage_calls(t0, te, step):
     assert np.max(np.abs(tr.states - states)) <= 1e-12
     mids = [t + min(step, te - t) / 2 for t in times[:-1]]
     assert calls == sorted(list(times) + mids)
+
+
+def _loop_times(t0, te, step):
+    """The accumulation loop t = t + min(step, te - t) of the grid."""
+    times, t = [t0], t0
+    while t < te - 1e-15 * max(1.0, abs(te)):
+        t = t + min(step, te - t)
+        times.append(t)
+    return np.array(times)
+
+
+def _near_grid_point(delta):
+    # te = the 10th accumulated time of step 0.1 from 0, moved by delta
+    return 0.0, _loop_times(0.0, 1.05, 0.1)[10] + delta, 0.1
+
+
+@pytest.mark.parametrize("t0,te,step", [
+    (1e9, 1e9 + 1e-3, 1e-6),        # t + step rounds: 1048 steps, not 1000
+    (1e6, 1e6 + 1.0, 1e-3),
+    (0.0, 1.0, 0.125),              # te a multiple of step, exactly
+    (2.0, 2.0 + 64 * 2.0**-10, 2.0**-10),
+    _near_grid_point(1e-15),
+    _near_grid_point(-1e-15),
+    _near_grid_point(5e-16),
+    (0.0, 1e-3, 1e-3),              # one step
+    (0.0, 31e-3, 1e-3),             # 31-33 steps: around a power of 2
+    (0.0, 32e-3, 1e-3),
+    (0.0, 33e-3, 1e-3),
+    (0.0, 32.5e-3, 1e-3),
+])
+def test_rk4_times_are_the_accumulated_grid(t0, te, step):
+    tr = rk4_integrate(np.array([[-1.0]]), np.ones((1, 1)),
+                       lambda t: np.array([math.cos(t)]), np.array([1.0]),
+                       t0, te, step)
+    times = _loop_times(t0, te, step)
+    assert np.array_equal(tr.times, times)
+    assert tr.states.shape == (len(times), 1)
+
+
+@pytest.mark.parametrize("t0,te,step", [(0.0, math.inf, 1e-3),
+                                        (0.0, math.nan, 1e-3),
+                                        (math.nan, 1.0, 1e-3),
+                                        (-math.inf, 1.0, 1e-3),
+                                        (0.0, 1.0, math.inf),
+                                        (0.0, 1.0, math.nan)])
+def test_rk4_refuses_non_finite_times(t0, te, step):
+    with pytest.raises(ValueError, match="non-finite time"):
+        rk4_integrate(np.zeros((1, 1)), np.zeros((1, 1)),
+                      lambda t: np.zeros(1), np.zeros(1), t0, te, step)
+
+
+@pytest.mark.parametrize("t0,te,step", [(0.0, 1e300, 1.0),
+                                        (0.0, 1.0, 0.5 / MAX_STEPS),
+                                        (-1e308, 1e308, 1.0),
+                                        # t + step == t: the grid stalls
+                                        (1e9, 1e9 + 1.0, 1e-9)])
+def test_rk4_refuses_more_than_max_steps(t0, te, step):
+    with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
+        rk4_integrate(np.zeros((1, 1)), np.zeros((1, 1)),
+                      lambda t: np.zeros(1), np.zeros(1), t0, te, step)
+
+
+def _rk4_per_step(A, B, u, z, t0, te, step):
+    """The RK4 run with its steps applied one at a time, P z + forcing."""
+    times, hs = [t0], []
+    t = t0
+    while t < te - 1e-15 * max(1.0, abs(te)):
+        h = min(step, te - t)
+        t = t + h
+        times.append(t)
+        hs.append(h)
+    m = len(hs)
+    full = m if not hs or hs[-1] == step else m - 1
+    stages = np.empty(2 * m + 1)
+    stages[0::2] = times
+    stages[1::2] = np.array(times[:-1]) + np.array(hs) / 2
+    even = 2 * full + 1
+    U = np.vstack([u.sample(stages[:even], step / 2),
+                   *[u(s) for s in stages[even:]]])
+    X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])
+    states = np.empty((m + 1, z.size))
+    states[0] = z
+    rows = list(states)
+    for h, lo, hi in ((step, 0, full), (hs[-1] if hs else step, full, m)):
+        if lo == hi:
+            continue
+        P, R = _rk4_step_map(A, B, h)
+        states[lo + 1:hi + 1] = X[lo:hi] @ R.T
+        for prev, nxt in zip(rows[lo:hi], rows[lo + 1:hi + 1]):
+            nxt += P.dot(prev)
+    return np.array(times), states
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (5, 7)])
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("shortened", [False, True])
+@pytest.mark.parametrize("shift", [0.0, 30.0, -2000.0])
+def test_rk4_scan_matches_per_step_loop(p, q, steps, shortened, shift):
+    # seeded blends of dimension 2, 12 and 35; shift 30 makes A strongly
+    # unstable, shift -2000 makes the state fall by about 3x per step
+    from dimvar import build_transient_model
+    rng = random.Random(100 * p + q)
+    model = build_transient_model(rand_system(rng, p), rand_system(rng, q),
+                                  masses=(1, 1))
+    n = model.dim
+    A = to_float(model.base.A) + shift * np.eye(n)
+    B = to_float(model.base.B)
+    nrng = np.random.default_rng(n + steps)
+    te = (steps - 0.5 * shortened) * 1e-3
+    u = ControlSignal(A, B, nrng.uniform(-1, 1, n), 0.0, te)
+    z0 = nrng.uniform(-1, 1, n)
+    tr = rk4_integrate(A, B, u, z0, 0.0, te, 1e-3)
+    times, states = _rk4_per_step(A, B, u, z0, 0.0, te, 1e-3)
+    assert np.array_equal(tr.times, times)
+    assert np.max(np.abs(tr.states - states)) <= 1e-12 * np.max(np.abs(states))
 
 
 def test_control_signal_sample_matches_call():
