@@ -1,8 +1,11 @@
-"""Minimum-energy steering of a blended transient, with CSV export.
+"""Steering a blended transient, with CSV export.
 
 Starts the 2-state system at x = (0, 1), asks the transient to land the
 blend in the class of the 3-state target y = (1, 1, 1) at t = 1, and
-compares the steered run against the free (zero-input) response.
+compares the steered run against the free (zero-input) response.  The
+steered inputs are the least-energy inputs of the RK4 run itself
+(energy summed by Simpson's rule over the stage times), designed on the
+blend's segment system without a matrix exponential.
 """
 
 import tempfile

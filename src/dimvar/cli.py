@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,8 +32,8 @@ from .controllability import _class_reps, ctrb_matrix
 from .mixdim import reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, krylov_basis,
                        mat, parse_scalar, vec)
-from .realization import (_segment_ctrb, build_transient_model,
-                          check_modeling_condition, check_realization)
+from .realization import (_modeling, _realization, _segment_ctrb,
+                          _subsystem_ctrb, build_transient_model)
 from .simulation import (Scenario, UnreachableTargetError, export_trajectory,
                          run_transient_scenario)
 from .systems import LinSys
@@ -158,8 +159,9 @@ def cmd_check(args) -> int:
     s1, s2, weights = _parse_case(doc, args)
     tol = args.tolerance
     model = build_transient_model(s1, s2, **weights)
-    real = check_realization(s1, s2, tol)
-    modeling = check_modeling_condition(s1, s2, model, tol)
+    ctrb = _subsystem_ctrb(s1, s2, tol)     # C1 and C2, once for both checks
+    real = _realization(s1, s2, ctrb, tol)
+    modeling = _modeling(s1, s2, model, ctrb, tol)
     ok = real.realizable and modeling.holds
     if args.json:
         payload = {
@@ -340,6 +342,18 @@ def cmd_simulate(args) -> int:
     return 0 if traj.target_class_error <= 1e-5 else 1
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimvar",
@@ -353,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="system definition file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="float-backend tolerance override")
         p.add_argument("--backend", choices=("rational", "float"),
                        default="rational")
@@ -398,7 +412,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
     args.tolerance = (Tolerance(rel=args.tol, abs=args.tol)
-                      if getattr(args, "tol", None) else DEFAULT_TOL)
+                      if args.tol is not None else DEFAULT_TOL)
     args.exact = args.backend == "rational"
     try:
         return args.func(args)

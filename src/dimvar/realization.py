@@ -105,16 +105,24 @@ def check_realization(s1: LinSys, s2: LinSys,
     exact backend these are the lowest-index columns that extend C1.
     When dim(s1) > dim(s2) the roles are swapped and noted.
     """
+    return _realization(s1, s2, _subsystem_ctrb(s1, s2, tol), tol)
+
+
+def _subsystem_ctrb(s1: LinSys, s2: LinSys, tol: Tolerance):
+    """The `ctrb_subspace` of each system, in the order (s1, s2)."""
+    return tuple(ctrb_subspace(s.A, s.B, tol) for s in (s1, s2))
+
+
+def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
+                 tol: Tolerance) -> RealizationReport:
+    """`check_realization` on the subsystems' `_subsystem_ctrb`."""
     notes = ("direct sum interpreted as trivial subspace intersection; "
              "condition is sufficient only")
+    C1, C2 = ctrb
     if s1.dim > s2.dim:
-        small, big = s2, s1
+        C1, C2 = C2, C1
         notes = f"roles swapped: {s1.name} has larger dimension; " + notes
-    else:
-        small, big = s1, s2
-    q = big.dim
-    C1 = ctrb_subspace(small.A, small.B, tol)
-    C2 = ctrb_subspace(big.A, big.B, tol)
+    q = max(s1.dim, s2.dim)
     W = C2.basis.basis
     piv = pivot_columns(np.hstack([embed_subspace(C1.span, q).basis,
                                    unit_columns(W)]), tol)
@@ -221,21 +229,30 @@ class ModelingReport:
     dim_Cz: int
 
 
-def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
-    """The blend's controllable subspace C_z in segment coordinates.
+def _segment_system(model: TransientModel):
+    """(starts, lengths, As, Bs): the blend on its s segments.
 
-    With E the n x s indicator of the s segments of `_segments`,
+    With E the n x s indicator of the segments of `_segments`,
     A E = E As and B = E Bs for As = A[starts][:, starts] diag(lengths)
-    and Bs = B[starts], so the blend's Krylov matrix is E ctrb(As, Bs)
-    block for block.  E is injective and blocks past s never pivot, so
-    the two have the same pivot columns, and C_z = E span ctrb(As, Bs).
-    Returns the starts, the pivots and the `krylov_basis` span of
-    ctrb(As, Bs) (orthonormal on floats).
+    and Bs = B[starts].  So range E is invariant, and the blend started
+    in it stays E times the segment system's state.
     """
     starts, lengths = _segments(*model.source_dims)
     As = model.base.A[np.ix_(starts, starts)] * lengths
-    K = ctrb_matrix(As, model.base.B[starts])
-    return (starts, *krylov_basis(K, As, tol))
+    return starts, lengths, As, model.base.B[starts]
+
+
+def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
+    """The blend's controllable subspace C_z in segment coordinates.
+
+    The blend's Krylov matrix is E ctrb(As, Bs) block for block (see
+    `_segment_system`).  E is injective and blocks past s never pivot,
+    so the two have the same pivot columns, and C_z = E span
+    ctrb(As, Bs).  Returns the starts, the pivots and the
+    `krylov_basis` span of ctrb(As, Bs) (orthonormal on floats).
+    """
+    starts, _, As, Bs = _segment_system(model)
+    return (starts, *krylov_basis(ctrb_matrix(As, Bs), As, tol))
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -256,11 +273,17 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
+    return _modeling(s1, s2, model, _subsystem_ctrb(s1, s2, tol), tol)
+
+
+def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb: tuple,
+              tol: Tolerance) -> ModelingReport:
+    """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
     n = model.dim
     starts, _, S = _segment_ctrb(model, tol)
     lifted, columns = [], []
-    for s in (s1, s2):
-        C = ctrb_subspace(s.A, s.B, tol).basis.basis
+    for s, res in zip((s1, s2), ctrb):
+        C = res.basis.basis
         columns.append(C[starts // (n // s.dim)])
         lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]
     inside = in_span_columns(S, unit_columns(np.hstack(columns)), tol)

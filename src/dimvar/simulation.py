@@ -1,18 +1,26 @@
 """End-to-end transient scenarios.
 
-Lifts a start state and target into the blend model's space, designs a
-minimum-energy (Gramian) steering input, integrates with fixed-step
-RK4, and reports both the Euclidean endpoint error and the class error
-after tolerance-based irreducible reduction of the final state.
+A steered scenario runs on the blend's segment system (see
+`realization._segment_system`): the blend started from a lifted state
+stays constant on the p + q - gcd(p, q) segments of R^n, so its state
+is carried as one value per segment and repeated onto R^n only for the
+trajectory, the endpoint error and the class error.  The steering
+inputs are designed for the RK4 run itself: the run is linear in its
+stage inputs, so they are the least Simpson-weighted-norm solution of
+z_m = Phi z_0 + G u, from one QR factorisation, with no matrix
+exponential and no Gramian.  A target that leaves the controllable
+subspace raises UnreachableTargetError; a G of lower numerical rank
+than that subspace raises numpy's LinAlgError.
 
-Steering uses closed forms instead of per-point work: the Gramian is
-Van Loan's block exponential, a ControlSignal gives the inputs at all
-RK4 stage times from a few stacked matrix exponentials, and one RK4
-step of dz/dt = A z + B u(t) is one precomputed linear map,
+One RK4 step of dz/dt = A z + B u(t) is one precomputed linear map,
 z+ = P z + (forcing from the step's three stage inputs).  The time grid
 is one cumulative sum, and the m steps are applied together by a
 doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
 ..., not one Python step at a time.
+
+`min_energy_control` and `ControlSignal` remain the continuous
+minimum-energy design (Gramian and matrix exponentials) for any
+(A, B), and `rk4_integrate` integrates any input signal.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import scipy.linalg
 from .controllability import ctrb_gramian, ctrb_subspace
 from .mixdim import reduce_vector, vec_sub
 from .numerics import Tolerance, to_float
-from .realization import (RealizationReport, TransientModel,
+from .realization import (RealizationReport, TransientModel, _segment_system,
                           build_transient_model, check_realization)
 from .systems import LinSys
 
@@ -51,8 +59,8 @@ class Scenario:
     """Parameters of one steered transient run.
 
     The horizon te - t0 must hold between 10 and MAX_STEPS steps.
-    ``quad_steps`` is accepted and ignored: the Gramian is computed in
-    closed form.
+    ``quad_steps`` is accepted and ignored: steering needs no
+    quadrature.
     """
 
     t0: float
@@ -226,6 +234,32 @@ def _scan(P: np.ndarray, Z: np.ndarray) -> None:
         rows += Z[2 * d - 1::2 * d][:len(rows)] @ power
 
 
+def _step_groups(A: np.ndarray, Bfull: np.ndarray, step: float, full: int,
+                 short: list):
+    """(hs, groups) for the steps of `_time_grid`'s ``full`` and
+    ``short``: hs holds the m step lengths, and each group (P, R, lo, hi)
+    says that steps lo..hi-1 share the step map (P, R) of
+    `_rk4_step_map`.  The first group holds the whole steps."""
+    spans = [(step, 0, full)] + [(h, j, j + 1) for j, h in enumerate(short, full)]
+    return (np.r_[np.full(full, step), short],
+            [(*_rk4_step_map(A, Bfull, h), lo, hi)
+             for h, lo, hi in spans if lo < hi])
+
+
+def _run_steps(groups, U: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """States z_0, ..., z_m of the steps ``groups`` (see `_step_groups`)
+    from z_0 = z, with stage inputs U: one row per distinct stage time
+    t_0, t_0 + h_0/2, t_1, ..., t_m.  Each group's forcings are formed
+    at once and applied by `_scan`."""
+    X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])   # row j: step j's inputs
+    states = np.empty((len(X) + 1, z.size))
+    states[0] = z
+    for P, R, lo, hi in groups:
+        states[lo + 1:hi + 1] = X[lo:hi] @ R.T  # forcing of each step
+        _scan(P, states[lo:hi + 1])
+    return states
+
+
 def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
                   t0: float, te: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 for dz/dt = A z + B u(t).
@@ -251,10 +285,9 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
         raise ValueError("dimension mismatch between A, B and z0")
 
     times, full, short = _time_grid(t0, te, step)
-    hs = np.r_[np.full(full, step), short]
-    m = hs.size
+    hs, groups = _step_groups(A, Bfull, step, full, short)
     # distinct stage times t_0, t_0 + h_0/2, t_1, ..., t_m
-    stages = np.empty(2 * m + 1)
+    stages = np.empty(2 * hs.size + 1)
     stages[0::2] = times
     stages[1::2] = times[:-1] + hs / 2
     # the inputs there: a ControlSignal samples the evenly spaced stage
@@ -264,17 +297,7 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     head = u.sample(stages[:even], step / 2) if even else np.zeros((0, c))
     tail = [np.asarray(u(s), dtype=float) for s in stages[even:]]
     U = np.vstack([head, np.reshape(tail, (len(tail), c))])
-    X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])   # row j: step j's inputs
-
-    states = np.empty((m + 1, z.size))
-    states[0] = z
-    for h, lo, hi in [(step, 0, full)] + [(h, j, j + 1)
-                                          for j, h in enumerate(short, full)]:
-        if lo < hi:
-            P, R = _rk4_step_map(A, Bfull, h)
-            states[lo + 1:hi + 1] = X[lo:hi] @ R.T  # forcing of each step
-            _scan(P, states[lo:hi + 1])
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=_run_steps(groups, U, z))
 
 
 def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
@@ -316,6 +339,110 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     return ControlSignal(A, Bfull, Q @ np.linalg.solve(W, Q.T @ d), t0, te)
 
 
+def _power_blocks(P: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
+    """(P^k R)^T for k = 0, ..., count - 1, stacked as row blocks, by
+    doubling: once the first k blocks are in place, the next k are them
+    times (P^k)^T, so about log2(count) matmuls replace count - 1."""
+    w = R.shape[1]
+    Z = np.empty((w * count, R.shape[0]))
+    Z[:w] = R.T
+    k, PkT = 1, np.ascontiguousarray(P.T)
+    while k < count:
+        j = min(k, count - k)
+        Z[w * k:w * (k + j)] = Z[:w * j] @ PkT
+        k, PkT = k + j, PkT @ PkT
+    return Z
+
+
+def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
+                       right: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Stage inputs U (rows as in `_run_steps`) of least Simpson-weighted
+    norm  sum_j h_j/6 (|u_2j|^2 + 4 |u_2j+1|^2 + |u_2j+2|^2)  whose RK4
+    run from 0 ends at ``right @ dc``.
+
+    The columns of ``right`` span an invariant subspace of every step
+    map that holds the range of every R, and left^T right = I; there a
+    step is x+ = Pc x + Rc [three stage inputs] with Pc = left^T P right
+    and Rc = left^T R.  The end state is G u, where step j's block of G
+    is (the later steps' Pc) Rc, built per group by `_power_blocks`, and
+    the blocks of two steps that share a stage time add.  With the
+    weights W, the minimum-norm v of (G W^-1/2) v = dc comes from the
+    economic QR (G W^-1/2)^T = Q R as v = Q R^-T dc, and u = W^-1/2 v;
+    G G^T is never formed.  Raises LinAlgError when G overflows or R's
+    smallest singular value is at most max(shape) eps sigma_1: G has a
+    lower numerical rank than dim right, so no input reliably reaches
+    that subspace.
+    """
+    r, m, c = right.shape[1], hs.size, groups[0][1].shape[1] // 3
+    Gt = np.zeros((2 * m + 1, c, r))     # G^T, one row block per stage
+    after = np.eye(r)                    # the later groups' map
+    for P, R, lo, hi in reversed(groups):
+        Pc = left.T @ P @ right
+        Z = _power_blocks(Pc, after @ (left.T @ R), hi - lo)
+        Z = Z.reshape(hi - lo, 3, c, r)[::-1]   # step lo's block first
+        Gt[2 * lo:2 * hi:2] += Z[:, 0]
+        Gt[2 * lo + 1:2 * hi:2] = Z[:, 1]
+        Gt[2 * lo + 2:2 * hi + 1:2] += Z[:, 2]
+        if lo:                           # an earlier group follows
+            after = after @ np.linalg.matrix_power(Pc, hi - lo)
+    w = np.zeros(2 * m + 1)              # composite Simpson weights
+    w[0:-1:2] += hs / 6
+    w[1::2] += 4 * hs / 6
+    w[2::2] += hs / 6
+    scale = 1 / np.sqrt(w)
+    Gt *= scale[:, None, None]
+    if not np.isfinite(Gt).all():
+        raise np.linalg.LinAlgError("steering map overflows")
+    Q, Rt = scipy.linalg.qr(Gt.reshape(-1, r), mode="economic",
+                            check_finite=False)
+    sv = np.linalg.svd(Rt, compute_uv=False)
+    cut = max(Q.shape) * np.finfo(float).eps * sv[0]
+    if sv[-1] <= cut:
+        raise np.linalg.LinAlgError(
+            f"steering map has numerical rank "
+            f"{np.count_nonzero(sv > cut)} below dim C = {r} "
+            f"(sigma_1/sigma_r = {sv[0] / sv[-1]:.3e})")
+    v = Q @ scipy.linalg.solve_triangular(Rt, dc, trans="T")
+    return v.reshape(2 * m + 1, c) * scale[:, None]
+
+
+def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
+                      hs: np.ndarray, groups, zeta0: np.ndarray,
+                      zeta_star: np.ndarray) -> np.ndarray:
+    """Stage inputs that steer the RK4 run (``hs``, ``groups``) of the
+    segment system (As, Bs) from zeta0 to zeta_star.
+
+    The controllable subspace is decided in the isometric coordinates
+    D zeta, D = diag(sqrt(lengths)), where norms equal those on R^n:
+    Q is the orthonormal `ctrb_subspace` span of (D As D^-1, D Bs), so
+    right = D^-1 Q spans it in segment values and left = D Q is dual to
+    it.  The displacement d = zeta_star - Phi zeta0, Phi the run's free
+    map, must lie in it: its residual d - right left^T d, repeated onto
+    R^n, has max-abs at most 1e-8 max(1, max |d|), or
+    UnreachableTargetError is raised with that n-vector.  A d that
+    overflows raises LinAlgError.
+    """
+    sq = np.sqrt(lengths)[:, None]
+    Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
+    free = zeta0
+    for P, _, lo, hi in groups:
+        free = np.linalg.matrix_power(P, hi - lo) @ free
+    d = zeta_star - free
+    if not np.isfinite(d).all():
+        raise np.linalg.LinAlgError("free response overflows")
+    dc = (sq * Q).T @ d
+    residual = np.repeat(d - (Q / sq) @ dc, lengths)
+    worst = float(np.max(np.abs(residual)))
+    if worst > 1e-8 * max(1.0, np.max(np.abs(d))):
+        raise UnreachableTargetError(
+            "required displacement leaves the controllable subspace "
+            f"(uncontrollable residual, max |r| = {worst:.3e})",
+            residual=residual)
+    if Q.shape[1] == 0:
+        return np.zeros((2 * hs.size + 1, Bs.shape[1]))
+    return _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)
+
+
 @dataclass(frozen=True)
 class RealizationOutcome:
     """Scenario-level summary attached to a steered run."""
@@ -344,9 +471,17 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     """Run a full steered transient between two systems.
 
     Builds the blend model, lifts start and target states onto the lcm
-    dimension, designs the steering input (or uses zero input when
-    ``steer`` is False), integrates, and fills in endpoint and class
-    errors.  Returns (Trajectory, RealizationOutcome).
+    dimension, and runs RK4 on the blend's segment system (see
+    `realization._segment_system`), one value per segment, from the
+    start's values.  With ``steer`` the stage inputs are designed on
+    the run itself (`_segment_steering`), otherwise the input is zero.
+    The states are repeated onto R^n for the trajectory and the endpoint
+    and class errors.  Returns (Trajectory, RealizationOutcome).
+
+    Raises UnreachableTargetError, with the realization check in its
+    message, when the target leaves the controllable subspace, and
+    LinAlgError when the steering map's numerical rank is below that
+    subspace's dimension.
     """
     model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
                                   masses=masses)
@@ -358,24 +493,26 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
         raise ValueError("x_start dimension does not match the first system")
     if y_target.shape[0] != s2.dim:
         raise ValueError("y_target dimension does not match the second system")
-    z0 = np.kron(x_start, np.ones(n // s1.dim))
-    z_star = np.kron(y_target, np.ones(n // s2.dim))
-    A = to_float(model.base.A)
-    Bfull = to_float(model.base.B)
+    starts, lengths, As, Bs = _segment_system(model)
+    As, Bs = to_float(As), to_float(Bs)
+    zeta0 = x_start[starts // (n // s1.dim)]
+    times, full, short = _time_grid(sc.t0, sc.te, sc.step)
+    hs, groups = _step_groups(As, Bs, sc.step, full, short)
+    U = np.zeros((2 * hs.size + 1, Bs.shape[1]))
     if steer:
         try:
-            u = min_energy_control(A, Bfull, z0, z_star, sc.t0, sc.te,
-                                   sc.quad_steps)
+            U = _segment_steering(As, Bs, lengths, hs, groups, zeta0,
+                                  y_target[starts // (n // s2.dim)])
         except UnreachableTargetError as exc:
             raise UnreachableTargetError(
                 f"{exc} -- realization check: realizable="
                 f"{report.realizable}, dim_C1={report.dim_C1}, "
                 f"dim_C2={report.dim_C2}", residual=exc.residual) from exc
-    else:
-        u = ControlSignal.zero(A, Bfull, sc.t0, sc.te)
-    traj = rk4_integrate(A, Bfull, u, z0, sc.t0, sc.te, sc.step)
-    z_end = traj.states[-1]
-    traj.endpoint_error = float(np.max(np.abs(z_end - z_star)))
+    states = np.repeat(_run_steps(groups, U, zeta0), lengths, axis=1)
+    traj = Trajectory(times=times, states=states)
+    z_end = states[-1]
+    traj.endpoint_error = float(np.max(np.abs(
+        z_end - np.kron(y_target, np.ones(n // s2.dim)))))
     traj.target_class_error = _class_error(z_end, y_target)
     outcome = RealizationOutcome(realization=report, model=model,
                                  endpoint_error=traj.endpoint_error,

@@ -463,3 +463,89 @@ def test_simulate_refuses_too_many_steps(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "bad scenario: horizon longer than" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["check", CASE], ["reduce", "--vector",
+                                                       "1,1"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_positive_and_finite(capsys, command, tol):
+    # nan and inf once gave dim C1 = 0, -1 was accepted, and 0 fell back
+    # to the default tolerance
+    code, out, err = run(capsys, *command, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol: must be a positive, finite number" in err
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_simulate_refuses_beyond_double_precision(capsys, tmp_path, backend):
+    # (11, 13), n = 143: the steering map's numerical rank is below the
+    # 23 dimensions of C, so the run refuses with exit 3
+    rng = np.random.default_rng([0, 11, 13, 0])
+
+    def system(dim):
+        return {"A": rng.integers(-3, 4, size=(dim, dim)).astype(str).tolist(),
+                "B": rng.integers(-3, 4, size=(dim, 1)).astype(str).tolist()}
+
+    doc = {"sigma1": system(11), "sigma2": system(13),
+           "transient": {"masses": ["1", "1"]},
+           "scenario": {"t0": 0, "te": 1,
+                        "x_start": rng.integers(-3, 4, 11).astype(str).tolist(),
+                        "y_target": rng.integers(-3, 4, 13).astype(str).tolist()}}
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                         "--steer", "--backend", backend, "--out",
+                         str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: steering map has numerical "
+                          "rank ")
+    assert "below dim C = 23" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_unreachable_simulate_names_the_realization_check(capsys, tmp_path,
+                                                          backend):
+    doc = {
+        "sigma1": {"A": [["0", "0"], ["0", "0"]], "B": [["1"], ["0"]]},
+        "sigma2": {"A": [["0", "0"], ["0", "0"]], "B": [["1"], ["0"]]},
+        "transient": {"alpha": "1", "beta": "1"},
+        "scenario": {"t0": 0, "te": 1, "x_start": ["0", "0"],
+                     "y_target": ["0", "1"]},
+    }
+    code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                         "--steer", "--backend", backend)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("unreachable target: required displacement leaves "
+                          "the controllable subspace")
+    assert "realizable=" in err
+
+
+def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
+    # e^800 overflows double precision: a numerical failure, not a miss
+    doc = base_doc()
+    doc["sigma1"]["A"] = [["800", "1"], ["0", "0"]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                             "--steer", "--out", str(tmp_path / "t.csv"))
+    assert code == 3
+    assert err == "numerical failure: free response overflows\n"
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
+                                                    backend):
+    import dimvar.realization as realization
+    calls = []
+    inner = realization.ctrb_subspace
+
+    def counted(A, B, tol):
+        calls.append(A.shape[0])
+        return inner(A, B, tol)
+
+    monkeypatch.setattr(realization, "ctrb_subspace", counted)
+    code, out, _ = run(capsys, "check", CASE, "--backend", backend)
+    assert code == 0
+    assert sorted(calls) == [2, 3]

@@ -461,3 +461,147 @@ def test_min_energy_shifted_horizon(t0, te):
     u = min_energy_control(A, B, z0, zt, t0, te)
     tr = rk4_integrate(A, B, u, z0, t0, te, 1e-3)
     assert np.max(np.abs(tr.states[-1] - zt)) <= 1e-8
+
+
+# -- steering on the segment system ----------------------------------
+
+def _seeded_case(seed, p, q, i, step=1e-3, te=1.0):
+    """Integer systems of dimensions p and q with one input each, and an
+    integer start and target: the benchmark's steering cases."""
+    rng = np.random.default_rng([seed, p, q, i, 1])
+    s1, s2 = (LinSys(name, rng.integers(-3, 4, (d, d)).astype(float),
+                     rng.integers(-3, 4, (d, 1)).astype(float))
+              for name, d in (("sigma1", p), ("sigma2", q)))
+    sc = Scenario(0.0, te, rng.integers(-3, 4, p).astype(float),
+                  rng.integers(-3, 4, q).astype(float), step=step)
+    return s1, s2, sc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_steering_reaches_seeded_5_7_targets(seed):
+    # n = 35: the least-squares design reaches every target of seeds
+    # 0-3; the Gramian design missed 15 of these 32
+    for i in range(8):
+        traj, _ = run_transient_scenario(*_seeded_case(seed, 5, 7, i),
+                                         masses=(1, 1))
+        assert traj.target_class_error < 1e-5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_steering_runs_seeded_7_11_cases(seed):
+    # n = 77: no case raises (the Gramian design missed all 32 by up to 9e5)
+    for i in range(8):
+        traj, _ = run_transient_scenario(*_seeded_case(seed, 7, 11, i),
+                                         masses=(1, 1))
+        assert traj.states.shape == (1001, 77)
+        assert math.isfinite(traj.target_class_error)
+
+
+def test_steering_refuses_beyond_double_precision():
+    # (11, 13): G's numerical rank is below dim C = 23, so the run
+    # refuses instead of ending far from the target
+    for i in range(2):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"numerical rank \d+ below dim C = 23 "
+                                 r"\(sigma_1/sigma_r = "):
+            run_transient_scenario(*_seeded_case(0, 11, 13, i), masses=(1, 1))
+
+
+def test_unreachable_target_residual_is_an_n_vector():
+    # seed 1, case 1 of (2, 3) asks for a displacement outside C
+    s1, s2, sc = _seeded_case(1, 2, 3, 1)
+    with pytest.raises(UnreachableTargetError, match="realizable=") as exc:
+        run_transient_scenario(s1, s2, sc, masses=(1, 1))
+    residual = exc.value.residual
+    assert residual.shape == (6,)
+    assert np.max(np.abs(residual)) > 1e-8
+    # a lifted vector: constant on every segment of (2, 3)
+    assert residual[0] == residual[1] and residual[4] == residual[5]
+
+
+@pytest.mark.parametrize("p,q,te", [(2, 3, 1.0), (4, 6, 0.9995),
+                                    (5, 7, 1.0), (3, 4, 0.0305)])
+def test_unsteered_segment_run_matches_n_dimensional_rk4(p, q, te):
+    from dimvar import build_transient_model
+    s1, s2, sc = _seeded_case(3, p, q, 0, te=te)
+    traj, out = run_transient_scenario(s1, s2, sc, masses=(1, 1),
+                                       steer=False)
+    n = out.model.dim
+    A, B = to_float(out.model.base.A), to_float(out.model.base.B)
+    zero = ControlSignal.zero(A, B, 0.0, te)
+    ref = rk4_integrate(A, B, zero, np.kron(sc.x_start, np.ones(n // p)),
+                        0.0, te, sc.step)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states[0], ref.states[0])
+    assert (np.max(np.abs(traj.states - ref.states))
+            <= 1e-12 * np.max(np.abs(ref.states)))
+
+
+def test_steering_needs_no_matrix_exponential(monkeypatch, ex1_s1, ex1_s2):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    sc = Scenario(0.0, 1.0, vec([0, 1]), vec([1, 1, 1]))
+    traj, _ = run_transient_scenario(ex1_s1, ex1_s2, sc, alpha="3/2",
+                                     beta="1/2")
+    assert traj.target_class_error < 1e-5
+    traj, _ = run_transient_scenario(*_seeded_case(0, 4, 6, 0), masses=(1, 1))
+    assert traj.target_class_error < 1e-5
+
+
+def _dense_least_norm(groups, hs, left, right, dc):
+    """The least Simpson-weighted-norm stage inputs from G built one step
+    at a time, later steps first, and solved with a pseudo-inverse."""
+    r, m = right.shape[1], len(hs)
+    c = groups[0][1].shape[1] // 3
+    maps = [None] * m
+    for P, R, lo, hi in groups:
+        for j in range(lo, hi):
+            maps[j] = (left.T @ P @ right, left.T @ R)
+    G = np.zeros((r, 2 * m + 1, c))
+    w = np.zeros(2 * m + 1)
+    later = np.eye(r)
+    for j in reversed(range(m)):
+        Pc, Rc = maps[j]
+        block = later @ Rc
+        for slot in range(3):
+            G[:, 2 * j + slot] += block[:, slot * c:(slot + 1) * c]
+            w[2 * j + slot] += hs[j] / 6 * (4 if slot == 1 else 1)
+        later = later @ Pc
+    scale = np.repeat(1 / np.sqrt(w), c)
+    v = np.linalg.pinv(G.reshape(r, -1) * scale) @ dc
+    return (v * scale).reshape(2 * m + 1, c)
+
+
+@pytest.mark.parametrize("p,q,i", [(2, 3, 0), (2, 5, 1), (4, 6, 2),
+                                   (3, 4, 3), (2, 2, None)])
+@pytest.mark.parametrize("te,step", [(1.0, 1e-3), (0.9995, 1e-3),
+                                     (0.0333, 1e-3), (2.0, 0.125)])
+def test_least_norm_inputs_match_dense_reference(p, q, i, te, step):
+    # pins the doubling: G's blocks P^k R, the stage sums and the
+    # shortened last step against a per-step loop, at n <= 12; (2, 2)
+    # has one uncontrollable mode, so G acts on a proper subspace
+    from dimvar import build_transient_model
+    from dimvar.realization import _segment_system
+    from dimvar.simulation import (_least_norm_inputs, _run_steps,
+                                   _step_groups, _time_grid)
+    if i is None:
+        s1 = s2 = LinSys("d", np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+    else:
+        s1, s2, _ = _seeded_case(0, p, q, i)
+    model = build_transient_model(s1, s2, masses=(1, 1))
+    _, lengths, As, Bs = _segment_system(model)
+    As, Bs = to_float(As), to_float(Bs)
+    hs, groups = _step_groups(As, Bs, step, *_time_grid(0.0, te, step)[1:])
+    sq = np.sqrt(lengths)[:, None]
+    Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
+    assert Q.shape[1] == (1 if i is None else len(As))
+    dc = np.random.default_rng(p * q).uniform(-1, 1, Q.shape[1])
+    U = _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)
+    ref = _dense_least_norm(groups, hs, sq * Q, Q / sq, dc)
+    assert np.linalg.norm(U - ref) <= 1e-8 * np.linalg.norm(ref)
+    end = _run_steps(groups, U, np.zeros(len(As)))[-1]
+    assert np.max(np.abs(end - Q / sq @ dc)) <= 1e-8 * np.max(np.abs(dc))
