@@ -258,12 +258,13 @@ def cmd_ctrb(args) -> int:
 
 def cmd_reduce(args) -> int:
     try:
-        entries = [parse_scalar(tok) for tok in args.vector.split(",")]
+        x = vec([parse_scalar(tok) for tok in args.vector.split(",")],
+                args.exact)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse vector: {exc}")
-    if not entries:
-        raise InputError("empty vector")
-    mv = reduce_vector(vec(entries, args.exact), args.tolerance)
+    except OverflowError:
+        raise InputError("vector has an entry beyond float range")
+    mv = reduce_vector(x, args.tolerance)
     if args.json:
         print(json.dumps({"irreducible": _json_vector(mv.irreducible),
                           "multiplicity": mv.multiplicity}))

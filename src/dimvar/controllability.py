@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .mixdim import MixVector, _reps_equal, reduce_vector
+from .mixdim import MixVector, _reps_equal, _strip_keyed
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
                        _integer_scaled, common_backend, complete_basis,
-                       float_only, is_exact, krylov_basis)
+                       equality_key, float_only, is_exact, krylov_basis)
 from .systems import LinSys
 
 
@@ -96,12 +96,21 @@ def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientC
 
 
 def _class_reps(S: SubspaceBasis, tol: Tolerance) -> list[MixVector]:
-    """Irreducible members of S's basis columns, equivalent ones dropped."""
+    """Irreducible members of S's basis columns, equivalent ones dropped.
+
+    An exact column strips on its slice of one `equality_key` of S, and
+    its representative is compared on that slice at the kept rows."""
+    K = equality_key(S.basis)
     reps: list[MixVector] = []
+    seen = []                       # float representatives, or keys
     for j in range(S.dim):
-        mv = reduce_vector(S.basis[:, j], tol)
-        if not any(_reps_equal(mv.irreducible, r.irreducible, tol) for r in reps):
-            reps.append(mv)
+        x, key = S.basis[:, j], None if K is None else K[:, j:j + 1]
+        (y,), mult = _strip_keyed([(x.reshape(-1, 1), False)], [key], tol)
+        t = y[:, 0] if key is None else key[::mult, 0]
+        if not any(_reps_equal(t, u, tol) if key is None else
+                   t.shape == u.shape and (t == u).all() for u in seen):
+            seen.append(t)
+            reps.append(MixVector(value=x, irreducible=y[:, 0]))
     return reps
 
 

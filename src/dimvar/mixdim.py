@@ -72,7 +72,11 @@ def _strip_factors(parts, tol: Tolerance):
     factor for J parts).  A float part is tested with ``tol.close``; its
     representative is the block mean, taken at every strip.
     """
-    keys = [equality_key(X) for X, _ in parts]
+    return _strip_keyed(parts, [equality_key(X) for X, _ in parts], tol)
+
+
+def _strip_keyed(parts, keys, tol: Tolerance):
+    """`_strip_factors` on given keys: None, or integers equal where X is."""
     tests = [X if key is None else key for (X, _), key in zip(parts, keys)]
     # one comparison per part, for each of the three checks below
     equal = [tol.close if key is None else operator.eq for key in keys] * 3

@@ -179,23 +179,24 @@ def equality_key(M: np.ndarray):
 
     The key is the integer-scaled copy L * M: int64 where every entry
     fits, Python ints in an object array otherwise.  It is computed once
-    per distinct entry object (a lifted array repeats a few objects) and
-    gathered.  It is meant for ``==`` only; no tolerance or float
-    conversion may touch it.
+    per distinct entry object (a lifted array repeats a few objects),
+    found in bulk: M's buffer holds one object reference per entry, read
+    as intp one identity token each, equal exactly for the same object
+    while M keeps its objects alive.  No token is dereferenced; the
+    objects are taken from M at their first tokens.  The key is meant
+    for ``==`` only; no tolerance or float conversion may touch it.
     """
     if not is_exact(M):
         return None
-    flat = M.ravel().tolist()
-    ids = list(map(id, flat))
-    distinct = dict(zip(ids, flat))             # one entry per object
-    Z, _ = _integer_scaled(np.array(list(distinct.values()), dtype=object))
-    scaled = dict(zip(distinct, Z.tolist()))
-    Z = list(map(scaled.__getitem__, ids))
+    flat = M.ravel()
+    tokens = np.frombuffer(flat.tobytes(), np.intp)
+    _, first, inv = np.unique(tokens, return_index=True, return_inverse=True)
+    Z, _ = _integer_scaled(flat[first])
     try:
-        key = np.array(Z, dtype=np.int64)
+        Z = Z.astype(np.int64)
     except OverflowError:
-        key = np.array(Z, dtype=object)
-    return key.reshape(M.shape)
+        pass                                    # Python ints, object dtype
+    return Z[inv].reshape(M.shape)
 
 
 def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,

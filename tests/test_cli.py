@@ -118,6 +118,37 @@ def test_reduce(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vector", ["1e400", "-1e400", "1,1e400"])
+def test_reduce_entry_beyond_float_range(capsys, vector):
+    code, out, err = run(capsys, "reduce", f"--vector={vector}", "--backend",
+                         "float")
+    assert (code, out) == (2, "")
+    assert "entry beyond float range" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "reduce", f"--vector={vector}")
+    assert code == 0 and "(×1)" in out
+
+
+def test_ctrb_blend_builds_one_equality_key(capsys, monkeypatch):
+    import dimvar
+    from dimvar import numerics
+
+    key, builds = numerics.equality_key, []
+
+    def counted(M):
+        builds.append(M.shape)
+        return key(M)
+
+    for name in dir(dimvar):             # every module that imported it
+        module = getattr(dimvar, name)
+        if getattr(module, "equality_key", None) is key:
+            monkeypatch.setattr(module, "equality_key", counted)
+    code, out, _ = run(capsys, "ctrb", CASE, "--blend")
+    assert code == 0
+    assert out == (ROOT / "perfbench" / "ref" /
+                   "ctrb_blend_example1.txt").read_text()
+    assert len(builds) == 1
+
+
 def test_simulate_writes_csv(capsys, tmp_path):
     out_path = str(tmp_path / "traj.csv")
     code, out, _ = run(capsys, "simulate", CASE, "--steer", "--out", out_path)

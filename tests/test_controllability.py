@@ -10,8 +10,10 @@ from dimvar import (LinSys, build_transient_model, check_modeling_condition,
                     ctrb_gramian, ctrb_matrix, ctrb_subspace,
                     in_span, kalman_decomposition, lift_system, mat,
                     quotient_ctrb_subspace, rank, vec, vec_equivalent)
-from dimvar import realization
-from dimvar.numerics import to_float, zeros
+from dimvar import SubspaceBasis, realization
+from dimvar.controllability import _class_reps
+from dimvar.mixdim import _reps_equal, reduce_vector
+from dimvar.numerics import DEFAULT_TOL, to_float, zeros
 
 # the blend controllability matrix of the running example, frozen from
 # an exact recomputation (column k+1 = A* times column k, checked by
@@ -163,6 +165,49 @@ def test_quotient_ctrb_lift_invariance():
 def test_quotient_ctrb_input_free():
     s = LinSys("free", mat([[1, 0], [0, 2]]), zeros((2, 0)))
     assert quotient_ctrb_subspace(s).reps == []
+
+
+def _class_reps_reference(S, tol):
+    """One `reduce_vector` per column and one `_reps_equal` per pair."""
+    reps = []
+    for j in range(S.dim):
+        mv = reduce_vector(S.basis[:, j], tol)
+        if not any(_reps_equal(mv.irreducible, r.irreducible, tol)
+                   for r in reps):
+            reps.append(mv)
+    return reps
+
+
+def test_class_reps_match_per_column_reduction():
+    rng = random.Random(71)
+    big, near = 10**30, Fraction(10**12 + 1, 7)
+    for trial in range(60):
+        n = rng.choice([6, 12, 24])
+        cols = []
+        for _ in range(rng.randint(1, 6)):
+            k = rng.choice([d for d in (1, 2, 3, 4, 6, 12) if n % d == 0])
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(n // k)]
+            if trial % 4 == 1:                  # near-equal large values
+                v = [Fraction(10**12, 7) if x > 0 else near for x in v]
+            if trial % 4 == 2 and rng.random() < 0.5:   # beyond int64
+                v[0] = Fraction(big, big + 7)
+            cols.append(np.repeat(np.array(v, dtype=object), k))
+            if rng.random() < 0.5:              # an equivalent column
+                cols.append(cols[rng.randrange(len(cols))].copy())
+        rng.shuffle(cols)
+        basis = np.column_stack(cols)
+        for B in (basis, to_float(basis)):
+            S = SubspaceBasis(n, B)
+            got = _class_reps(S, DEFAULT_TOL)
+            ref = _class_reps_reference(S, DEFAULT_TOL)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.value.tolist() == r.value.tolist()
+                assert g.irreducible.tolist() == r.irreducible.tolist()
+                assert g.irreducible.dtype == r.irreducible.dtype
+                assert [type(x) for x in g.irreducible.tolist()] == \
+                    [type(x) for x in r.irreducible.tolist()]
 
 
 def test_quotient_rank_equals_representative_rank():

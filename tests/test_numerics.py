@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, matrix_exponential_apply, ones_vector,
                     parse_scalar, rank, vec)
-from dimvar.numerics import (DEFAULT_TOL, _echelon, eye, in_span_columns,
-                             inverse, pivot_columns, solve, spans_equal,
-                             to_float, zeros)
+from dimvar.numerics import (DEFAULT_TOL, _echelon, equality_key, eye,
+                             in_span_columns, inverse, pivot_columns, solve,
+                             spans_equal, to_float, zeros)
 
 
 def test_parse_scalar_grammar():
@@ -319,3 +320,88 @@ def test_exact_in_span_columns_matches_fraction_reference():
         assert in_span_columns(S, W) == expected
         assert expected[:2] == [True, True] and expected[4]
         assert spans_equal(S, column_space_basis(M[:, ::-1]))
+
+
+def _reference_key(M):
+    """L * x for each entry, L the lcm of every denominator in M."""
+    flat = M.ravel().tolist()
+    L = math.lcm(*(x.denominator for x in flat))
+    Z = [x.numerator * (L // x.denominator) for x in flat]
+    fits = all(-2**63 <= z < 2**63 for z in Z)
+    return np.array(Z, dtype=np.int64 if fits else object).reshape(M.shape)
+
+
+def _assert_key_matches_reference(M):
+    key, ref = equality_key(M), _reference_key(M)
+    assert key.dtype == ref.dtype and key.shape == ref.shape
+    assert key.tolist() == ref.tolist()
+    assert [type(z) for z in key.ravel().tolist()] == \
+        [type(z) for z in ref.ravel().tolist()]
+
+
+def test_equality_key_of_strided_views():
+    rng = random.Random(13)
+    A0 = np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(4)] for _ in range(4)], dtype=object)
+    A = np.repeat(np.repeat(A0, 3, axis=0), 3, axis=1)   # shared objects
+    assert len({id(e) for e in A.ravel()}) <= 16
+    v = A.reshape(4, 3, 4, 3)
+    for M in (A, A.T, A[::2], A[1::3, ::-2], v, v[:1, ::2, :1, :1],
+              v[:1, :, :1, :1], v[:, 0, :, 0], v[:, :, :1, :1],
+              A.reshape(12, 12, 1)[::5]):
+        _assert_key_matches_reference(M)
+    assert equality_key(A.T).tolist() == equality_key(A).T.tolist()
+
+
+def test_equality_key_of_empty_arrays():
+    for shape in ((5, 0), (0,), (0, 3), (2, 0, 2)):
+        M = np.empty(shape, dtype=object)
+        _assert_key_matches_reference(M)
+        assert equality_key(M).dtype == np.int64
+    assert equality_key(np.zeros((5, 0))) is None
+    assert equality_key(np.ones(3)) is None
+
+
+def test_equality_key_of_ints_mixed_with_fractions():
+    half = Fraction(1, 2)
+    M = np.array([[1, half, 3], [half, -4, Fraction(5, 3)]], dtype=object)
+    _assert_key_matches_reference(M)
+    assert equality_key(M).tolist() == [[6, 3, 18], [3, -24, 10]]
+    _assert_key_matches_reference(np.array([0, 7, -2**40], dtype=object))
+
+
+def test_equality_key_of_equal_values_in_distinct_and_shared_objects():
+    shared = Fraction(2, 7)
+    x = np.array([shared, Fraction(2, 7), shared, Fraction(4, 14), shared,
+                  Fraction(-1, 3), Fraction(-1, 3), 0, Fraction(0)],
+                 dtype=object)
+    assert len({id(e) for e in x}) == 7
+    _assert_key_matches_reference(x)
+    key = equality_key(x)
+    assert (key[:5] == key[0]).all() and key[5] == key[6] != key[0]
+    assert key[7] == key[8] == 0
+
+
+def test_equality_key_beyond_int64_falls_back_to_python_ints():
+    big = 10**30
+    x = np.array([Fraction(big, big + 7), Fraction(1, 3), 2**63 - 1],
+                 dtype=object)
+    x = np.concatenate([x, x[::-1]])
+    _assert_key_matches_reference(x)
+    assert equality_key(x).dtype == object
+    edge = np.array([2**63 - 1, -2**63, Fraction(1)], dtype=object)
+    _assert_key_matches_reference(edge)
+    assert equality_key(edge).dtype == np.int64
+    _assert_key_matches_reference(np.array([2**63, 1], dtype=object))
+    _assert_key_matches_reference(np.array([-2**63 - 1, 1], dtype=object))
+
+
+def test_equality_key_keeps_near_equal_large_values_apart():
+    a, b = Fraction(10**12, 7), Fraction(10**12 + 1, 7)
+    A = kron(np.array([[a, b], [b, a]], dtype=object), j_matrix(3))
+    _assert_key_matches_reference(A)
+    key = equality_key(A)
+    assert key[0, 0] != key[0, 3] and key[0, 0] == key[3, 3]
+    x = kron(np.array([a, b], dtype=object), ones_vector(3))
+    _assert_key_matches_reference(x)
+    assert equality_key(x).tolist() == [10**12] * 3 + [10**12 + 1] * 3
