@@ -111,8 +111,8 @@ def _parse_weights(doc: dict, path: str) -> dict:
         raise InputError(f"{path}: missing field 'transient' (weights)")
     tr = doc["transient"]
     try:
-        a, b = (Fraction(str(w)) for w in
-                (tr["masses"] if "masses" in tr else (tr["alpha"], tr["beta"])))
+        a, b = vec(tr["masses"] if "masses" in tr
+                   else [tr["alpha"], tr["beta"]])
     except KeyError as exc:
         raise InputError(f"{path}: 'transient' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
     model = build_transient_model(s1, s2, **weights)
     ctrb = _subsystem_ctrb(s1, s2, tol)     # C1 and C2, once for both checks
     real = _realization(s1, s2, ctrb, tol)
-    modeling = _modeling(s1, s2, model, ctrb, tol)
+    modeling = _modeling(model, ctrb, tol)
     ok = real.realizable and modeling.holds
     if args.json:
         payload = {
@@ -213,16 +213,14 @@ def cmd_ctrb(args) -> int:
         s1, s2, weights = _parse_case(doc, args)
         model = build_transient_model(s1, s2, **weights)
         sys_ = model.base
-        label = sys_.name
     else:
         if args.system not in ("sigma1", "sigma2"):
             raise InputError(f"unknown system name: {args.system!r} "
                              "(expected sigma1 or sigma2)")
         sys_ = _parse_system(doc, args.system, args.file, args.exact)
-        label = args.system
     matrix = ctrb_matrix(sys_.A, sys_.B)
-    piv = (_segment_ctrb(model, tol)[1] if args.blend
-           else krylov_basis(matrix, sys_.A, tol)[0])
+    piv = (_segment_ctrb(model, tol) if args.blend
+           else krylov_basis(matrix, sys_.A, tol))[0]
     basis = SubspaceBasis(sys_.dim, matrix[:, piv])
     if args.blend:
         # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
@@ -234,7 +232,7 @@ def cmd_ctrb(args) -> int:
     reps = _class_reps(basis, tol)
     if args.json:
         payload = {
-            "system": label,
+            "system": sys_.name,
             "rank": basis.dim,
             "ctrb_matrix": _json_matrix(matrix),
             "basis": _json_matrix(basis.basis.T),
@@ -242,7 +240,7 @@ def cmd_ctrb(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"controllability of {label} (dim {sys_.dim})")
+        print(f"controllability of {sys_.name} (dim {sys_.dim})")
         print("  matrix:")
         print(_fmt_matrix(matrix, "    "))
         print(f"  rank: {basis.dim}")
@@ -301,6 +299,13 @@ def cmd_blend(args) -> int:
     return 0
 
 
+def _scenario_vector(scd: dict, field: str) -> np.ndarray:
+    try:
+        return vec(scd[field], exact=False)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"'{field}': {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     doc = _load_file(args.file)
     s1, s2, weights = _parse_case(doc, args)
@@ -310,8 +315,8 @@ def cmd_simulate(args) -> int:
     try:
         sc = Scenario(
             t0=float(scd["t0"]), te=float(scd["te"]),
-            x_start=vec(scd["x_start"], exact=False),
-            y_target=vec(scd["y_target"], exact=False),
+            x_start=_scenario_vector(scd, "x_start"),
+            y_target=_scenario_vector(scd, "y_target"),
             step=float(scd.get("step", 1e-3)),
             quad_steps=int(scd.get("quad_steps", 512)))
     except KeyError as exc:
@@ -363,13 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
+    def add_common(p, with_file=True,
+                   tol_help="float-backend tolerance override"):
         if with_file:
             p.add_argument("file", help="system definition file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="float-backend tolerance override")
+        p.add_argument("--tol", type=_tolerance, default=None, help=tol_help)
         p.add_argument("--backend", choices=("rational", "float"),
                        default="rational")
 
@@ -392,11 +397,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("blend", help="print the transient model")
-    add_common(p)
+    add_common(p, tol_help="ignored: blend decides nothing")
     p.set_defaults(func=cmd_blend)
 
     p = sub.add_parser("simulate", help="run a steered transient scenario")
-    add_common(p)
+    add_common(p, tol_help="ignored: simulate uses the default tolerance")
     p.add_argument("--out", default="trajectory.csv",
                    help="trajectory CSV output path")
     p.add_argument("--steer", action="store_true",
@@ -422,10 +427,7 @@ def main(argv=None) -> int:
         # beyond float range is rejected while parsing
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

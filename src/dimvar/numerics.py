@@ -72,10 +72,14 @@ def mat(rows, exact: bool = True) -> np.ndarray:
     """Build a 2-D matrix from nested scalars or strings.
 
     Each entry is parsed as a Fraction ("3/2", "0.75", 3); the float
-    backend rounds that Fraction once.
+    backend rounds that Fraction once; a bool or a string row is refused.
     """
-    data = [[Fraction(str(e)) if isinstance(e, (str, float)) else Fraction(e)
-             for e in row] for row in rows]
+    rows = list(rows)
+    for row in rows:
+        if isinstance(row, str):
+            raise ValueError(f"{row!r} is a string, not a list of scalars")
+    data = [[Fraction(str(e)) if isinstance(e, (str, float, bool))
+             else Fraction(e) for e in row] for row in rows]
     for i, row in enumerate(data):
         if len(row) != len(data[0]):
             raise ValueError(f"row {i} has {len(row)} entries, "

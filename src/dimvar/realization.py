@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -135,20 +136,33 @@ def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
 
 @dataclass(frozen=True)
 class TransientModel:
-    """Blended transient dynamics on the lcm dimension.
+    """The blend alpha (A1 (x) J) + beta (A2 (x) J), with the weighted
+    input channels side by side, on its s segments (`_segments`).
 
-    base.A = alpha * (A1 (x) J) + beta * (A2 (x) J); base.B stacks the
-    two weighted input channels side by side.
+    ``A`` (s x s) and ``B`` hold its values there, ``lengths`` the
+    segment lengths and ``rows`` the sigma1 and sigma2 row each segment
+    reads.  With E the n x s segment indicator, ``base`` = (E A E^T,
+    E B) is built on first read, and base.A E = E As: the blend on
+    range E is the segment system (As, B), As = A diag(lengths).
     """
 
-    base: LinSys
+    A: np.ndarray
+    B: np.ndarray
+    lengths: np.ndarray
+    rows: tuple
+    name: str
     weights: tuple
     source_dims: tuple[int, int]
     input_split: tuple[int, int]
 
     @property
     def dim(self) -> int:
-        return self.base.dim
+        return math.lcm(*self.source_dims)
+
+    @cached_property
+    def base(self) -> LinSys:
+        e = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        return LinSys(name=self.name, A=self.A[np.ix_(e, e)], B=self.B[e])
 
     @property
     def B1_star(self) -> np.ndarray:
@@ -182,7 +196,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     constant on the blocks of the p + q - gcd(p, q) segments of
     `_segments`.  Each segment pair is summed once, as
     alpha * (a1 * (1/k)) + beta * (a2 * (1/m)) in the Kronecker
-    product's operand order, and repeated by the segment lengths.
+    product's operand order, and kept on the segments (`TransientModel`).
     """
     if masses is not None:
         m1, m2 = (Fraction(str(m)) for m in masses)
@@ -206,12 +220,10 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     A1 = alpha * (s1.A * as_backend(Fraction(1, k), s1.A))
     A2 = beta * (s2.A * as_backend(Fraction(1, m), s2.A))
     A = A1.take(i, 0).take(i, 1) + A2.take(j, 0).take(j, 1)
-    A = np.repeat(np.repeat(A, lengths, axis=0), lengths, axis=1)
-    B = np.hstack([np.repeat(alpha * s1.B, k, axis=0),
-                   np.repeat(beta * s2.B, m, axis=0)])
-    base = LinSys(name=f"blend({s1.name},{s2.name})", A=A, B=B)
-    return TransientModel(base=base, weights=(alpha, beta),
-                          source_dims=(p, q),
+    B = np.hstack([(alpha * s1.B).take(i, 0), (beta * s2.B).take(j, 0)])
+    return TransientModel(A=A, B=B, lengths=lengths, rows=(i, j),
+                          name=f"blend({s1.name},{s2.name})",
+                          weights=(alpha, beta), source_dims=(p, q),
                           input_split=(s1.n_inputs, s2.n_inputs))
 
 
@@ -229,30 +241,17 @@ class ModelingReport:
     dim_Cz: int
 
 
-def _segment_system(model: TransientModel):
-    """(starts, lengths, As, Bs): the blend on its s segments.
-
-    With E the n x s indicator of the segments of `_segments`,
-    A E = E As and B = E Bs for As = A[starts][:, starts] diag(lengths)
-    and Bs = B[starts].  So range E is invariant, and the blend started
-    in it stays E times the segment system's state.
-    """
-    starts, lengths = _segments(*model.source_dims)
-    As = model.base.A[np.ix_(starts, starts)] * lengths
-    return starts, lengths, As, model.base.B[starts]
-
-
 def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
     """The blend's controllable subspace C_z in segment coordinates.
 
-    The blend's Krylov matrix is E ctrb(As, Bs) block for block (see
-    `_segment_system`).  E is injective and blocks past s never pivot,
-    so the two have the same pivot columns, and C_z = E span
-    ctrb(As, Bs).  Returns the starts, the pivots and the
-    `krylov_basis` span of ctrb(As, Bs) (orthonormal on floats).
+    The blend's Krylov matrix is E ctrb(As, B) block for block (see
+    `TransientModel`).  E is injective and blocks past s never pivot, so
+    the two have the same pivot columns, and C_z = E span ctrb(As, B).
+    Returns the pivots and the `krylov_basis` span of ctrb(As, B)
+    (orthonormal on floats).
     """
-    starts, _, As, Bs = _segment_system(model)
-    return (starts, *krylov_basis(ctrb_matrix(As, Bs), As, tol))
+    As = model.A * model.lengths
+    return krylov_basis(ctrb_matrix(As, model.B), As, tol)
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -261,32 +260,27 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     subsystems' controllable subspaces after lifting to dimension n.
 
     C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
-    v (x) 1_k lies in C_z = E span ctrb(As, Bs) iff v[starts // k] lies
-    in span ctrb(As, Bs) (w (x) 1_m: w[starts // m]), tested for all
-    lifted vectors in one elimination against the `krylov_basis` span
-    (orthonormal on floats), each tested column scaled to largest
-    |entry| 1 by `unit_columns`.  The blend is read from
-    ``model.base``, at the segment starts; every model that
-    `build_transient_model` makes from s1 and s2 carries their blend.
+    v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
+    of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
+    sigma2 rows), tested for all lifted vectors in one elimination
+    against the `krylov_basis` span (orthonormal on floats), each tested
+    column scaled to largest |entry| 1 by `unit_columns`.
     """
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    return _modeling(s1, s2, model, _subsystem_ctrb(s1, s2, tol), tol)
+    return _modeling(model, _subsystem_ctrb(s1, s2, tol), tol)
 
 
-def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb: tuple,
+def _modeling(model: TransientModel, ctrb: tuple,
               tol: Tolerance) -> ModelingReport:
     """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
-    n = model.dim
-    starts, _, S = _segment_ctrb(model, tol)
-    lifted, columns = [], []
-    for s, res in zip((s1, s2), ctrb):
-        C = res.basis.basis
-        columns.append(C[starts // (n // s.dim)])
-        lifted += [np.repeat(C[:, j], n // s.dim) for j in range(C.shape[1])]
-    inside = in_span_columns(S, unit_columns(np.hstack(columns)), tol)
-    return ModelingReport(holds=all(inside), n=n,
+    _, S = _segment_ctrb(model, tol)
+    columns = np.hstack([res.basis.basis[rows]
+                         for res, rows in zip(ctrb, model.rows)])
+    inside = in_span_columns(S, unit_columns(columns), tol)
+    lifted = np.repeat(columns, model.lengths, axis=0).T
+    return ModelingReport(holds=all(inside), n=model.dim,
                           tested_vectors=list(zip(lifted, inside)),
                           dim_Cz=S.dim)

@@ -1,10 +1,10 @@
 """End-to-end transient scenarios.
 
-A steered scenario runs on the blend's segment system (see
-`realization._segment_system`): the blend started from a lifted state
-stays constant on the p + q - gcd(p, q) segments of R^n, so its state
-is carried as one value per segment and repeated onto R^n only for the
-trajectory, the endpoint error and the class error.  The steering
+A steered scenario runs on the blend's segment system, which the
+`TransientModel` holds: the blend started from a lifted state stays
+constant on the p + q - gcd(p, q) segments of R^n, so its state is
+carried as one value per segment and repeated onto R^n only for the
+trajectory and the class error.  The steering
 inputs are designed for the RK4 run itself: the run is linear in its
 stage inputs, so they are the least Simpson-weighted-norm solution of
 z_m = Phi z_0 + G u, from one QR factorisation, with no matrix
@@ -34,7 +34,7 @@ import scipy.linalg
 from .controllability import ctrb_gramian, ctrb_subspace
 from .mixdim import reduce_vector, vec_sub
 from .numerics import Tolerance, to_float
-from .realization import (RealizationReport, TransientModel, _segment_system,
+from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
 
@@ -470,13 +470,14 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
                            steer: bool = True):
     """Run a full steered transient between two systems.
 
-    Builds the blend model, lifts start and target states onto the lcm
-    dimension, and runs RK4 on the blend's segment system (see
-    `realization._segment_system`), one value per segment, from the
-    start's values.  With ``steer`` the stage inputs are designed on
-    the run itself (`_segment_steering`), otherwise the input is zero.
-    The states are repeated onto R^n for the trajectory and the endpoint
-    and class errors.  Returns (Trajectory, RealizationOutcome).
+    Builds the blend model and runs RK4 on its segment system (see
+    `TransientModel`), one value per segment, from the lifted start's
+    segment values: its entries at the model's sigma1 ``rows``.  With
+    ``steer`` the stage inputs are designed on the run itself
+    (`_segment_steering`), otherwise the input is zero.  The states are
+    repeated onto R^n for the trajectory and the class error; the
+    endpoint error compares the end values with the target's entries at
+    the sigma2 ``rows``.  Returns (Trajectory, RealizationOutcome).
 
     Raises UnreachableTargetError, with the realization check in its
     message, when the target leaves the controllable subspace, and
@@ -486,34 +487,31 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
                                   masses=masses)
     report = check_realization(s1, s2)
-    n = model.dim
     x_start = np.asarray(sc.x_start, dtype=float).reshape(-1)
     y_target = np.asarray(sc.y_target, dtype=float).reshape(-1)
     if x_start.shape[0] != s1.dim:
         raise ValueError("x_start dimension does not match the first system")
     if y_target.shape[0] != s2.dim:
         raise ValueError("y_target dimension does not match the second system")
-    starts, lengths, As, Bs = _segment_system(model)
-    As, Bs = to_float(As), to_float(Bs)
-    zeta0 = x_start[starts // (n // s1.dim)]
+    As, Bs = to_float(model.A * model.lengths), to_float(model.B)
+    zeta0, zeta_star = x_start[model.rows[0]], y_target[model.rows[1]]
     times, full, short = _time_grid(sc.t0, sc.te, sc.step)
     hs, groups = _step_groups(As, Bs, sc.step, full, short)
     U = np.zeros((2 * hs.size + 1, Bs.shape[1]))
     if steer:
         try:
-            U = _segment_steering(As, Bs, lengths, hs, groups, zeta0,
-                                  y_target[starts // (n // s2.dim)])
+            U = _segment_steering(As, Bs, model.lengths, hs, groups, zeta0,
+                                  zeta_star)
         except UnreachableTargetError as exc:
             raise UnreachableTargetError(
                 f"{exc} -- realization check: realizable="
                 f"{report.realizable}, dim_C1={report.dim_C1}, "
                 f"dim_C2={report.dim_C2}", residual=exc.residual) from exc
-    states = np.repeat(_run_steps(groups, U, zeta0), lengths, axis=1)
-    traj = Trajectory(times=times, states=states)
-    z_end = states[-1]
-    traj.endpoint_error = float(np.max(np.abs(
-        z_end - np.kron(y_target, np.ones(n // s2.dim)))))
-    traj.target_class_error = _class_error(z_end, y_target)
+    zetas = _run_steps(groups, U, zeta0)
+    traj = Trajectory(times=times,
+                      states=np.repeat(zetas, model.lengths, axis=1))
+    traj.endpoint_error = float(np.max(np.abs(zetas[-1] - zeta_star)))
+    traj.target_class_error = _class_error(traj.states[-1], y_target)
     outcome = RealizationOutcome(realization=report, model=model,
                                  endpoint_error=traj.endpoint_error,
                                  target_class_error=traj.target_class_error)

@@ -409,6 +409,15 @@ _MALFORMED = [
     ("notes-ints", ["notes"], [1, 2], _ALL, _BOTH, "'notes' must be a list"),
     ("ragged", ["sigma1", "A"], [["0", "1"], ["0"]], _ALL, _BOTH,
      "'sigma1' has an unparseable entry: row 1"),
+    ("string-row", ["sigma1", "A"], ["01", "00"], _ALL, _BOTH,
+     "'sigma1' has an unparseable entry: '01' is a string"),
+    ("string-vector", ["scenario", "x_start"], "01", ("simulate",), _BOTH,
+     "bad scenario: 'x_start': '01' is a string"),
+    ("bool-entry", ["sigma1", "A", 0, 1], True, _ALL, _BOTH,
+     "'sigma1' has an unparseable entry: Invalid literal for Fraction: "
+     "'True'"),
+    ("bool-target", ["scenario", "y_target", 0], False, ("simulate",), _BOTH,
+     "bad scenario: 'y_target': Invalid literal for Fraction: 'False'"),
     ("null-matrix", ["sigma1", "B"], None, _ALL, _BOTH, "'sigma1'"),
     ("null-entry", ["sigma1", "A", 0, 0], None, _ALL, _BOTH, "'sigma1'"),
     ("nan-entry", ["sigma1", "A", 0, 0], "nan", _ALL, _BOTH, "'sigma1'"),
@@ -416,6 +425,8 @@ _MALFORMED = [
     ("transient-list", ["transient"], ["3/2", "1/2"], _WEIGHTED, _BOTH,
      "'transient'"),
     ("transient-str", ["transient"], "abc", _WEIGHTED, _BOTH, "'transient'"),
+    ("string-masses", ["transient"], {"masses": "12"}, _WEIGHTED, _BOTH,
+     "'transient' has an unparseable entry: '12' is a string"),
     ("scenario-list", ["scenario"], [0, 1], ("simulate",), _BOTH,
      "bad scenario"),
     ("scenario-int", ["scenario"], 5, ("simulate",), _BOTH, "bad scenario"),
@@ -509,6 +520,19 @@ def test_tol_must_be_positive_and_finite(capsys, command, tol):
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
+def test_simulate_ignores_tol(capsys, tmp_path, backend):
+    # simulate decides at the default tolerance whatever --tol says
+    out_path = str(tmp_path / "t.csv")
+    runs = []
+    for tol in ([], ["--tol", "1e-3"]):
+        code, out, _ = run(capsys, "simulate", CASE, "--steer", "--json",
+                           "--backend", backend, "--out", out_path, *tol)
+        runs.append((code, out, Path(out_path).read_text()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
 def test_simulate_refuses_beyond_double_precision(capsys, tmp_path, backend):
     # (11, 13), n = 143: the steering map's numerical rank is below the
     # 23 dimensions of C, so the run refuses with exit 3
@@ -563,6 +587,21 @@ def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
                              "--steer", "--out", str(tmp_path / "t.csv"))
     assert code == 3
     assert err == "numerical failure: free response overflows\n"
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_check_leaves_the_blend_unbuilt(capsys, monkeypatch, backend):
+    import dimvar.cli as cli
+    models, build = [], cli.build_transient_model
+
+    def kept(*args, **kwargs):
+        models.append(build(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "build_transient_model", kept)
+    code, _, _ = run(capsys, "check", CASE, "--backend", backend)
+    assert code == 0 and len(models) == 1
+    assert "base" not in models[0].__dict__
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])

@@ -173,6 +173,19 @@ def test_check_modeling_condition_example1(ex1_s1, ex1_s2, ex1_model):
     assert all(ok for _, ok in rep.tested_vectors)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_modeling_condition_leaves_the_blend_unbuilt(ex1_s1, ex1_s2, exact):
+    # the check runs on the model's segment system; the n x n blend is
+    # built only when read, once
+    s1, s2 = (s if exact else LinSys(s.name, s.A.astype(float),
+                                     s.B.astype(float))
+              for s in (ex1_s1, ex1_s2))
+    model = build_transient_model(s1, s2, masses=(1, 2))
+    assert check_modeling_condition(s1, s2, model).holds
+    assert "base" not in model.__dict__
+    assert model.base is model.base
+
+
 def test_check_modeling_condition_vacuous():
     s1 = LinSys("a", mat([[1]]), zeros((1, 1)))
     s2 = LinSys("b", mat([[1, 0], [0, 1]]), zeros((2, 1)))
@@ -306,7 +319,7 @@ def test_segment_ctrb_matches_blend_elimination(dims, cases):
         s1, s2 = rand_system(rng, p, inputs[0]), rand_system(rng, q, inputs[1])
         model = build_transient_model(s1, s2, **weights)
         A, B = model.base.A, model.base.B
-        starts, piv, S = _segment_ctrb(model)
+        (starts, _), (piv, S) = _segments(p, q), _segment_ctrb(model)
         assert len(starts) == S.ambient_dim == p + q - math.gcd(p, q)
         ref = ctrb_subspace(A, B)
         K = ref.matrix

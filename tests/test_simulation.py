@@ -477,6 +477,13 @@ def _seeded_case(seed, p, q, i, step=1e-3, te=1.0):
     return s1, s2, sc
 
 
+def test_scenario_leaves_the_blend_unbuilt():
+    # the run integrates the model's segment system, never the n x n blend
+    s1, s2, sc = _seeded_case(0, 2, 3, 0)
+    _, outcome = run_transient_scenario(s1, s2, sc, masses=(1, 1))
+    assert "base" not in outcome.model.__dict__
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_steering_reaches_seeded_5_7_targets(seed):
     # n = 35: the least-squares design reaches every target of seeds
@@ -585,7 +592,6 @@ def test_least_norm_inputs_match_dense_reference(p, q, i, te, step):
     # shortened last step against a per-step loop, at n <= 12; (2, 2)
     # has one uncontrollable mode, so G acts on a proper subspace
     from dimvar import build_transient_model
-    from dimvar.realization import _segment_system
     from dimvar.simulation import (_least_norm_inputs, _run_steps,
                                    _step_groups, _time_grid)
     if i is None:
@@ -593,7 +599,7 @@ def test_least_norm_inputs_match_dense_reference(p, q, i, te, step):
     else:
         s1, s2, _ = _seeded_case(0, p, q, i)
     model = build_transient_model(s1, s2, masses=(1, 1))
-    _, lengths, As, Bs = _segment_system(model)
+    lengths, As, Bs = model.lengths, model.A * model.lengths, model.B
     As, Bs = to_float(As), to_float(Bs)
     hs, groups = _step_groups(As, Bs, step, *_time_grid(0.0, te, step)[1:])
     sq = np.sqrt(lengths)[:, None]

@@ -26,6 +26,18 @@ def _calls_by_function(path, name):
     return found
 
 
+def _reads_by_definition(path, attr):
+    """{top-level function or class: number of reads of `.attr`} in one
+    module."""
+    found = Counter()
+    for node in ast.parse(path.read_text()).body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and sub.attr == attr
+                    and isinstance(sub.ctx, ast.Load)):
+                found[getattr(node, "name", None)] += 1
+    return found
+
+
 def test_backend_is_read_outside_numerics_only_in_ctrb_matrix():
     # only numerics turns a dtype into an algorithm; the one exception
     # is the integer Krylov product of the exact controllability matrix
@@ -40,3 +52,13 @@ def test_no_tolerance_is_rescaled():
     # none is rebuilt with dataclasses.replace
     for p in SRC.glob("*.py"):
         assert "replace(tol" not in p.read_text(), p.name
+
+
+def test_n_dimensional_blend_is_read_only_for_output():
+    # the model holds the blend on its segments; the n x n `base` is
+    # built inside TransientModel and read for `blend` and `ctrb --blend`
+    reads = {(p.name, owner) for p in SRC.glob("*.py")
+             for owner in _reads_by_definition(p, "base")}
+    assert reads <= {("realization.py", "TransientModel"),
+                     ("cli.py", "cmd_blend"), ("cli.py", "cmd_ctrb")}
+    assert ("realization.py", "TransientModel") in reads
