@@ -306,6 +306,13 @@ def _scenario_vector(scd: dict, field: str) -> np.ndarray:
         raise ValueError(f"'{field}': {exc}") from None
 
 
+def _scalar(scd: dict, field: str, kind, default=None):
+    value = scd[field] if default is None else scd.get(field, default)
+    if isinstance(value, bool):
+        raise ValueError(f"'{field}': {value} is a boolean, not a number")
+    return kind(value)
+
+
 def cmd_simulate(args) -> int:
     doc = _load_file(args.file)
     s1, s2, weights = _parse_case(doc, args)
@@ -314,11 +321,11 @@ def cmd_simulate(args) -> int:
     scd = doc["scenario"]
     try:
         sc = Scenario(
-            t0=float(scd["t0"]), te=float(scd["te"]),
+            t0=_scalar(scd, "t0", float), te=_scalar(scd, "te", float),
             x_start=_scenario_vector(scd, "x_start"),
             y_target=_scenario_vector(scd, "y_target"),
-            step=float(scd.get("step", 1e-3)),
-            quad_steps=int(scd.get("quad_steps", 512)))
+            step=_scalar(scd, "step", float, 1e-3),
+            quad_steps=_scalar(scd, "quad_steps", int, 512))
     except KeyError as exc:
         raise InputError(f"{args.file}: 'scenario' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:

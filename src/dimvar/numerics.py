@@ -9,9 +9,12 @@ Two scalar backends are supported throughout the package:
   copy scaled to Python ints by the lcm of its denominators, which
   gives the pivots and zero patterns of Gaussian elimination over the
   rationals without any Fraction arithmetic.
-* float64: plain numpy float arrays with a tolerance policy, used for
-  integration and Gramians.  Their controllable subspaces come from
-  the orthonormal staircase of `krylov_basis`.
+* float64: plain numpy float arrays with a tolerance policy.  Every
+  float rank decision (rank, pivot columns, span membership and the
+  controllable subspaces of `krylov_basis`) is one rule, `_staircase`:
+  a column counts as independent when its residual after twice
+  orthogonalising it against the accepted ones exceeds the rank
+  threshold.
 
 An array's backend is recognised from its dtype (``object`` = exact).
 Only this module turns the dtype into a choice of construction: other
@@ -48,7 +51,8 @@ class Tolerance:
             self.abs, self.rel * np.maximum(np.abs(a), np.abs(b)))
 
     def rank_threshold(self, rows: int, cols: int, max_entry: float) -> float:
-        # standard rank-revealing threshold for pivot acceptance
+        # a `_staircase` candidate is independent when its residual
+        # norm exceeds this
         return max(self.abs, max(rows, cols) * self.rel * max_entry)
 
 
@@ -203,55 +207,23 @@ def equality_key(M: np.ndarray):
     return Z[inv].reshape(M.shape)
 
 
-def _echelon(M: np.ndarray, tol: Tolerance, ncols: int | None = None,
-             thresh: float | None = None):
-    """Row-reduce a copy of M; return (rank, pivot column indices, copy).
+def _bareiss(M: np.ndarray, ncols: int | None = None):
+    """Row-reduce an exact M; return (rank, pivot column indices, copy).
 
-    Exact arrays are reduced fraction-free: Bareiss elimination
-    ("Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", 1968) of the integer-scaled copy, with the first
-    nonzero entry of a column as its pivot.  Every entry below a pivot
-    row is then a minor of the scaled matrix, i.e. the Gaussian
-    elimination entry times a nonzero product of pivots, so the pivot
-    columns, the rank and the zero pattern of the reduced rows are
-    those of Gaussian elimination over the rationals; the returned copy
-    holds those integers.  Float arrays use the rank threshold of `tol`
-    (or `thresh`) with partial (max-abs) row pivoting.  Only the first
+    Fraction-free: Bareiss elimination ("Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968) of the
+    integer-scaled copy, with the first nonzero entry of a column as its
+    pivot.  Every entry below a pivot row is then a minor of the scaled
+    matrix, i.e. the Gaussian elimination entry times a nonzero product
+    of pivots, so the pivot columns, the rank and the zero pattern of
+    the reduced rows are those of Gaussian elimination over the
+    rationals; the returned copy holds those integers.  Only the first
     `ncols` columns (default all) may pivot; the row operations still
     reach every column.
     """
-    if is_exact(M):
-        return _bareiss(M, ncols)
-    A = M.copy()
-    m, n = A.shape
-    if thresh is None:
-        max_entry = float(np.max(np.abs(A))) if A.size else 0.0
-        thresh = tol.rank_threshold(m, n, max_entry)
-    piv_row = 0
-    pivots = []
-    for c in range(n if ncols is None else ncols):
-        if piv_row >= m:
-            break
-        sel = piv_row + int(np.argmax(np.abs(A[piv_row:, c])))
-        if abs(float(A[sel, c])) <= thresh:
-            continue
-        if sel != piv_row:
-            A[[piv_row, sel]] = A[[sel, piv_row]]
-        p = A[piv_row, c]
-        for r in range(piv_row + 1, m):
-            if A[r, c] != 0:
-                A[r, c:] = A[r, c:] - (A[r, c] / p) * A[piv_row, c:]
-        pivots.append(c)
-        piv_row += 1
-    return piv_row, pivots, A
-
-
-def _bareiss(M: np.ndarray, ncols: int | None):
-    """The exact branch of `_echelon`."""
     A, _ = _integer_scaled(M)
     m, n = A.shape
-    piv_row, prev = 0, 1
-    pivots = []
+    piv_row, prev, pivots = 0, 1, []
     for c in range(n if ncols is None else ncols):
         if piv_row >= m:
             break
@@ -272,19 +244,46 @@ def _bareiss(M: np.ndarray, ncols: int | None):
     return piv_row, pivots, A
 
 
+def _staircase(Q: np.ndarray, k: int, vectors, thresh: float) -> list[int]:
+    """The float rank rule: extend the orthonormal columns Q[:, :k] in
+    place by the vectors, in order, that leave their span.
+
+    Each vector is orthogonalised twice against the columns accepted so
+    far (Gram-Schmidt with reorthogonalisation) and accepted, normalised,
+    when its residual norm exceeds `thresh`; none is tested once Q is
+    full.  Returns the indices of the accepted vectors.
+    """
+    accepted = []
+    for i, v in enumerate(vectors):
+        if k == Q.shape[1]:
+            break
+        for _ in range(2):
+            v = v - Q[:, :k] @ (Q[:, :k].T @ v)
+        r = float(np.linalg.norm(v))
+        if r > thresh:
+            Q[:, k] = v / r
+            accepted.append(i)
+            k += 1
+    return accepted
+
+
 def rank(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank by Gaussian elimination; exact under the rational backend."""
-    if M.size == 0:
-        return 0
-    r, _, _ = _echelon(M, tol)
-    return r
+    """The number of `pivot_columns`; exact under the rational backend."""
+    return len(pivot_columns(M, tol))
 
 
 def pivot_columns(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """The columns of M independent of those before them: the pivots of
+    `_bareiss` (exact) or the columns `_staircase` accepts at M's rank
+    threshold (float)."""
     if M.size == 0:
         return []
-    _, piv, _ = _echelon(M, tol)
-    return piv
+    if is_exact(M):
+        return _bareiss(M)[1]
+    m, n = M.shape
+    thresh = tol.rank_threshold(m, n, float(np.max(np.abs(M))))
+    return _staircase(np.empty((m, min(m, n))), 0,
+                      np.ascontiguousarray(M.T, dtype=float), thresh)
 
 
 @dataclass(frozen=True)
@@ -321,44 +320,37 @@ def krylov_basis(K: np.ndarray, A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Pivot columns of a Krylov matrix K = [B, AB, ..., A^(n-1) B] and
     a basis of their span, as (pivots, SubspaceBasis).
 
-    Exact K: the pivots of `_echelon` and K's columns at them.  Float K:
-    the controllability staircase (Van Dooren 1981; Paige 1981), which
-    returns an orthonormal basis Q.  The candidates are the columns b_i
-    of B, then A q for each accepted q of a chain, block by block.  A
-    candidate is orthogonalised twice against Q and accepted when its
-    residual norm exceeds the rank threshold of an n x nm matrix whose
-    largest entry is max ||b_i|| (first block) or ||A||_2 (later
+    Exact K: its `pivot_columns` and K's columns at them.  Float K: the
+    controllability staircase (Van Dooren 1981; Paige 1981), which
+    returns an orthonormal basis Q.  `_staircase` tests the candidates
+    block by block: the columns b_i of B, then A q for each q accepted
+    in the block before, at the rank threshold of an n x nm matrix
+    whose largest entry is max ||b_i|| (first block) or ||A||_2 (later
     blocks).  Accepted candidate j of chain i is K's column j m + i; a
     rejected one ends its chain.  Modulo the earlier columns, A^j b_i
     is a multiple of A q and A maps earlier columns to earlier columns,
     so each decision is the one for K's column (j, i), made on a vector
-    of unit scale.  ||A||_2 (an SVD) is computed only when a candidate
-    past the first block is tested.
+    of unit scale.  ||A||_2 (an SVD) is computed only when a block past
+    the first is tested.
     """
     n = A.shape[0]
     if is_exact(K):
         piv = pivot_columns(K, tol)
         return piv, SubspaceBasis(n, K[:, piv])
     A, m = np.asarray(A, dtype=float), K.shape[1] // n
-    first = tol.rank_threshold(
+    thresh = tol.rank_threshold(
         n, n * m, np.max(np.linalg.norm(K[:, :m], axis=0), initial=0.0))
-    later = None
-    Q, piv = np.empty((n, n)), []
-    queue = [(0, i, b) for i, b in enumerate(K[:, :m].T)]
-    for j, i, v in queue:           # grows while it is read, block by block
+    Q, piv, chains = np.empty((n, n)), [], list(range(m))
+    block, j = K[:, :m].T, 0
+    while True:
         k = len(piv)
-        if k == n:
-            break
-        if j and later is None:
-            later = tol.rank_threshold(n, n * m, np.linalg.norm(A, 2))
-        for _ in range(2):
-            v = v - Q[:, :k] @ (Q[:, :k].T @ v)
-        r = float(np.linalg.norm(v))
-        if r > (later if j else first):
-            Q[:, k] = v / r
-            piv.append(j * m + i)
-            queue.append((j + 1, i, A @ Q[:, k]))
-    return piv, SubspaceBasis(n, Q[:, :len(piv)])
+        chains = [chains[a] for a in _staircase(Q, k, block, thresh)]
+        piv += [j * m + i for i in chains]
+        if not chains or len(piv) == n:
+            return piv, SubspaceBasis(n, Q[:, :len(piv)])
+        if not j:
+            thresh = tol.rank_threshold(n, n * m, np.linalg.norm(A, 2))
+        block, j = [A @ Q[:, c] for c in range(k, len(piv))], j + 1
 
 
 def complete_basis(V: np.ndarray):
@@ -397,13 +389,15 @@ def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bo
 
 def in_span_columns(S: SubspaceBasis, W: np.ndarray,
                     tol: Tolerance = DEFAULT_TOL) -> list[bool]:
-    """Membership of every column of W in span(S), from one elimination.
+    """Membership of every column of W in span(S): the decision of
+    rank([S | w_j]) == dim S for each column w_j.
 
-    [S | W] is eliminated with pivots taken only in S's columns; column
-    w_j lies in the span iff its residual below S's pivots is zero
-    (exact) or at most the rank threshold of [S | w_j] (float).  That is
-    the decision of rank([S | w_j]) == dim S, which is recomputed for a
-    column only where S itself would lose a pivot under w_j's threshold.
+    Exact: [S | W] is eliminated once with pivots taken only in S's
+    columns; w_j lies in the span iff its residual below S's pivots is
+    zero.  Float: S is orthonormalised once by `_staircase` at the
+    largest of the columns' rank thresholds, then each w_j is tested as
+    one more candidate at its own, that of [S | w_j].  An S that loses
+    a column there has each column decided by its own `rank`.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != S.ambient_dim:
@@ -411,26 +405,21 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
             f"vector of dim {W.shape[0]} against ambient dim {S.ambient_dim}")
     V, W = common_backend(S.basis, W)
     m, d = V.shape
-    aug = np.hstack([V, W])
-    exact = is_exact(aug)
-    r, piv, R = _echelon(aug, tol, ncols=d, thresh=0.0)
-    res = R[r:, d:]
-    if not exact:
+    if is_exact(V):
+        r, _, R = _bareiss(np.hstack([V, W]), ncols=d)
+        if r == d:
+            return [not R[r:, d + j].any() for j in range(W.shape[1])]
+    else:
         s_max = float(np.max(np.abs(V), initial=0.0))
-        smallest = min((abs(float(R[i, c])) for i, c in enumerate(piv)),
-                       default=math.inf)
-    out = []
-    for j in range(W.shape[1]):
-        if exact:
-            keeps, ok = r == d, all(x == 0 for x in res[:, j])
-        else:
-            t = tol.rank_threshold(
-                m, d + 1, max(s_max, float(np.max(np.abs(W[:, j])))))
-            keeps = r == d and t < smallest
-            ok = not res.size or float(np.max(np.abs(res[:, j]))) <= t
-        out.append(ok if keeps else
-                   rank(np.hstack([V, W[:, j:j + 1]]), tol) == d)
-    return out
+        thresh = [tol.rank_threshold(m, d + 1, max(s_max, float(np.max(
+            np.abs(w), initial=0.0)))) for w in W.T]
+        Q, cols = np.empty((m, min(m, d + 1))), np.ascontiguousarray(W.T)
+        if len(_staircase(Q, 0, np.ascontiguousarray(V.T),
+                          max(thresh, default=0.0))) == d:
+            return [not _staircase(Q, d, cols[j:j + 1], t)
+                    for j, t in enumerate(thresh)]
+    return [rank(np.hstack([V, W[:, j:j + 1]]), tol) == d
+            for j in range(W.shape[1])]
 
 
 def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
@@ -445,8 +434,8 @@ def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
 def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for square nonsingular A on either backend.
 
-    Exact systems reduce [A | b] on the Bareiss kernel of `_echelon`,
-    pivoting in A's columns, and back-substitute its integer echelon
+    Exact systems reduce [A | b] with `_bareiss`, pivoting in A's
+    columns, and back-substitute its integer echelon
     form in Fractions.
     """
     n = A.shape[0]
@@ -454,7 +443,7 @@ def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("A must be square")
     if not is_exact(A):
         return np.linalg.solve(A, b)
-    r, _, R = _echelon(np.hstack([A, b.reshape(n, -1)]), DEFAULT_TOL, ncols=n)
+    r, _, R = _bareiss(np.hstack([A, b.reshape(n, -1)]), ncols=n)
     if r < n:
         raise ValueError("matrix is singular")
     x = np.empty((n, R.shape[1] - n), dtype=object)

@@ -99,9 +99,10 @@ def check_realization(s1: LinSys, s2: LinSys,
 
     Realizable iff rank([embed(C1) | C2 basis]) = q, where C1 and C2 are
     the controllable subspaces and q the larger dimension, decided by
-    one `pivot_columns`.  C1 enters as its `span` (orthonormal on
-    floats) and C2 as its pivot-basis columns, on floats each scaled to
-    largest |entry| 1 (`unit_columns`).  The witness is the C2 columns
+    one `pivot_columns` (on floats, the staircase's residual test).  C1
+    enters as its `span` (orthonormal on floats) and C2 as its
+    pivot-basis columns, on floats each scaled to largest |entry| 1
+    (`unit_columns`).  The witness is the C2 columns
     at the pivots past dim C1, so embed(C1) (+) witness = R^q; on the
     exact backend these are the lowest-index columns that extend C1.
     When dim(s1) > dim(s2) the roles are swapped and noted.
@@ -262,7 +263,7 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
-    sigma2 rows), tested for all lifted vectors in one elimination
+    sigma2 rows), tested for all lifted vectors by one `in_span_columns`
     against the `krylov_basis` span (orthonormal on floats), each tested
     column scaled to largest |entry| 1 by `unit_columns`.
     """

@@ -450,6 +450,14 @@ _MALFORMED = [
      "bad scenario: non-finite"),
     ("inf-step", ["scenario", "step"], "inf", ("simulate",), _BOTH,
      "bad scenario: non-finite"),
+    ("bool-t0", ["scenario", "t0"], False, ("simulate",), _BOTH,
+     "bad scenario: 't0': False is a boolean"),
+    ("bool-te", ["scenario", "te"], True, ("simulate",), _BOTH,
+     "bad scenario: 'te': True is a boolean"),
+    ("bool-step", ["scenario", "step"], True, ("simulate",), _BOTH,
+     "bad scenario: 'step': True is a boolean"),
+    ("bool-quad-steps", ["scenario", "quad_steps"], True, ("simulate",),
+     _BOTH, "bad scenario: 'quad_steps': True is a boolean"),
 ]
 
 

@@ -16,7 +16,8 @@ import pytest
 from dimvar import (LinSys, Scenario, build_transient_model,
                     check_modeling_condition, check_realization,
                     ctrb_matrix, kalman_decomposition, run_transient_scenario)
-from dimvar.numerics import complete_basis, krylov_basis, unit_columns
+from dimvar.numerics import (complete_basis, krylov_basis, pivot_columns,
+                             rank, unit_columns)
 
 _to_fraction = np.vectorize(Fraction, otypes=[object])
 
@@ -86,6 +87,19 @@ def test_krylov_basis_computes_norm_A_only_past_the_first_block(monkeypatch):
     B = np.eye(5)[:, :1]
     piv, Q = krylov_basis(ctrb_matrix(A, B), A)
     assert piv == [0, 1, 2, 3, 4] and len(two_norms) == 1
+
+
+def test_float_pivot_columns_match_exact_on_low_rank_integers():
+    # products of integer factors up to 9 x 9 with rank 0 to min(m, n):
+    # the staircase's residual test finds the exact pivots on every one
+    rng = np.random.default_rng(43)
+    for _ in range(3000):
+        m, n = (int(x) for x in rng.integers(1, 10, size=2))
+        k = int(rng.integers(0, min(m, n) + 1))
+        M = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4, size=(k, n))
+        piv = pivot_columns(_to_fraction(M))
+        assert pivot_columns(M.astype(float)) == piv
+        assert rank(M.astype(float)) == len(piv)
 
 
 def test_complete_basis_and_unit_columns():

@@ -9,7 +9,7 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, matrix_exponential_apply, ones_vector,
                     parse_scalar, rank, vec)
-from dimvar.numerics import (DEFAULT_TOL, _echelon, equality_key, eye,
+from dimvar.numerics import (_bareiss, equality_key, eye,
                              in_span_columns, inverse, pivot_columns, solve,
                              spans_equal, to_float, zeros)
 
@@ -291,7 +291,7 @@ def test_exact_elimination_matches_fraction_reference():
         assert S.dim == r and np.array_equal(S.basis, M[:, piv])
         for ncols in range(M.shape[1] + 1):
             ref = _fraction_echelon(M, ncols)
-            got = _echelon(M, DEFAULT_TOL, ncols=ncols)
+            got = _bareiss(M, ncols=ncols)
             assert got[:2] == ref[:2]
             # same zero pattern of the reduced rows, entry for entry
             assert np.array_equal(got[2] == 0, ref[2] == 0)
@@ -301,7 +301,7 @@ def test_exact_elimination_empty_shapes():
     for shape in ((0, 0), (0, 3), (3, 0)):
         M = np.zeros(shape, dtype=object)
         assert rank(M) == 0 and pivot_columns(M) == []
-        assert _echelon(M, DEFAULT_TOL)[:2] == (0, [])
+        assert _bareiss(M)[:2] == (0, [])
 
 
 def test_exact_in_span_columns_matches_fraction_reference():

@@ -62,3 +62,13 @@ def test_n_dimensional_blend_is_read_only_for_output():
     assert reads <= {("realization.py", "TransientModel"),
                      ("cli.py", "cmd_blend"), ("cli.py", "cmd_ctrb")}
     assert ("realization.py", "TransientModel") in reads
+
+
+def test_one_float_rank_rule():
+    # every float rank decision is the staircase's residual test; the
+    # float Gaussian elimination is gone
+    numerics = SRC / "numerics.py"
+    assert set(_calls_by_function(numerics, "_staircase")) == {
+        "krylov_basis", "pivot_columns", "in_span_columns"}
+    for p in SRC.glob("*.py"):
+        assert "_echelon" not in p.read_text(), p.name
