@@ -28,10 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .controllability import _class_reps, ctrb_matrix
+from .controllability import _class_reps, ctrb_matrix, ctrb_subspace
 from .mixdim import reduce_vector
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, krylov_basis,
-                       mat, parse_scalar, vec)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, mat,
+                       parse_scalar, vec)
 from .realization import (_modeling, _realization, _segment_ctrb,
                           _subsystem_ctrb, build_transient_model)
 from .simulation import (Scenario, UnreachableTargetError, export_trajectory,
@@ -213,22 +213,21 @@ def cmd_ctrb(args) -> int:
         s1, s2, weights = _parse_case(doc, args)
         model = build_transient_model(s1, s2, **weights)
         sys_ = model.base
-    else:
-        if args.system not in ("sigma1", "sigma2"):
-            raise InputError(f"unknown system name: {args.system!r} "
-                             "(expected sigma1 or sigma2)")
-        sys_ = _parse_system(doc, args.system, args.file, args.exact)
-    matrix = ctrb_matrix(sys_.A, sys_.B)
-    piv = (_segment_ctrb(model, tol) if args.blend
-           else krylov_basis(matrix, sys_.A, tol))[0]
-    basis = SubspaceBasis(sys_.dim, matrix[:, piv])
-    if args.blend:
+        matrix = ctrb_matrix(sys_.A, sys_.B)
+        basis = SubspaceBasis(sys_.dim, matrix[:, _segment_ctrb(model, tol)[0]])
         # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
         # column j m + i of the Krylov matrix is A^j times input column i
         cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)
         split = model.input_split[0]
         matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
                                            cols[:, split:].ravel()])]
+    else:
+        if args.system not in ("sigma1", "sigma2"):
+            raise InputError(f"unknown system name: {args.system!r} "
+                             "(expected sigma1 or sigma2)")
+        sys_ = _parse_system(doc, args.system, args.file, args.exact)
+        res = ctrb_subspace(sys_.A, sys_.B, tol)
+        matrix, basis = res.matrix, res.basis
     reps = _class_reps(basis, tol)
     if args.json:
         payload = {

@@ -9,44 +9,25 @@ horizon Gramians for minimum-energy steering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from .mixdim import MixVector, _reps_equal, _strip_keyed
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       _integer_scaled, common_backend, complete_basis,
-                       equality_key, float_only, is_exact, krylov_basis)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _krylov_product,
+                       complete_basis, equality_key, float_only, krylov_basis)
 from .systems import LinSys
 
 
 def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Horizontal concatenation [B, AB, ..., A^{n-1}B].
-
-    Exact inputs are multiplied in integers: with L the lcm of the
-    denominators of [A | B], block j of [LB, (LA)LB, ...] is
-    L^(j+1) A^j B, and is divided back into Fractions.
-    """
+    """Horizontal concatenation [B, AB, ..., A^{n-1}B], multiplied out
+    by `numerics._krylov_product` (in integers on exact inputs)."""
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise ValueError("incompatible dimensions")
     if B.ndim == 1:
         B = B.reshape(-1, 1)
-    A, B = common_backend(A, B)
-    exact = is_exact(A)
-    if exact:
-        Z, L = _integer_scaled(np.hstack([A, B]))
-        A, B = Z[:, :n], Z[:, n:]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    if not exact:
-        return C
-    dens = [L ** (c // B.shape[1] + 1) for c in range(C.shape[1])]
-    return np.array([[Fraction(x, d) for x, d in zip(row, dens)] for row in C],
-                    dtype=object).reshape(C.shape)
+    return _krylov_product(A, B)
 
 
 @dataclass(frozen=True)

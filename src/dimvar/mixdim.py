@@ -78,8 +78,7 @@ def _strip_factors(parts, tol: Tolerance):
 def _strip_keyed(parts, keys, tol: Tolerance):
     """`_strip_factors` on given keys: None, or integers equal where X is."""
     tests = [X if key is None else key for (X, _), key in zip(parts, keys)]
-    # one comparison per part, for each of the three checks below
-    equal = [tol.close if key is None else operator.eq for key in keys] * 3
+    equal = [tol.close if key is None else operator.eq for key in keys]
     mult = 1
     while True:
         dims = [d for X, (_, j) in zip(tests, parts)
@@ -88,13 +87,8 @@ def _strip_keyed(parts, keys, tol: Tolerance):
             views = [X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
                      else X.reshape(X.shape[0] // s, s, X.shape[1], 1)
                      for X, (_, j) in zip(tests, parts)]
-            # each entry against its block's first one; the first and
-            # last entries of the first block's first column, then that
-            # column, go first and reject most factors cheaply
-            checks = ([v[:1, ::s - 1, :1, :1] for v in views]
-                      + [v[:1, :, :1, :1] for v in views] + views)
-            if all(eq(w, w[:, :1, :, :1]).all()
-                   for w, eq in zip(checks, equal)):
+            if all(eq(v, v[:, :1, :, :1]).all()
+                   for v, eq in zip(views, equal)):
                 break
         else:
             break

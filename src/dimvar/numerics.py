@@ -20,9 +20,10 @@ An array's backend is recognised from its dtype (``object`` = exact).
 Only this module turns the dtype into a choice of construction: other
 modules build arrays on an operand's backend with `as_backend` and
 promote mixed operands with `common_backend`, compare exact entries on
-integer `equality_key`s, and read `is_exact` only where their algorithm
-differs by backend.  Exact `solve` and `inverse`
-run on the same Bareiss kernel as rank and span decisions.
+integer `equality_key`s, and never read `is_exact`: an algorithm that
+differs by backend, like the integer `_krylov_product`, lives here.
+Exact `solve` and `inverse` run on the same Bareiss kernel as rank and
+span decisions.
 """
 
 from __future__ import annotations
@@ -179,6 +180,27 @@ def _integer_scaled(M: np.ndarray):
     L = math.lcm(*dens)
     Z = [x.numerator * (L // d) for x, d in zip(flat, dens)]
     return np.array(Z, dtype=object).reshape(M.shape), L
+
+
+def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[B, AB, ..., A^(n-1) B] on the common backend of A and 2-D B.
+    Exact inputs are multiplied in integers: with L the lcm of the
+    denominators of [A | B], block j of [LB, (LA)LB, ...] is
+    L^(j+1) A^j B, and is divided back into Fractions."""
+    A, B = common_backend(A, B)
+    n, exact = A.shape[0], is_exact(A)
+    if exact:
+        Z, L = _integer_scaled(np.hstack([A, B]))
+        A, B = Z[:, :n], Z[:, n:]
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    C = np.hstack(blocks)
+    if not exact:
+        return C
+    dens = [L ** (c // B.shape[1] + 1) for c in range(C.shape[1])]
+    return np.array([[Fraction(x, d) for x, d in zip(row, dens)] for row in C],
+                    dtype=object).reshape(C.shape)
 
 
 def equality_key(M: np.ndarray):

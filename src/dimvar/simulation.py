@@ -327,16 +327,27 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     z_target = np.asarray(z_target, dtype=float).reshape(-1)
     d = z_target - scipy.linalg.expm(A * (te - t0)) @ z0
     Q = ctrb_subspace(A, Bfull).span.basis
-    residual = d - Q @ (Q.T @ d)
-    if float(np.max(np.abs(residual))) > 1e-8 * max(1.0, np.max(np.abs(d))):
-        raise UnreachableTargetError(
-            "required displacement leaves the controllable subspace "
-            f"(uncontrollable residual, max |r| = {np.max(np.abs(residual)):.3e})",
-            residual=residual)
+    dc = _reachable_part(d, Q, Q, 1)
     if Q.shape[1] == 0:
         return ControlSignal.zero(A, Bfull, t0, te)
     W = ctrb_gramian(Q.T @ A @ Q, Q.T @ Bfull, 0.0, te - t0, quad_steps).W
-    return ControlSignal(A, Bfull, Q @ np.linalg.solve(W, Q.T @ d), t0, te)
+    return ControlSignal(A, Bfull, Q @ np.linalg.solve(W, dc), t0, te)
+
+
+def _reachable_part(d, left, right, lengths):
+    """The coordinates left^T d of d in span(right), left^T right = I.
+    Raises UnreachableTargetError with the residual d - right left^T d,
+    repeated by ``lengths`` onto R^n, when its max-abs exceeds
+    1e-8 max(1, max |d|)."""
+    dc = left.T @ d
+    residual = np.repeat(d - right @ dc, lengths)
+    worst = float(np.max(np.abs(residual)))
+    if worst > 1e-8 * max(1.0, np.max(np.abs(d))):
+        raise UnreachableTargetError(
+            "required displacement leaves the controllable subspace "
+            f"(uncontrollable residual, max |r| = {worst:.3e})",
+            residual=residual)
+    return dc
 
 
 def _power_blocks(P: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
@@ -417,10 +428,8 @@ def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
     Q is the orthonormal `ctrb_subspace` span of (D As D^-1, D Bs), so
     right = D^-1 Q spans it in segment values and left = D Q is dual to
     it.  The displacement d = zeta_star - Phi zeta0, Phi the run's free
-    map, must lie in it: its residual d - right left^T d, repeated onto
-    R^n, has max-abs at most 1e-8 max(1, max |d|), or
-    UnreachableTargetError is raised with that n-vector.  A d that
-    overflows raises LinAlgError.
+    map, must lie in it (`_reachable_part`).  A d that overflows raises
+    LinAlgError.
     """
     sq = np.sqrt(lengths)[:, None]
     Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
@@ -430,14 +439,7 @@ def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
     d = zeta_star - free
     if not np.isfinite(d).all():
         raise np.linalg.LinAlgError("free response overflows")
-    dc = (sq * Q).T @ d
-    residual = np.repeat(d - (Q / sq) @ dc, lengths)
-    worst = float(np.max(np.abs(residual)))
-    if worst > 1e-8 * max(1.0, np.max(np.abs(d))):
-        raise UnreachableTargetError(
-            "required displacement leaves the controllable subspace "
-            f"(uncontrollable residual, max |r| = {worst:.3e})",
-            residual=residual)
+    dc = _reachable_part(d, sq * Q, Q / sq, lengths)
     if Q.shape[1] == 0:
         return np.zeros((2 * hs.size + 1, Bs.shape[1]))
     return _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)

@@ -38,13 +38,12 @@ def _reads_by_definition(path, attr):
     return found
 
 
-def test_backend_is_read_outside_numerics_only_in_ctrb_matrix():
-    # only numerics turns a dtype into an algorithm; the one exception
-    # is the integer Krylov product of the exact controllability matrix
+def test_backend_is_read_only_in_numerics():
+    # only numerics turns a dtype into an algorithm
     calls = {(p.name, fn): k for p in sorted(SRC.glob("*.py"))
              if p.name != "numerics.py"
              for fn, k in _calls_by_function(p, "is_exact").items()}
-    assert calls == {("controllability.py", "ctrb_matrix"): 1}
+    assert calls == {}
 
 
 def test_no_tolerance_is_rescaled():
