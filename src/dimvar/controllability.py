@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .mixdim import MixVector, _reps_equal, _strip_keyed
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _krylov_product,
-                       complete_basis, equality_key, float_only, krylov_basis)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
+                       _krylov_product, complete_basis, equality_key, float_only,
+                       krylov_basis)
 from .systems import LinSys
 
 
@@ -153,11 +153,10 @@ def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     n = A.shape[0]
-    E = scipy.linalg.expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]])
-                          * (te - t0))
+    E = _expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]]) * (te - t0))
     W = E[n:, n:].T @ E[:n, n:]
     if t0 != 0.0:
-        F = scipy.linalg.expm(A * t0)
+        F = _expm(A * t0)
         W = F @ W @ F.T
     W = 0.5 * (W + W.T)  # kill asymmetric round-off
     return Gramian(W=W, t0=t0, te=te)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -483,4 +482,10 @@ def inverse(A: np.ndarray) -> np.ndarray:
 def matrix_exponential_apply(A: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """Compute e^{A t} v (float64 backend only)."""
     A, v = float_only("matrix exponential", A, v)
-    return scipy.linalg.expm(A * t) @ v
+    return _expm(A * t) @ v
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """scipy's expm of M (or a stack), imported only when it first runs."""
+    import scipy.linalg
+    return scipy.linalg.expm(M)

@@ -4,13 +4,12 @@ A steered scenario runs on the blend's segment system, which the
 `TransientModel` holds: the blend started from a lifted state stays
 constant on the p + q - gcd(p, q) segments of R^n, so its state is
 carried as one value per segment and repeated onto R^n only for the
-trajectory and the class error.  The steering
-inputs are designed for the RK4 run itself: the run is linear in its
-stage inputs, so they are the least Simpson-weighted-norm solution of
-z_m = Phi z_0 + G u, from one QR factorisation, with no matrix
-exponential and no Gramian.  A target that leaves the controllable
-subspace raises UnreachableTargetError; a G of lower numerical rank
-than that subspace raises numpy's LinAlgError.
+trajectory and the class error.  The steering inputs are designed for
+the RK4 run itself: the run is linear in its stage inputs, so they are
+the least Simpson-weighted-norm solution of z_m = Phi z_0 + G u, from
+one QR, with no matrix exponential and no Gramian.  A target that
+leaves the controllable subspace raises UnreachableTargetError; a G of
+lower numerical rank than that subspace raises numpy's LinAlgError.
 
 One RK4 step of dz/dt = A z + B u(t) is one precomputed linear map,
 z+ = P z + (forcing from the step's three stage inputs).  The time grid
@@ -20,7 +19,8 @@ doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
 
 `min_energy_control` and `ControlSignal` remain the continuous
 minimum-energy design (Gramian and matrix exponentials) for any
-(A, B), and `rk4_integrate` integrates any input signal.
+(A, B), and `rk4_integrate` integrates any input signal.  scipy is
+loaded only when the steering QR or these exponentials first run.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .controllability import ctrb_gramian, ctrb_subspace
 from .mixdim import reduce_vector, vec_sub
-from .numerics import Tolerance, to_float
+from .numerics import Tolerance, _expm, to_float
 from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
@@ -105,8 +104,7 @@ class ControlSignal:
         if self.Bfull.ndim == 1:
             self.Bfull = self.Bfull.reshape(-1, 1)
         self.eta = None if eta is None else np.asarray(eta, dtype=float)
-        self.t0 = t0
-        self.te = te
+        self.t0, self.te = t0, te
         self._cache: dict[float, np.ndarray] = {}
 
     @property
@@ -122,8 +120,7 @@ class ControlSignal:
             return np.zeros(self.channels)
         u = self._cache.get(t)
         if u is None:
-            w = scipy.linalg.expm(self.A.T * (self.te - t)) @ self.eta
-            u = self.Bfull.T @ w
+            u = self.Bfull.T @ (_expm(self.A.T * (self.te - t)) @ self.eta)
             self._cache[t] = u
         return u
 
@@ -143,10 +140,9 @@ class ControlSignal:
             return U
         K = math.isqrt(inside.size - 1) + 1
         anchors = ts[inside[0]:inside[-1] + 1:K]
-        AT = self.A.T
-        V = scipy.linalg.expm(AT * (self.te - anchors)[:, None, None]) @ self.eta
-        carry = scipy.linalg.expm(AT * (-spacing * np.arange(K))[:, None, None])
-        W = np.einsum("jab,kb->kja", carry, V).reshape(-1, AT.shape[0])
+        V = _expm(self.A.T * (self.te - anchors)[:, None, None]) @ self.eta
+        carry = _expm(self.A.T * (-spacing * np.arange(K))[:, None, None])
+        W = np.einsum("jab,kb->kja", carry, V).reshape(-1, len(self.A))
         U[inside] = W[:inside.size] @ self.Bfull
         return U
 
@@ -325,7 +321,7 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
         Bfull = Bfull.reshape(-1, 1)
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     z_target = np.asarray(z_target, dtype=float).reshape(-1)
-    d = z_target - scipy.linalg.expm(A * (te - t0)) @ z0
+    d = z_target - _expm(A * (te - t0)) @ z0
     Q = ctrb_subspace(A, Bfull).span.basis
     dc = _reachable_part(d, Q, Q, 1)
     if Q.shape[1] == 0:
@@ -384,6 +380,7 @@ def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
     lower numerical rank than dim right, so no input reliably reaches
     that subspace.
     """
+    import scipy.linalg
     r, m, c = right.shape[1], hs.size, groups[0][1].shape[1] // 3
     Gt = np.zeros((2 * m + 1, c, r))     # G^T, one row block per stage
     after = np.eye(r)                    # the later groups' map
@@ -396,6 +393,7 @@ def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
         Gt[2 * lo + 2:2 * hi + 1:2] += Z[:, 2]
         if lo:                           # an earlier group follows
             after = after @ np.linalg.matrix_power(Pc, hi - lo)
+    del Z                                # the QR's arrays reuse its memory
     w = np.zeros(2 * m + 1)              # composite Simpson weights
     w[0:-1:2] += hs / 6
     w[1::2] += 4 * hs / 6

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -627,3 +629,28 @@ def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
     code, out, _ = run(capsys, "check", CASE, "--backend", backend)
     assert code == 0
     assert sorted(calls) == [2, 3]
+
+
+@pytest.mark.parametrize("argv, code, loads_scipy", [
+    (["check", CASE], 0, False),
+    (["check", CASE, "--backend", "float"], 0, False),
+    (["ctrb", CASE], 0, False),
+    (["ctrb", CASE, "--blend"], 0, False),
+    (["blend", CASE], 0, False),
+    (["reduce", "--vector", "1,1,2,2"], 0, False),
+    (["simulate", CASE], 1, False),
+    (["simulate", CASE, "--steer"], 0, True),
+])
+def test_scipy_loads_only_for_steering(tmp_path, argv, code, loads_scipy):
+    # a fresh interpreter: scipy is imported where a QR or an expm runs
+    cmd = argv + (["--out", str(tmp_path / "t.csv")]
+                  if argv[0] == "simulate" else [])
+    script = (
+        "import contextlib, io, sys\n"
+        "from dimvar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({cmd!r})\n"
+        "print(code, 'scipy' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.split() == [str(code), str(loads_scipy)]

@@ -71,3 +71,25 @@ def test_one_float_rank_rule():
         "krylov_basis", "pivot_columns", "in_span_columns"}
     for p in SRC.glob("*.py"):
         assert "_echelon" not in p.read_text(), p.name
+
+
+def test_scipy_is_imported_in_two_places():
+    # scipy loads only where the continuous design's expm or the steering
+    # QR runs, so the exact pipeline and the CLI import numpy only
+    found = Counter()
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Import):
+                    names = [a.name for a in sub.names]
+                elif isinstance(sub, ast.ImportFrom):
+                    names = [sub.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    assert sub is not node, f"module-level scipy in {p.name}"
+                    found[(p.name, owner)] += 1
+    assert found == {("numerics.py", "_expm"): 1,
+                     ("simulation.py", "_least_norm_inputs"): 1}
