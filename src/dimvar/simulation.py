@@ -19,8 +19,8 @@ doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
 
 `min_energy_control` and `ControlSignal` remain the continuous
 minimum-energy design (Gramian and matrix exponentials) for any
-(A, B), and `rk4_integrate` integrates any input signal.  scipy is
-loaded only when the steering QR or these exponentials first run.
+(A, B), and `rk4_integrate` integrates any input signal.  The steering
+runs on numpy alone; scipy is loaded only when these exponentials run.
 """
 
 from __future__ import annotations
@@ -373,14 +373,14 @@ def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
     and Rc = left^T R.  The end state is G u, where step j's block of G
     is (the later steps' Pc) Rc, built per group by `_power_blocks`, and
     the blocks of two steps that share a stage time add.  With the
-    weights W, the minimum-norm v of (G W^-1/2) v = dc comes from the
-    economic QR (G W^-1/2)^T = Q R as v = Q R^-T dc, and u = W^-1/2 v;
-    G G^T is never formed.  Raises LinAlgError when G overflows or R's
-    smallest singular value is at most max(shape) eps sigma_1: G has a
-    lower numerical rank than dim right, so no input reliably reaches
-    that subspace.
+    weights W, the minimum-norm v of (G W^-1/2) v = dc is Q [y; 0] with
+    R^T y = dc, from numpy's raw (Householder) QR of (G W^-1/2)^T: R is
+    its upper triangle, and its r reflectors are applied to [y; 0], so
+    neither Q nor G G^T is formed; u = W^-1/2 v.  Raises LinAlgError
+    when G overflows or R's smallest singular value is at most
+    max(shape) eps sigma_1: G has a lower numerical rank than dim right,
+    so no input reliably reaches that subspace.
     """
-    import scipy.linalg
     r, m, c = right.shape[1], hs.size, groups[0][1].shape[1] // 3
     Gt = np.zeros((2 * m + 1, c, r))     # G^T, one row block per stage
     after = np.eye(r)                    # the later groups' map
@@ -393,7 +393,7 @@ def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
         Gt[2 * lo + 2:2 * hi + 1:2] += Z[:, 2]
         if lo:                           # an earlier group follows
             after = after @ np.linalg.matrix_power(Pc, hi - lo)
-    del Z                                # the QR's arrays reuse its memory
+    del Z                                # QR reuses its pages: fewer faults
     w = np.zeros(2 * m + 1)              # composite Simpson weights
     w[0:-1:2] += hs / 6
     w[1::2] += 4 * hs / 6
@@ -402,16 +402,22 @@ def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
     Gt *= scale[:, None, None]
     if not np.isfinite(Gt).all():
         raise np.linalg.LinAlgError("steering map overflows")
-    Q, Rt = scipy.linalg.qr(Gt.reshape(-1, r), mode="economic",
-                            check_finite=False)
+    h, tau = np.linalg.qr(Gt.reshape(-1, r), mode="raw")
+    Rt = np.triu(h[:, :r].T)
     sv = np.linalg.svd(Rt, compute_uv=False)
-    cut = max(Q.shape) * np.finfo(float).eps * sv[0]
+    cut = max(h.shape) * np.finfo(float).eps * sv[0]
     if sv[-1] <= cut:
         raise np.linalg.LinAlgError(
             f"steering map has numerical rank "
             f"{np.count_nonzero(sv > cut)} below dim C = {r} "
             f"(sigma_1/sigma_r = {sv[0] / sv[-1]:.3e})")
-    v = Q @ scipy.linalg.solve_triangular(Rt, dc, trans="T")
+    v = np.zeros(h.shape[1])
+    for k in range(r):                   # R^T y = dc, y in v[:r]
+        v[k] = (dc[k] - Rt[:k, k] @ v[:k]) / Rt[k, k]
+    h = np.ascontiguousarray(h)          # reflector k is row h[k, k:],
+    np.fill_diagonal(h, 1)               # contiguous, with its leading 1
+    for k in reversed(range(r)):         # v = Q [y; 0]
+        v[k:] -= tau[k] * (h[k, k:] @ v[k:]) * h[k, k:]
     return v.reshape(2 * m + 1, c) * scale[:, None]
 
 

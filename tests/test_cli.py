@@ -631,18 +631,19 @@ def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
     assert sorted(calls) == [2, 3]
 
 
-@pytest.mark.parametrize("argv, code, loads_scipy", [
-    (["check", CASE], 0, False),
-    (["check", CASE, "--backend", "float"], 0, False),
-    (["ctrb", CASE], 0, False),
-    (["ctrb", CASE, "--blend"], 0, False),
-    (["blend", CASE], 0, False),
-    (["reduce", "--vector", "1,1,2,2"], 0, False),
-    (["simulate", CASE], 1, False),
-    (["simulate", CASE, "--steer"], 0, True),
+@pytest.mark.parametrize("argv, code", [
+    (["check", CASE], 0),
+    (["check", CASE, "--backend", "float"], 0),
+    (["ctrb", CASE], 0),
+    (["ctrb", CASE, "--blend"], 0),
+    (["blend", CASE], 0),
+    (["reduce", "--vector", "1,1,2,2"], 0),
+    (["simulate", CASE], 1),
+    (["simulate", CASE, "--steer"], 0),
 ])
-def test_scipy_loads_only_for_steering(tmp_path, argv, code, loads_scipy):
-    # a fresh interpreter: scipy is imported where a QR or an expm runs
+def test_cli_never_loads_scipy(tmp_path, argv, code):
+    # a fresh interpreter: scipy is imported only where an expm runs, and
+    # no command runs one (steering solves by numpy's QR)
     cmd = argv + (["--out", str(tmp_path / "t.csv")]
                   if argv[0] == "simulate" else [])
     script = (
@@ -653,4 +654,4 @@ def test_scipy_loads_only_for_steering(tmp_path, argv, code, loads_scipy):
         "print(code, 'scipy' in sys.modules)\n")
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                        text=True, check=True)
-    assert r.stdout.split() == [str(code), str(loads_scipy)]
+    assert r.stdout.split() == [str(code), "False"]

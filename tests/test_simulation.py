@@ -559,9 +559,9 @@ def test_steering_needs_no_matrix_exponential(monkeypatch, ex1_s1, ex1_s2):
     assert traj.target_class_error < 1e-5
 
 
-def _dense_least_norm(groups, hs, left, right, dc):
-    """The least Simpson-weighted-norm stage inputs from G built one step
-    at a time, later steps first, and solved with a pseudo-inverse."""
+def _weighted_map(groups, hs, left, right):
+    """G W^-1/2, built one step at a time, later steps first, and the
+    scaling W^-1/2 of the stage inputs it acts on."""
     r, m = right.shape[1], len(hs)
     c = groups[0][1].shape[1] // 3
     maps = [None] * m
@@ -579,8 +579,29 @@ def _dense_least_norm(groups, hs, left, right, dc):
             w[2 * j + slot] += hs[j] / 6 * (4 if slot == 1 else 1)
         later = later @ Pc
     scale = np.repeat(1 / np.sqrt(w), c)
-    v = np.linalg.pinv(G.reshape(r, -1) * scale) @ dc
-    return (v * scale).reshape(2 * m + 1, c)
+    return G.reshape(r, -1) * scale, scale
+
+
+def _dense_least_norm(groups, hs, left, right, dc):
+    """The least Simpson-weighted-norm stage inputs from the per-step G,
+    solved with a pseudo-inverse."""
+    Gw, scale = _weighted_map(groups, hs, left, right)
+    c = groups[0][1].shape[1] // 3
+    return (np.linalg.pinv(Gw) @ dc * scale).reshape(-1, c)
+
+
+def _steering_design(s1, s2, te, step):
+    """The run's step groups and the dual pair (left, right) of its
+    controllable subspace, as `_segment_steering` builds them."""
+    from dimvar import build_transient_model
+    from dimvar.simulation import _step_groups, _time_grid
+    model = build_transient_model(s1, s2, masses=(1, 1))
+    lengths, As, Bs = model.lengths, model.A * model.lengths, model.B
+    As, Bs = to_float(As), to_float(Bs)
+    hs, groups = _step_groups(As, Bs, step, *_time_grid(0.0, te, step)[1:])
+    sq = np.sqrt(lengths)[:, None]
+    Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
+    return groups, hs, sq * Q, Q / sq
 
 
 @pytest.mark.parametrize("p,q,i", [(2, 3, 0), (2, 5, 1), (4, 6, 2),
@@ -591,23 +612,63 @@ def test_least_norm_inputs_match_dense_reference(p, q, i, te, step):
     # pins the doubling: G's blocks P^k R, the stage sums and the
     # shortened last step against a per-step loop, at n <= 12; (2, 2)
     # has one uncontrollable mode, so G acts on a proper subspace
-    from dimvar import build_transient_model
-    from dimvar.simulation import (_least_norm_inputs, _run_steps,
-                                   _step_groups, _time_grid)
+    from dimvar.simulation import _least_norm_inputs, _run_steps
     if i is None:
         s1 = s2 = LinSys("d", np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     else:
         s1, s2, _ = _seeded_case(0, p, q, i)
-    model = build_transient_model(s1, s2, masses=(1, 1))
-    lengths, As, Bs = model.lengths, model.A * model.lengths, model.B
-    As, Bs = to_float(As), to_float(Bs)
-    hs, groups = _step_groups(As, Bs, step, *_time_grid(0.0, te, step)[1:])
-    sq = np.sqrt(lengths)[:, None]
-    Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
-    assert Q.shape[1] == (1 if i is None else len(As))
-    dc = np.random.default_rng(p * q).uniform(-1, 1, Q.shape[1])
-    U = _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)
-    ref = _dense_least_norm(groups, hs, sq * Q, Q / sq, dc)
+    groups, hs, left, right = _steering_design(s1, s2, te, step)
+    assert right.shape[1] == (1 if i is None else len(right))
+    dc = np.random.default_rng(p * q).uniform(-1, 1, right.shape[1])
+    U = _least_norm_inputs(groups, hs, left, right, dc)
+    ref = _dense_least_norm(groups, hs, left, right, dc)
     assert np.linalg.norm(U - ref) <= 1e-8 * np.linalg.norm(ref)
-    end = _run_steps(groups, U, np.zeros(len(As)))[-1]
-    assert np.max(np.abs(end - Q / sq @ dc)) <= 1e-8 * np.max(np.abs(dc))
+    end = _run_steps(groups, U, np.zeros(len(right)))[-1]
+    assert np.max(np.abs(end - right @ dc)) <= 1e-8 * np.max(np.abs(dc))
+
+
+@pytest.mark.parametrize("p,q", [(4, 6), (5, 7)])
+def test_least_norm_inputs_match_lstsq(p, q):
+    # the raw QR's triangle and reflectors give the minimum-norm solution
+    # of the Simpson-weighted G u = dc that lstsq finds on the same G
+    from dimvar.simulation import _least_norm_inputs
+    s1, s2, _ = _seeded_case(0, p, q, 0)
+    groups, hs, left, right = _steering_design(s1, s2, 1.0, 1e-3)
+    dc = np.random.default_rng(p * q).uniform(-1, 1, right.shape[1])
+    U = _least_norm_inputs(groups, hs, left, right, dc)
+    Gw, scale = _weighted_map(groups, hs, left, right)
+    ref = (np.linalg.lstsq(Gw, dc, rcond=None)[0] * scale).reshape(U.shape)
+    assert np.linalg.norm(U - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_least_norm_inputs_refuse_a_rank_deficient_map():
+    # the second mode takes 1e-20 of the input: on the whole plane G has
+    # numerical rank 1, so the design refuses instead of dividing by it
+    from dimvar.simulation import _least_norm_inputs
+    s = LinSys("d", np.diag([-1.0, -2.0]), np.array([[1.0], [1e-20]]))
+    groups, hs, _, _ = _steering_design(s, s, 1.0, 1e-3)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"numerical rank 1 below dim C = 2 "
+                             r"\(sigma_1/sigma_r = "):
+        _least_norm_inputs(groups, hs, np.eye(2), np.eye(2), np.ones(2))
+
+
+# passes of seeds 0-15 x 8 cases at the 1e-5 class-error bound: (2, 3)
+# seed 1 case 1 is unreachable, and at (7, 11) inputs up to 6.5e10 put the
+# forward run's rounding near the bound
+STEERING_CORPUS = {(2, 3): 127, (2, 5): 128, (4, 6): 128, (5, 7): 128,
+                   (7, 11): 127}
+
+
+@pytest.mark.parametrize("p,q", list(STEERING_CORPUS))
+def test_steering_corpus_pass_count(p, q):
+    passed = 0
+    for seed in range(16):
+        for i in range(8):
+            try:
+                traj, _ = run_transient_scenario(*_seeded_case(seed, p, q, i),
+                                                 masses=(1, 1))
+            except UnreachableTargetError:
+                continue
+            passed += traj.target_class_error <= 1e-5
+    assert passed >= STEERING_CORPUS[p, q]

@@ -73,9 +73,9 @@ def test_one_float_rank_rule():
         assert "_echelon" not in p.read_text(), p.name
 
 
-def test_scipy_is_imported_in_two_places():
-    # scipy loads only where the continuous design's expm or the steering
-    # QR runs, so the exact pipeline and the CLI import numpy only
+def test_scipy_is_imported_in_one_place():
+    # scipy loads only where the continuous design's expm runs, so the
+    # exact pipeline, the steering and the CLI import numpy only
     found = Counter()
     for p in sorted(SRC.glob("*.py")):
         tree = ast.parse(p.read_text())
@@ -91,5 +91,4 @@ def test_scipy_is_imported_in_two_places():
                 if any(n.split(".")[0] == "scipy" for n in names):
                     assert sub is not node, f"module-level scipy in {p.name}"
                     found[(p.name, owner)] += 1
-    assert found == {("numerics.py", "_expm"): 1,
-                     ("simulation.py", "_least_norm_inputs"): 1}
+    assert found == {("numerics.py", "_expm"): 1}
