@@ -20,6 +20,7 @@ System files are JSON: matrices are grids of scalar strings ("3",
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -254,9 +255,10 @@ def cmd_ctrb(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    index: dict[str, int] = {}      # a token's entries share one object
+    pos = [index.setdefault(t, len(index)) for t in args.vector.split(",")]
     try:
-        x = vec([parse_scalar(tok) for tok in args.vector.split(",")],
-                args.exact)
+        x = vec([parse_scalar(tok) for tok in index], args.exact)[pos]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse vector: {exc}")
     except OverflowError:
@@ -366,6 +368,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimvar",
@@ -417,9 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)

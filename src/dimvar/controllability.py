@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixdim import MixVector, _reps_equal, _strip_keyed
+from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
                        _krylov_product, complete_basis, equality_key, float_only,
                        krylov_basis)
@@ -77,21 +77,20 @@ def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientC
 
 
 def _class_reps(S: SubspaceBasis, tol: Tolerance) -> list[MixVector]:
-    """Irreducible members of S's basis columns, equivalent ones dropped.
-
-    An exact column strips on its slice of one `equality_key` of S, and
-    its representative is compared on that slice at the kept rows."""
+    """Irreducible members of S's basis columns, equivalent ones dropped;
+    exact columns strip and compare on their slices of one key of S."""
     K = equality_key(S.basis)
     reps: list[MixVector] = []
     seen = []                       # float representatives, or keys
     for j in range(S.dim):
-        x, key = S.basis[:, j], None if K is None else K[:, j:j + 1]
-        (y,), mult = _strip_keyed([(x.reshape(-1, 1), False)], [key], tol)
-        t = y[:, 0] if key is None else key[::mult, 0]
-        if not any(_reps_equal(t, u, tol) if key is None else
-                   t.shape == u.shape and (t == u).all() for u in seen):
+        x = S.basis[:, j]
+        s = 0 if K is None else _largest_factor([(K[:, j:j + 1], False)])
+        y = x[::s] if s else reduce_vector(x, tol).irreducible
+        t = K[::s, j] if s else y
+        if not any(_reps_equal(t, u, tol) if K is None else
+                   np.array_equal(t, u) for u in seen):
             seen.append(t)
-            reps.append(MixVector(value=x, irreducible=y[:, 0]))
+            reps.append(MixVector(value=x, irreducible=y))
     return reps
 
 

@@ -16,18 +16,13 @@ Three cross-dimensional products are provided:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerance, as_backend, common_backend,
-                       equality_key)
-
-
-def _divisors_desc(n: int) -> list[int]:
-    return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
+from .numerics import (DEFAULT_TOL, Tolerance, _identity_tokens, as_backend,
+                       common_backend, equality_key)
 
 
 def _replicate(X: np.ndarray, s: int, j: bool) -> np.ndarray:
@@ -52,55 +47,70 @@ def _reps_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
                 (key[0] == key[1]).all())
 
 
+def _largest_factor(parts) -> int:
+    """The largest s with T = T0 (x) 1_s, or T0 (x) (1_s 1_s^T) with j,
+    for every (T, j) in parts, in the closed form of `_strip_factors`;
+    0 when every blocked dimension is 0."""
+    g = 0
+    for T, j in parts:
+        for U in ((T, T.T) if j else (T,)):
+            change = np.flatnonzero((U[1:] != U[:-1]).any(axis=1)) + 1
+            g = math.gcd(g, U.shape[0], *change.tolist())
+    return g
+
+
 def _strip_factors(parts, tol: Tolerance):
-    """Strip replication factors from several 2-D arrays jointly.
+    """Strip the largest replication factor s from 2-D arrays jointly:
+    (X, j) in parts as X0 (x) J_s with j (representative s * X0), else
+    as X0 (x) 1_s.  Returns the representatives and s.
 
-    ``parts`` holds pairs (X, j).  With j true the part is tested as
-    X0 (x) J_s (rows and columns blocked, representative s * X0);
-    otherwise as X0 (x) 1_s (rows blocked).  Divisors of the gcd of the
-    blocked dimensions are tried largest first; a factor strips when
-    every entry of every part equals the first entry of its block.  The
-    search repeats on the representatives until nothing strips, so the
-    result does not depend on the factorization order.  Returns the
-    representatives and the product of the stripped factors.
-
-    An exact part is tested on its `equality_key`, built once per call:
-    integers compared with ``==``, so no Fraction is compared.  Its
-    representative is the first entry of each block, so the key of a
-    representative is the same slice of the key, and the returned
-    representative is sliced from X once, at the end (times the whole
-    factor for J parts).  A float part is tested with ``tol.close``; its
-    representative is the block mean, taken at every strip.
+    X = X0 (x) 1_s exactly when s divides X's row count and every index
+    where a row differs from the one before (with j, also for columns),
+    so the factors that strip are the divisors of the largest, the gcd
+    of those numbers (`_largest_factor`).  Exact parts take it in two
+    steps: s1 on the `_identity_tokens`, where equal tokens are one
+    object, so s1 divides s; then s2 = s / s1 on the `equality_key` of
+    the slices X[::s1, ::s1] (j) or X[::s1].  Float parts keep a divisor
+    search (`_strip_floats`), as tolerance equality is not transitive.
     """
-    return _strip_keyed(parts, [equality_key(X) for X, _ in parts], tol)
-
-
-def _strip_keyed(parts, keys, tol: Tolerance):
-    """`_strip_factors` on given keys: None, or integers equal where X is."""
-    tests = [X if key is None else key for (X, _), key in zip(parts, keys)]
-    equal = [tol.close if key is None else operator.eq for key in keys]
-    mult = 1
-    while True:
-        dims = [d for X, (_, j) in zip(tests, parts)
-                for d in (X.shape if j else X.shape[:1])]
-        for s in _divisors_desc(math.gcd(*dims))[:-1]:
-            views = [X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
-                     else X.reshape(X.shape[0] // s, s, X.shape[1], 1)
-                     for X, (_, j) in zip(tests, parts)]
-            if all(eq(v, v[:, :1, :, :1]).all()
-                   for v, eq in zip(views, equal)):
-                break
-        else:
-            break
-        tests = [v[:, 0, :, 0] if key is not None
-                 else (v.mean(axis=(1, 3)) * s if j else v.mean(axis=(1, 3)))
-                 for v, key, (_, j) in zip(views, keys, parts)]
-        mult *= s
+    tokens = [_identity_tokens(X) for X, _ in parts]
+    exact = [(X, T, j) for (X, j), T in zip(parts, tokens) if T is not None]
+    s1 = _largest_factor([(T, j) for _, T, j in exact]) or 1
+    s = s1 * _largest_factor([(equality_key(X[::s1, ::s1] if j else X[::s1]),
+                               j) for X, _, j in exact])
+    floats = [(X, j) for (X, j), T in zip(parts, tokens) if T is None]
+    reps, mult = _strip_floats(floats, s, tol) if floats else ([], s or 1)
     if mult == 1:
         return [X for X, _ in parts], 1
-    return [rep if key is None
+    reps = iter(reps)
+    return [next(reps) if T is None
             else (X[::mult, ::mult] * mult if j else X[::mult].copy())
-            for rep, key, (X, j) in zip(tests, keys, parts)], mult
+            for (X, j), T in zip(parts, tokens)], mult
+
+
+def _strip_floats(parts, bound: int, tol: Tolerance):
+    """`_strip_factors` on float parts, for a factor dividing `bound` (0:
+    any): divisors largest first, repeated on the block means v0 +
+    mean(v - v0), v0 a block's first entry.  The factor eq of blocks of
+    ``==`` entries (`_largest_factor`) holds untested and keeps v0."""
+    reps, mult = list(parts), 1
+    while True:
+        dims = [d for X, j in reps for d in (X.shape if j else X.shape[:1])]
+        g = math.gcd(bound // mult, *dims)
+        eq = math.gcd(g, _largest_factor(reps)) or 1
+        for s in [d for d in range(g, eq, -1) if g % d == 0] + [eq]:
+            views = [(X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
+                      else X.reshape(X.shape[0] // s, s, X.shape[1], 1), j)
+                     for X, j in reps]
+            if s == eq or all(tol.close(v, v[:, :1, :, :1]).all()
+                              for v, _ in views):
+                break
+        if s == 1:
+            return [X for X, _ in reps], mult
+        reps = [((v[:, 0, :, 0] if s == eq else v[:, 0, :, 0]
+                  + (v - v[:, :1, :, :1]).mean(axis=(1, 3)))
+                 * (s if j else 1), j) for v, j in views]
+        mult *= s
 
 
 @dataclass(frozen=True)
@@ -116,11 +126,7 @@ class MixVector:
 
 
 def reduce_vector(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MixVector:
-    """Strip replication factors until the vector is irreducible.
-
-    Factors are searched largest-first and stripping recurses, so the
-    result does not depend on the factorization order.
-    """
+    """The irreducible member of x's class (see `_strip_factors`)."""
     x = np.asarray(x)
     if x.ndim == 2:
         x = x[:, 0]
@@ -201,21 +207,16 @@ def mat_vec_equivalent(B: np.ndarray, D: np.ndarray,
 def second_stp(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A (x) J_{t/n}) (B (x) J_{t/p}) with t = lcm(cols A, rows B)."""
     A, B = common_backend(A, B)
-    n = A.shape[1]
-    p = B.shape[0]
+    n, p = A.shape[1], B.shape[0]
     t = math.lcm(n, p)
     return _kron_j(A, t // n) @ _kron_j(B, t // p)
 
 
 def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A (x) J_{t/n}) (x (x) 1_{t/r}): the class action on vectors."""
-    A, x = common_backend(A, x)
-    if x.ndim == 2:
-        x = x[:, 0]
-    n = A.shape[1]
-    r = x.shape[0]
-    t = math.lcm(n, r)
-    return _kron_j(A, t // n) @ _replicate(x, t // r, False)
+    """(A (x) J_{t/n}) (x (x) 1_{t/r}): the class action on vectors,
+    `stp_action_matrix` on x's (first) column."""
+    x = np.asarray(x)
+    return stp_action_matrix(A, x if x.ndim == 1 else x[:, 0])[:, 0]
 
 
 def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -223,8 +224,7 @@ def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A, B = common_backend(A, B)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
-    n = A.shape[1]
-    r = B.shape[0]
+    n, r = A.shape[1], B.shape[0]
     t = math.lcm(n, r)
     return _kron_j(A, t // n) @ _replicate(B, t // r, False)
 
@@ -238,8 +238,7 @@ def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     A, x = common_backend(A, x)
     if x.ndim == 2:
         x = x[:, 0]
-    n = A.shape[1]
-    r = x.shape[0]
+    n, r = A.shape[1], x.shape[0]
     t = math.lcm(n, r)
     return (np.kron(A, as_backend(np.eye(t // n), A)) @
             _replicate(x, t // r, False))

@@ -137,12 +137,9 @@ def zeros(shape, exact: bool = True) -> np.ndarray:
 
 
 def eye(n: int, exact: bool = True) -> np.ndarray:
-    if exact:
-        M = zeros((n, n))
-        for i in range(n):
-            M[i, i] = Fraction(1)
-        return M
-    return np.eye(n)
+    M = zeros((n, n), exact)
+    np.fill_diagonal(M, Fraction(1))
+    return M
 
 
 def ones_vector(k: int, exact: bool = True) -> np.ndarray:
@@ -202,24 +199,27 @@ def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                     dtype=object).reshape(C.shape)
 
 
-def equality_key(M: np.ndarray):
-    """An integer array equal exactly where the exact array M is equal,
-    or None when M is float.
-
-    The key is the integer-scaled copy L * M: int64 where every entry
-    fits, Python ints in an object array otherwise.  It is computed once
-    per distinct entry object (a lifted array repeats a few objects),
-    found in bulk: M's buffer holds one object reference per entry, read
-    as intp one identity token each, equal exactly for the same object
-    while M keeps its objects alive.  No token is dereferenced; the
-    objects are taken from M at their first tokens.  The key is meant
-    for ``==`` only; no tolerance or float conversion may touch it.
-    """
+def _identity_tokens(M: np.ndarray):
+    """The object references of the exact array M as intp, shaped like
+    M (None when M is float): equal tokens are one object while M holds
+    it, so equal entries.  No token is dereferenced."""
     if not is_exact(M):
         return None
+    return np.frombuffer(M.tobytes(), np.intp).reshape(M.shape)
+
+
+def equality_key(M: np.ndarray):
+    """An integer array equal exactly where the exact array M is equal
+    (None when M is float): the integer-scaled copy L * M, int64 where
+    every entry fits, else Python ints in an object array, computed
+    once per distinct object of M (found from its `_identity_tokens`).
+    Meant for ``==`` only: no tolerance or float conversion may touch it."""
+    tokens = _identity_tokens(M)
+    if tokens is None:
+        return None
     flat = M.ravel()
-    tokens = np.frombuffer(flat.tobytes(), np.intp)
-    _, first, inv = np.unique(tokens, return_index=True, return_inverse=True)
+    _, first, inv = np.unique(tokens.ravel(), return_index=True,
+                              return_inverse=True)
     Z, _ = _integer_scaled(flat[first])
     try:
         Z = Z.astype(np.int64)

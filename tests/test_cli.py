@@ -118,6 +118,12 @@ def test_reduce(capsys):
                    "multiplicity": 3}
     code, _, err = run(capsys, "reduce", "--vector", "1,x,3")
     assert code == 2
+    # a float block of equal entries keeps them: the mean of three 0.1s
+    # is 0.10000000000000002
+    code, out, _ = run(capsys, "reduce", "--vector=0.1,0.1,0.1", "--backend",
+                       "float", "--json")
+    assert code == 0
+    assert json.loads(out) == {"irreducible": [0.1], "multiplicity": 3}
 
 
 @pytest.mark.parametrize("vector", ["1e400", "-1e400", "1,1e400"])
@@ -128,6 +134,63 @@ def test_reduce_entry_beyond_float_range(capsys, vector):
     assert "entry beyond float range" in err and "Traceback" not in err
     code, out, _ = run(capsys, "reduce", f"--vector={vector}")
     assert code == 0 and "(×1)" in out
+
+
+def test_reduce_parses_each_distinct_token_once(capsys, monkeypatch):
+    from dimvar import cli
+    parsed, vectors = [], []
+    parse, reduce = cli.parse_scalar, cli.reduce_vector
+    monkeypatch.setattr(cli, "parse_scalar",
+                        lambda tok: parsed.append(tok) or parse(tok))
+    monkeypatch.setattr(cli, "reduce_vector",
+                        lambda x, tol: vectors.append(x) or reduce(x, tol))
+    code, out, _ = run(capsys, "reduce", "--vector", "1/3,1/3,2,2,1/3,1/3,2,2")
+    assert (code, out) == (0, "[1/3, 2, 1/3, 2] (×2)\n")
+    assert parsed == ["1/3", "2"]
+    (x,) = vectors
+    assert x[0] is x[1] is x[4] is x[5] and x[2] is x[3] is x[6] is x[7]
+    assert x[0] is not x[2]
+    # the first bad token in the vector is the one reported
+    code, _, err = run(capsys, "reduce", "--vector", "1,y,1,x,y")
+    assert code == 2
+    assert err == "error: cannot parse vector: Invalid literal for Fraction: 'y'\n"
+
+
+def test_main_runs_back_to_back_without_leaking(capsys):
+    # the parser is built once; every call still parses only its own
+    # arguments, and usage errors still exit 2 with the usage on stderr
+    from dimvar import cli
+    assert cli._build_parser() is cli._build_parser()
+    golden = (GOLDEN / "check_example1.txt").read_text()
+    golden_float = (GOLDEN / "check_example1_float.json").read_text()
+    ctrb_float = (GOLDEN / "ctrb_blend_example1_float.json").read_text()
+    vector = "1,1.0000001,2,2"
+    calls = [
+        (["reduce", "--vector", vector, "--backend", "float", "--tol", "1e-6"],
+         0, "[1.00000005, 2] (×2)\n"),
+        (["reduce", "--vector", vector, "--backend", "float"],
+         0, "[1, 1.0000001, 2, 2] (×1)\n"),
+        (["reduce", "--vector", vector],
+         0, "[1, 10000001/10000000, 2, 2] (×1)\n"),
+        (["check", CASE, "--backend", "float", "--json"], 0, golden_float),
+        (["check", CASE], 0, golden),
+        (["frobnicate"], 2, ""),
+        (["reduce"], 2, ""),
+        (["reduce", "--vector", "1,1", "--tol", "0"], 2, ""),
+        (["ctrb", CASE, "--blend", "--backend", "float", "--json"],
+         0, ctrb_float),
+        (["reduce", "--vector", "1,1,2,2"], 0, "[1, 2] (×2)\n"),
+        (["check", CASE, "--system", "sigma2"], 2, ""),
+    ]
+    for _ in range(2):
+        for argv, code, want in calls:
+            got, out, err = run(capsys, *argv)
+            assert got == code, argv
+            assert out == want, argv
+            if code == 2:
+                assert err.startswith("usage: dimvar"), argv
+            else:
+                assert err == "", argv
 
 
 def test_ctrb_blend_builds_one_equality_key(capsys, monkeypatch):

@@ -245,6 +245,7 @@ def _assert_same(got, want):
     assert got.shape == want.shape
     if want.dtype == object:
         assert got.dtype == object and got.tolist() == want.tolist()
+        assert [type(e) for e in got.flat] == [type(e) for e in want.flat]
     else:
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -322,6 +323,108 @@ def test_strip_matches_reference_non_square():
             rep = reduce_matrix(M)
             _assert_same(rep.irreducible, ra)
             assert rep.multiplier == ka
+
+
+def _rebuilt(X, rng, blocks, s, j, share=1.0):
+    """X with the entries of `blocks` random s-blocks (s x s with j, else
+    s x 1), each with probability `share`, replaced by equal but
+    distinct objects: the identity tokens then change inside a block."""
+    X = X.copy()
+    t = s if j else 1
+    for _ in range(blocks if X.size else 0):
+        bi, bc = rng.randrange(X.shape[0] // s), rng.randrange(X.shape[1] // t)
+        for a in range(s):
+            for b in range(t):
+                if rng.random() < share:
+                    e = X[bi * s + a, bc * t + b]
+                    X[bi * s + a, bc * t + b] = Fraction(e.numerator,
+                                                         e.denominator)
+    return X
+
+
+def test_strip_matches_reference_on_partly_shared_objects():
+    # the token step finds a factor that divides the true one, the key
+    # step the rest; every block mix of shared and rebuilt objects must
+    # end where the entry-by-entry reference does
+    rng = random.Random(61)
+    for trial in range(80):
+        p, k = rng.randint(1, 3), rng.choice([2, 3, 4, 6, 12])
+        s = LinSys("s", rand_rational_matrix(rng, p, p),
+                   rand_rational_matrix(rng, p, rng.randint(0, 2)))
+        big = lift_system(s, p * k)
+        x = kron(rand_rational_vector(rng, p), ones_vector(k))
+        share = rng.choice([0.3, 1.0])
+        A = _rebuilt(big.A, rng, rng.randint(1, 3), k, True, share)
+        B = _rebuilt(big.B, rng, rng.randint(0, 2), k, False, share)
+        x = _rebuilt(x.reshape(-1, 1), rng, rng.randint(1, 2), k, False,
+                     share)[:, 0]
+        assert len({id(e) for e in A.flat}) > len({id(e) for e in big.A.flat})
+        if trial % 4 == 0:                 # break one block
+            A[-1, 0] += 1
+            x[-1] += 1
+        _check_strip_matches_reference(A, B, x)
+        if A.shape[0] > 1:                 # a non-square J part
+            M = A[:, :A.shape[1] // 2 or 1]
+            (ra,), ka = _ref_strip([(M, True)])
+            rep = reduce_matrix(M)
+            _assert_same(rep.irreducible, ra)
+            assert rep.multiplier == ka
+
+
+def test_strip_matches_reference_on_ints_mixed_with_fractions():
+    # 1 and Fraction(1) are equal but distinct objects of two types; a
+    # representative keeps the type of each block's first entry
+    rng = random.Random(67)
+    for trial in range(60):
+        p, k = rng.randint(1, 3), rng.choice([1, 2, 3, 4])
+        vals = [rng.choice([0, 1, -2]) for _ in range(p * p + 2 * p)]
+        A0 = np.array(vals[:p * p], dtype=object).reshape(p, p)
+        B0 = np.array(vals[p * p:p * p + p], dtype=object).reshape(p, 1)
+        x0 = np.array(vals[p * p + p:], dtype=object)
+        A, B, x = (np.array([rng.choice([e, Fraction(e)]) for e in M.flat],
+                            dtype=object).reshape(M.shape)
+                   for M in (np.repeat(np.repeat(A0, k, 0), k, 1),
+                             np.repeat(B0, k, 0), np.repeat(x0, k)))
+        if trial % 3 == 0:                 # zero-column B, jointly with A
+            B = np.zeros((p * k, 0), dtype=object)
+        _check_strip_matches_reference(A, B, x)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_strip_matches_reference_on_0x0_and_1x1(exact):
+    cast = (lambda M: M) if exact else (lambda M: M.astype(float))
+    for A, B in ((np.zeros((0, 0), dtype=object), np.zeros((0, 2), dtype=object)),
+                 (mat([["3/2"]]), mat([["-1", "2"]])),
+                 (mat([["3/2"]]), np.zeros((1, 0), dtype=object))):
+        A, B = cast(A), cast(B)
+        (ra,), ka = _ref_strip([(A, True)])
+        rep = reduce_matrix(A)
+        _assert_same(rep.irreducible, ra)
+        assert rep.multiplier == ka == 1
+        (rsa, rsb), ks = _ref_strip([(A, True), (B, False)])
+        prj = project_system(LinSys("s", A, B))
+        _assert_same(prj.sys.A, rsa)
+        _assert_same(prj.sys.B, rsb)
+        assert prj.multiplier_stripped == ks == 1
+        if A.size:
+            _check_strip_matches_reference(A, B, A[0])
+
+
+def test_float_representative_of_equal_entries_is_exact():
+    # the mean of three 0.1s is 0.10000000000000002; the first entry
+    # plus the mean offset from it is 0.1
+    mv = reduce_vector(np.full(3, 0.1))
+    assert mv.irreducible.tolist() == [0.1] and mv.multiplicity == 3
+    rng = np.random.default_rng(71)
+    for _ in range(28):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(2, 7))
+        x0, A0 = rng.normal(size=n), rng.normal(size=(n, n))
+        mv = reduce_vector(np.repeat(x0, k))
+        assert mv.multiplicity == k
+        assert mv.irreducible.tobytes() == x0.tobytes()
+        rep = reduce_matrix(np.repeat(np.repeat(A0, k, 0), k, 1))
+        assert rep.multiplier == k
+        assert rep.irreducible.tobytes() == (A0 * k).tobytes()
 
 
 # -- exact comparison keys ---------------------------------------------------

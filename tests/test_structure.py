@@ -46,6 +46,14 @@ def test_backend_is_read_only_in_numerics():
     assert calls == {}
 
 
+def test_identity_tokens_are_read_only_in_numerics():
+    # object references are read as tokens in one helper, which also
+    # tells the backend apart
+    calls = {(p.name, fn): k for p in sorted(SRC.glob("*.py"))
+             for fn, k in _calls_by_function(p, "frombuffer").items()}
+    assert calls == {("numerics.py", "_identity_tokens"): 1}
+
+
 def test_no_tolerance_is_rescaled():
     # float decisions take their thresholds from the Tolerance given;
     # none is rebuilt with dataclasses.replace
