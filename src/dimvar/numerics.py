@@ -8,7 +8,8 @@ Two scalar backends are supported throughout the package:
   backend.  They are made by fraction-free (Bareiss) elimination of a
   copy scaled to Python ints by the lcm of its denominators, which
   gives the pivots and zero patterns of Gaussian elimination over the
-  rationals without any Fraction arithmetic.
+  rationals without any Fraction arithmetic (`krylov_pivots` runs it
+  on the integer Krylov product; membership in a full subspace needs none).
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
   controllable subspaces of `krylov_basis`) is one rule, `_staircase`:
@@ -21,9 +22,8 @@ Only this module turns the dtype into a choice of construction: other
 modules build arrays on an operand's backend with `as_backend` and
 promote mixed operands with `common_backend`, compare exact entries on
 integer `equality_key`s, and never read `is_exact`: an algorithm that
-differs by backend, like the integer `_krylov_product`, lives here.
-Exact `solve` and `inverse` run on the same Bareiss kernel as rank and
-span decisions.
+differs by backend, like the integer `_krylov_integers`, lives here,
+and so do exact `solve` and `inverse`, on the same Bareiss kernel.
 """
 
 from __future__ import annotations
@@ -166,11 +166,8 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _integer_scaled(M: np.ndarray):
-    """Scale an exact array by the lcm L of its entries' denominators.
-
-    Returns (Z, L) with Z = L * M an object array of Python ints.
-    Entries may be Fractions or plain ints.
-    """
+    """(Z, L): the exact M (Fractions or plain ints) scaled by the lcm L
+    of its entries' denominators, Z = L * M in Python ints."""
     flat = M.ravel()
     dens = [x.denominator for x in flat]
     L = math.lcm(*dens)
@@ -178,25 +175,30 @@ def _integer_scaled(M: np.ndarray):
     return np.array(Z, dtype=object).reshape(M.shape), L
 
 
-def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B] on the common backend of A and 2-D B.
-    Exact inputs are multiplied in integers: with L the lcm of the
-    denominators of [A | B], block j of [LB, (LA)LB, ...] is
-    L^(j+1) A^j B, and is divided back into Fractions."""
+def _krylov_integers(A: np.ndarray, B: np.ndarray):
+    """(Z, D): [B, AB, ..., A^(n-1) B] for 2-D B is Z on floats (D None)
+    and Z / D on exact input: Z = [LB, (LA)LB, ...] in Python ints, D is
+    L^(j+1) on block j's columns, L the lcm of [A | B]'s denominators."""
     A, B = common_backend(A, B)
-    n, exact = A.shape[0], is_exact(A)
-    if exact:
+    (n, m), L = B.shape, None
+    if is_exact(A):
         Z, L = _integer_scaled(np.hstack([A, B]))
         A, B = Z[:, :n], Z[:, n:]
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    if not exact:
-        return C
-    dens = [L ** (c // B.shape[1] + 1) for c in range(C.shape[1])]
-    return np.array([[Fraction(x, d) for x, d in zip(row, dens)] for row in C],
-                    dtype=object).reshape(C.shape)
+    Z = np.hstack(blocks)
+    return Z, None if L is None else np.array(
+        [L ** (c // m + 1) for c in range(Z.shape[1])], dtype=object)
+
+
+_fraction = np.frompyfunc(Fraction, 2, 1)      # elementwise Fraction(x, d)
+
+
+def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
+    Z, D = _krylov_integers(A, B)
+    return Z if D is None else _fraction(Z, D)
 
 
 def _identity_tokens(M: np.ndarray):
@@ -374,6 +376,17 @@ def krylov_basis(K: np.ndarray, A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         block, j = [A @ Q[:, c] for c in range(k, len(piv))], j + 1
 
 
+def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """``krylov_basis(ctrb_matrix(A, B), A, tol)`` for 2-D B.  Exact: the
+    `_bareiss` pivots of `_krylov_integers` (its columns are K's times
+    nonzero integers, so the pivots are K's), and only those divided back."""
+    Z, D = _krylov_integers(A, B)
+    if D is None:
+        return krylov_basis(Z, A, tol)
+    piv = _bareiss(Z)[1]
+    return piv, SubspaceBasis(len(Z), _fraction(Z[:, piv], D[piv]))
+
+
 def complete_basis(V: np.ndarray):
     """(P, P^-1) for an invertible P whose first columns are those of V
     (independent columns).
@@ -413,12 +426,13 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     """Membership of every column of W in span(S): the decision of
     rank([S | w_j]) == dim S for each column w_j.
 
-    Exact: [S | W] is eliminated once with pivots taken only in S's
-    columns; w_j lies in the span iff its residual below S's pivots is
-    zero.  Float: S is orthonormalised once by `_staircase` at the
-    largest of the columns' rank thresholds, then each w_j is tested as
-    one more candidate at its own, that of [S | w_j].  An S that loses
-    a column there has each column decided by its own `rank`.
+    Exact: all True for an S of full dimension (it is R^m); otherwise
+    [S | W] is eliminated once with pivots in S's columns only, and w_j
+    lies in the span iff its residual below S's pivots is zero.  Float:
+    S is orthonormalised once by `_staircase` at the largest of the
+    columns' rank thresholds, then each w_j is tested as one more
+    candidate at its own, that of [S | w_j].  An S that loses a column
+    there has each column decided by its own `rank`.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != S.ambient_dim:
@@ -427,6 +441,8 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     V, W = common_backend(S.basis, W)
     m, d = V.shape
     if is_exact(V):
+        if d == m:
+            return [True] * W.shape[1]
         r, _, R = _bareiss(np.hstack([V, W]), ncols=d)
         if r == d:
             return [not R[r:, d + j].any() for j in range(W.shape[1])]

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .controllability import ctrb_matrix, ctrb_subspace
+from .controllability import ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
-                       in_span_columns, krylov_basis, pivot_columns, rank,
+                       in_span_columns, krylov_pivots, pivot_columns, rank,
                        unit_columns)
 from .systems import LinSys
 
@@ -248,11 +248,10 @@ def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
     The blend's Krylov matrix is E ctrb(As, B) block for block (see
     `TransientModel`).  E is injective and blocks past s never pivot, so
     the two have the same pivot columns, and C_z = E span ctrb(As, B).
-    Returns the pivots and the `krylov_basis` span of ctrb(As, B)
-    (orthonormal on floats).
+    Returns `krylov_pivots`: the pivots and the `krylov_basis` span of
+    ctrb(As, B) (orthonormal on floats), with no Fraction Krylov matrix.
     """
-    As = model.A * model.lengths
-    return krylov_basis(ctrb_matrix(As, model.B), As, tol)
+    return krylov_pivots(model.A * model.lengths, model.B, tol)
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,

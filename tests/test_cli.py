@@ -214,6 +214,34 @@ def test_ctrb_blend_builds_one_equality_key(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_check_multiplies_krylov_products_only_for_subsystems(
+        ex1_s1, ex1_s2, ex1_model, capsys, monkeypatch):
+    # the blend's controllable subspace is decided on the integer Krylov
+    # product: no Fraction Krylov matrix of the segment system is built,
+    # by `check` or by check_modeling_condition
+    import dimvar
+    from dimvar import check_modeling_condition
+    from dimvar import numerics
+
+    product, sizes = numerics._krylov_product, []
+
+    def counted(A, B):
+        sizes.append(A.shape[0])
+        return product(A, B)
+
+    for name in dir(dimvar):             # every module that imported it
+        module = getattr(dimvar, name)
+        if getattr(module, "_krylov_product", None) is product:
+            monkeypatch.setattr(module, "_krylov_product", counted)
+    code, out, _ = run(capsys, "check", CASE)
+    assert code == 0
+    assert out == (GOLDEN / "check_example1.txt").read_text()
+    assert sizes == [2, 3]
+    sizes.clear()
+    assert check_modeling_condition(ex1_s1, ex1_s2, ex1_model).holds
+    assert sizes == [2, 3]
+
+
 def test_simulate_writes_csv(capsys, tmp_path):
     out_path = str(tmp_path / "traj.csv")
     code, out, _ = run(capsys, "simulate", CASE, "--steer", "--out", out_path)

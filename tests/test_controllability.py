@@ -13,7 +13,8 @@ from dimvar import (LinSys, build_transient_model, check_modeling_condition,
 from dimvar import SubspaceBasis, realization
 from dimvar.controllability import _class_reps
 from dimvar.mixdim import _reps_equal, reduce_vector
-from dimvar.numerics import DEFAULT_TOL, to_float, zeros
+from dimvar.numerics import (DEFAULT_TOL, krylov_basis, krylov_pivots, to_float,
+                             zeros)
 
 # the blend controllability matrix of the running example, frozen from
 # an exact recomputation (column k+1 = A* times column k, checked by
@@ -64,14 +65,14 @@ def _fraction_krylov(A, B):
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
     # forms for a (5,7) pair with weights 3/2 and 1/3, caught on its
-    # way into ctrb_matrix
+    # way into krylov_pivots
     seen = []
 
-    def spy(A, B):
+    def spy(A, B, tol):
         seen.append((A, B))
-        return ctrb_matrix(A, B)
+        return krylov_pivots(A, B, tol)
 
-    monkeypatch.setattr(realization, "ctrb_matrix", spy)
+    monkeypatch.setattr(realization, "krylov_pivots", spy)
     rng = random.Random(41)
     s1, s2 = rand_system(rng, 5, 2), rand_system(rng, 7)
     model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
@@ -90,6 +91,48 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     C = ctrb_matrix(ints, np.array([[1], [1]], dtype=object))
     assert C.tolist() == [[1, 3], [1, -3]]
     assert all(isinstance(x, Fraction) for x in C.flat)
+
+
+def _rational_system(rng, n, m, uncontrollable, dens):
+    """A seeded exact (A, B) with entries k / d, d in `dens`; an
+    uncontrollable one is block-triangular with B zero below the block."""
+    def draw(rows, cols):
+        return np.array([[Fraction(rng.randint(-4, 4), rng.choice(dens))
+                          for _ in range(cols)] for _ in range(rows)],
+                        dtype=object)
+    A, B = draw(n, n), draw(n, m)
+    if uncontrollable and n > 1:
+        k = rng.randint(1, n - 1)
+        A[k:, :k] = Fraction(0)
+        B[k:] = Fraction(0)
+    return A, B
+
+
+def test_krylov_pivots_matches_krylov_basis_of_ctrb_matrix():
+    # pivots from the integer Krylov product against the pivots of the
+    # Fraction Krylov matrix: the same pivots and basis entries (exact),
+    # a bit-identical result (float)
+    rng = random.Random(53)
+    for case in range(72):
+        n, m = rng.randint(1, 12), case % 4
+        A, B = _rational_system(rng, n, m, uncontrollable=case % 3 == 0,
+                                dens=(1,) if case % 2 else (1, 2, 3, 7))
+        piv, S = krylov_pivots(A, B)
+        ref_piv, ref = krylov_basis(ctrb_matrix(A, B), A)
+        assert piv == ref_piv
+        assert S.basis.shape == ref.basis.shape
+        for x, y in zip(S.basis.flat, ref.basis.flat):
+            assert type(x) is type(y) and x == y
+        for Af, Bf in ((A.astype(float), B.astype(float)), (A, B.astype(float))):
+            fpiv, Q = krylov_pivots(Af, Bf)
+            ref_fpiv, ref_Q = krylov_basis(ctrb_matrix(Af, Bf), Af)
+            assert fpiv == ref_fpiv
+            assert Q.basis.dtype == ref_Q.basis.dtype == float
+            assert Q.basis.tobytes() == ref_Q.basis.tobytes()
+    ints = np.array([[1, 2], [0, -3]], dtype=object)
+    piv, S = krylov_pivots(ints, np.array([[1], [1]], dtype=object))
+    assert piv == [0, 1] and S.basis.tolist() == [[1, 3], [1, -3]]
+    assert all(isinstance(x, Fraction) for x in S.basis.flat)
 
 
 def test_ctrb_subspace_example1(ex1_s1, ex1_model):

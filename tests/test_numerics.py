@@ -165,6 +165,40 @@ def test_in_span_columns_exact_matches_one_column_tests():
         assert all(got[:2]) and got[-1]
 
 
+def test_in_span_columns_full_exact_subspace_in_closed_form(monkeypatch):
+    # independent columns filling R^n span it: every column is a member,
+    # decided with no elimination; the shape check and the float rule
+    # are unchanged
+    from dimvar import numerics
+
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 25:
+        n = rng.randint(1, 7)
+        S = column_space_basis(rand_rational_matrix(rng, n, n + rng.randint(0, 2)))
+        if S.dim == n:
+            W = np.hstack([rand_rational_matrix(rng, n, 3), zeros((n, 1))])
+            cases.append((S, W, [_rank_in_span(S, W[:, j]) for j in range(4)]))
+    bareiss, staircase, calls = numerics._bareiss, numerics._staircase, []
+
+    def spy(kernel):
+        def counted(*args, **kwargs):
+            calls.append(kernel.__name__)
+            return kernel(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(numerics, "_bareiss", spy(bareiss))
+    monkeypatch.setattr(numerics, "_staircase", spy(staircase))
+    for S, W, ref in cases:
+        assert in_span_columns(S, W) == ref == [True] * 4
+        with pytest.raises(ValueError):
+            in_span_columns(S, zeros((S.dim + 1, 1)))
+    assert calls == []
+    Q = SubspaceBasis(3, np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0])
+    assert in_span_columns(Q, np.array([[1.0], [2.0], [3.0]])) == [True]
+    assert "_staircase" in calls
+
+
 def test_in_span_columns_float_near_threshold():
     # members of span(S) pushed off it along a direction orthogonal to S,
     # by amounts bisected onto the one-column test's threshold: the
