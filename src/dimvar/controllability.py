@@ -15,26 +15,29 @@ import numpy as np
 from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
                        _krylov_product, complete_basis, equality_key, float_only,
-                       krylov_basis)
+                       krylov_pivots)
 from .systems import LinSys
+
+
+def _input_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """B as a 2-D matrix; ValueError unless A is square with B's rows."""
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape[0] != n:
+        raise ValueError("incompatible dimensions")
+    return B.reshape(-1, 1) if B.ndim == 1 else B
 
 
 def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Horizontal concatenation [B, AB, ..., A^{n-1}B], multiplied out
     by `numerics._krylov_product` (in integers on exact inputs)."""
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise ValueError("incompatible dimensions")
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    return _krylov_product(A, B)
+    return _krylov_product(A, _input_matrix(A, B))
 
 
 @dataclass(frozen=True)
 class CtrbResult:
     """Controllability matrix with its rank and pivot-column basis.
 
-    ``span`` is a basis of the same subspace from `krylov_basis`: the
+    ``span`` is a basis of the same subspace from `krylov_pivots`: the
     pivot columns on the exact backend, orthonormal columns on floats.
     """
 
@@ -46,12 +49,13 @@ class CtrbResult:
 
 def ctrb_subspace(A: np.ndarray, B: np.ndarray,
                   tol: Tolerance = DEFAULT_TOL) -> CtrbResult:
-    """Controllable subspace span{B, AB, ...} with a pivot-column basis;
-    the pivots are those of `krylov_basis`."""
+    """Controllable subspace span{B, AB, ...} with a pivot-column basis:
+    `ctrb_matrix` for the matrix and `krylov_pivots` for the rest (on
+    exact input each multiplies the integer Krylov product)."""
     C = ctrb_matrix(A, B)
-    piv, span = krylov_basis(C, A, tol)
+    piv, W, span = krylov_pivots(A, _input_matrix(A, B), tol)
     return CtrbResult(matrix=C, rank=len(piv),
-                      basis=SubspaceBasis(C.shape[0], C[:, piv]), span=span)
+                      basis=SubspaceBasis(len(C), W), span=span)
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,9 @@ def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientC
     Each pivot-basis column is reduced to its irreducible member and
     duplicates (equivalent classes) are dropped.
     """
-    res = ctrb_subspace(s.A, s.B, tol)
-    return QuotientCtrb(reps=_class_reps(res.basis, tol), ambient_class_dim=s.dim)
+    W = krylov_pivots(s.A, s.B, tol)[1]
+    return QuotientCtrb(reps=_class_reps(SubspaceBasis(s.dim, W), tol),
+                        ambient_class_dim=s.dim)
 
 
 def _class_reps(S: SubspaceBasis, tol: Tolerance) -> list[MixVector]:
@@ -115,14 +120,15 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
     """Build the controllability decomposition.
 
     T^-1 = P is `complete_basis` of the controllable subspace's `span`
-    from `ctrb_subspace`.  On the exact backend that is the pivot basis
+    from `krylov_pivots`.  On the exact backend that is the pivot basis
     completed by the lowest-index unit vectors, so the result is
     deterministic and exact; on floats T is orthogonal (T^-1 = T^T) and
     its first ctrb_dim rows are an orthonormal basis of the subspace.
     """
-    V = ctrb_subspace(A, B, tol).span.basis
+    B = _input_matrix(A, B)
+    V = krylov_pivots(A, B, tol)[2].basis
     P, T = complete_basis(V)
-    Ab, Bb, k = T @ A @ P, T @ B.reshape(len(A), -1), V.shape[1]
+    Ab, Bb, k = T @ A @ P, T @ B, V.shape[1]
     return KalmanDecomp(T=T, A11=Ab[:k, :k], A12=Ab[:k, k:], A22=Ab[k:, k:],
                         B_top=Bb[:k, :], ctrb_dim=k)
 

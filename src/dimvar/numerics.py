@@ -8,11 +8,12 @@ Two scalar backends are supported throughout the package:
   backend.  They are made by fraction-free (Bareiss) elimination of a
   copy scaled to Python ints by the lcm of its denominators, which
   gives the pivots and zero patterns of Gaussian elimination over the
-  rationals without any Fraction arithmetic (`krylov_pivots` runs it
-  on the integer Krylov product; membership in a full subspace needs none).
+  rationals without any Fraction arithmetic.  Every controllable
+  subspace comes from one routine, `krylov_pivots`, which runs it on the
+  integer Krylov product; membership in a full subspace needs none.
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
-  controllable subspaces of `krylov_basis`) is one rule, `_staircase`:
+  controllable subspaces of `krylov_pivots`) is one rule, `_staircase`:
   a column counts as independent when its residual after twice
   orthogonalising it against the accepted ones exceeds the rank
   threshold.
@@ -339,52 +340,46 @@ def column_space_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SubspaceB
     return SubspaceBasis(M.shape[0], M[:, piv])
 
 
-def krylov_basis(K: np.ndarray, A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Pivot columns of a Krylov matrix K = [B, AB, ..., A^(n-1) B] and
-    a basis of their span, as (pivots, SubspaceBasis).
+def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """The pivot columns of the Krylov matrix K = [B, AB, ..., A^(n-1) B]
+    of A and a 2-D B, as (pivots, K's columns at them, SubspaceBasis of
+    their span).
 
-    Exact K: its `pivot_columns` and K's columns at them.  Float K: the
+    Exact: the `_bareiss` pivots of `_krylov_integers` (its columns are
+    K's times nonzero integers, so the pivots are K's), and only those
+    columns divided back; they are also the span.  Float: the
     controllability staircase (Van Dooren 1981; Paige 1981), which
-    returns an orthonormal basis Q.  `_staircase` tests the candidates
-    block by block: the columns b_i of B, then A q for each q accepted
-    in the block before, at the rank threshold of an n x nm matrix
-    whose largest entry is max ||b_i|| (first block) or ||A||_2 (later
-    blocks).  Accepted candidate j of chain i is K's column j m + i; a
-    rejected one ends its chain.  Modulo the earlier columns, A^j b_i
-    is a multiple of A q and A maps earlier columns to earlier columns,
-    so each decision is the one for K's column (j, i), made on a vector
-    of unit scale.  ||A||_2 (an SVD) is computed only when a block past
-    the first is tested.
+    returns an orthonormal basis Q of the span.  `_staircase` tests the
+    candidates block by block: the columns b_i of B, then A q for each q
+    accepted in the block before, at the rank threshold of an n x nm
+    matrix whose largest entry is max ||b_i|| (first block) or ||A||_2
+    (later blocks).  Accepted candidate j of chain i is K's column
+    j m + i; a rejected one ends its chain.  Modulo the earlier columns,
+    A^j b_i is a multiple of A q and A maps earlier columns to earlier
+    columns, so each decision is the one for K's column (j, i), made on
+    a vector of unit scale.  ||A||_2 (an SVD) is computed only when a
+    block past the first is tested.
     """
-    n = A.shape[0]
-    if is_exact(K):
-        piv = pivot_columns(K, tol)
-        return piv, SubspaceBasis(n, K[:, piv])
-    A, m = np.asarray(A, dtype=float), K.shape[1] // n
+    Z, D = _krylov_integers(A, B)
+    n, m = B.shape
+    if D is not None:
+        piv = _bareiss(Z)[1]
+        W = _fraction(Z[:, piv], D[piv])
+        return piv, W, SubspaceBasis(n, W)
+    A = np.asarray(A, dtype=float)
     thresh = tol.rank_threshold(
-        n, n * m, np.max(np.linalg.norm(K[:, :m], axis=0), initial=0.0))
+        n, n * m, np.max(np.linalg.norm(Z[:, :m], axis=0), initial=0.0))
     Q, piv, chains = np.empty((n, n)), [], list(range(m))
-    block, j = K[:, :m].T, 0
+    block, j = Z[:, :m].T, 0
     while True:
         k = len(piv)
         chains = [chains[a] for a in _staircase(Q, k, block, thresh)]
         piv += [j * m + i for i in chains]
         if not chains or len(piv) == n:
-            return piv, SubspaceBasis(n, Q[:, :len(piv)])
+            return piv, Z[:, piv], SubspaceBasis(n, Q[:, :len(piv)])
         if not j:
             thresh = tol.rank_threshold(n, n * m, np.linalg.norm(A, 2))
         block, j = [A @ Q[:, c] for c in range(k, len(piv))], j + 1
-
-
-def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """``krylov_basis(ctrb_matrix(A, B), A, tol)`` for 2-D B.  Exact: the
-    `_bareiss` pivots of `_krylov_integers` (its columns are K's times
-    nonzero integers, so the pivots are K's), and only those divided back."""
-    Z, D = _krylov_integers(A, B)
-    if D is None:
-        return krylov_basis(Z, A, tol)
-    piv = _bareiss(Z)[1]
-    return piv, SubspaceBasis(len(Z), _fraction(Z[:, piv], D[piv]))
 
 
 def complete_basis(V: np.ndarray):

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .controllability import ctrb_subspace
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
                        in_span_columns, krylov_pivots, pivot_columns, rank,
                        unit_columns)
@@ -111,8 +110,8 @@ def check_realization(s1: LinSys, s2: LinSys,
 
 
 def _subsystem_ctrb(s1: LinSys, s2: LinSys, tol: Tolerance):
-    """The `ctrb_subspace` of each system, in the order (s1, s2)."""
-    return tuple(ctrb_subspace(s.A, s.B, tol) for s in (s1, s2))
+    """The `krylov_pivots` of each system, in the order (s1, s2)."""
+    return tuple(krylov_pivots(s.A, s.B, tol) for s in (s1, s2))
 
 
 def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
@@ -120,18 +119,17 @@ def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
     """`check_realization` on the subsystems' `_subsystem_ctrb`."""
     notes = ("direct sum interpreted as trivial subspace intersection; "
              "condition is sufficient only")
-    C1, C2 = ctrb
     if s1.dim > s2.dim:
-        C1, C2 = C2, C1
+        ctrb = ctrb[::-1]
         notes = f"roles swapped: {s1.name} has larger dimension; " + notes
-    q = max(s1.dim, s2.dim)
-    W = C2.basis.basis
-    piv = pivot_columns(np.hstack([embed_subspace(C1.span, q).basis,
+    (piv1, _, C1), (piv2, W, _) = ctrb
+    q, r = max(s1.dim, s2.dim), len(piv1)
+    piv = pivot_columns(np.hstack([embed_subspace(C1, q).basis,
                                    unit_columns(W)]), tol)
     realizable = len(piv) == q
-    witness = W[:, [p - C1.rank for p in piv if p >= C1.rank and realizable]]
-    return RealizationReport(realizable=realizable, q=q, dim_C1=C1.rank,
-                             dim_C2=C2.rank, witness=SubspaceBasis(q, witness),
+    witness = W[:, [p - r for p in piv if p >= r and realizable]]
+    return RealizationReport(realizable=realizable, q=q, dim_C1=r,
+                             dim_C2=len(piv2), witness=SubspaceBasis(q, witness),
                              notes=notes)
 
 
@@ -248,10 +246,11 @@ def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
     The blend's Krylov matrix is E ctrb(As, B) block for block (see
     `TransientModel`).  E is injective and blocks past s never pivot, so
     the two have the same pivot columns, and C_z = E span ctrb(As, B).
-    Returns `krylov_pivots`: the pivots and the `krylov_basis` span of
-    ctrb(As, B) (orthonormal on floats), with no Fraction Krylov matrix.
+    Returns the pivots and the span of ctrb(As, B) from `krylov_pivots`
+    (orthonormal on floats), with no Fraction Krylov matrix.
     """
-    return krylov_pivots(model.A * model.lengths, model.B, tol)
+    piv, _, span = krylov_pivots(model.A * model.lengths, model.B, tol)
+    return piv, span
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -263,7 +262,7 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
     sigma2 rows), tested for all lifted vectors by one `in_span_columns`
-    against the `krylov_basis` span (orthonormal on floats), each tested
+    against the `krylov_pivots` span (orthonormal on floats), each tested
     column scaled to largest |entry| 1 by `unit_columns`.
     """
     if model.source_dims != (s1.dim, s2.dim):
@@ -277,8 +276,7 @@ def _modeling(model: TransientModel, ctrb: tuple,
               tol: Tolerance) -> ModelingReport:
     """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
     _, S = _segment_ctrb(model, tol)
-    columns = np.hstack([res.basis.basis[rows]
-                         for res, rows in zip(ctrb, model.rows)])
+    columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
     inside = in_span_columns(S, unit_columns(columns), tol)
     lifted = np.repeat(columns, model.lengths, axis=0).T
     return ModelingReport(holds=all(inside), n=model.dim,

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllability import ctrb_gramian, ctrb_subspace
+from .controllability import ctrb_gramian
 from .mixdim import reduce_vector, vec_sub
-from .numerics import Tolerance, _expm, to_float
+from .numerics import Tolerance, _expm, krylov_pivots, to_float
 from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
@@ -308,7 +308,7 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     horizon [0, te - t0], whatever t0 is.
 
     The Gramian solve happens on an orthonormal basis Q of the
-    controllable subspace (the `span` of `ctrb_subspace`), so
+    controllable subspace (the `span` of `krylov_pivots`), so
     uncontrollable (singular-Gramian) systems are handled: W is the
     Gramian of (Q^T A Q, Q^T B) and eta = Q W^-1 Q^T d.  The displacement
     d = z_target - e^{A(te-t0)} z0 must have no component d - Q Q^T d
@@ -322,7 +322,7 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     z_target = np.asarray(z_target, dtype=float).reshape(-1)
     d = z_target - _expm(A * (te - t0)) @ z0
-    Q = ctrb_subspace(A, Bfull).span.basis
+    Q = krylov_pivots(A, Bfull)[2].basis
     dc = _reachable_part(d, Q, Q, 1)
     if Q.shape[1] == 0:
         return ControlSignal.zero(A, Bfull, t0, te)
@@ -429,14 +429,14 @@ def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
 
     The controllable subspace is decided in the isometric coordinates
     D zeta, D = diag(sqrt(lengths)), where norms equal those on R^n:
-    Q is the orthonormal `ctrb_subspace` span of (D As D^-1, D Bs), so
+    Q is the orthonormal `krylov_pivots` span of (D As D^-1, D Bs), so
     right = D^-1 Q spans it in segment values and left = D Q is dual to
     it.  The displacement d = zeta_star - Phi zeta0, Phi the run's free
     map, must lie in it (`_reachable_part`).  A d that overflows raises
     LinAlgError.
     """
     sq = np.sqrt(lengths)[:, None]
-    Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
+    Q = krylov_pivots(As * sq / sq.T, Bs * sq)[2].basis
     free = zeta0
     for P, _, lo, hi in groups:
         free = np.linalg.matrix_power(P, hi - lo) @ free

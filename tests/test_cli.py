@@ -57,6 +57,18 @@ def test_float_backend_golden(capsys, argv, name, fmt):
     assert out == (GOLDEN / f"{name}_example1_float.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("system", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_ctrb_system_golden(capsys, system, backend, fmt):
+    code, out, _ = run(capsys, "ctrb", CASE, "--system", system,
+                       "--backend", backend,
+                       *(["--json"] if fmt == "json" else []))
+    assert code == 0
+    suffix = "_float" if backend == "float" else ""
+    assert out == (GOLDEN / f"ctrb_{system}_example1{suffix}.{fmt}").read_text()
+
+
 def test_outputs_deterministic(capsys):
     _, out1, _ = run(capsys, "check", CASE)
     _, out2, _ = run(capsys, "check", CASE)
@@ -215,10 +227,11 @@ def test_ctrb_blend_builds_one_equality_key(capsys, monkeypatch):
 
 
 def test_check_multiplies_krylov_products_only_for_subsystems(
-        ex1_s1, ex1_s2, ex1_model, capsys, monkeypatch):
-    # the blend's controllable subspace is decided on the integer Krylov
-    # product: no Fraction Krylov matrix of the segment system is built,
-    # by `check` or by check_modeling_condition
+        ex1_s1, ex1_s2, ex1_model, capsys, monkeypatch, tmp_path):
+    # every controllable subspace is decided by krylov_pivots: no whole
+    # Krylov matrix is built, of a subsystem or of the segment system,
+    # by `check` on either backend, by check_modeling_condition or by a
+    # steered `simulate`
     import dimvar
     from dimvar import check_modeling_condition
     from dimvar import numerics
@@ -236,10 +249,14 @@ def test_check_multiplies_krylov_products_only_for_subsystems(
     code, out, _ = run(capsys, "check", CASE)
     assert code == 0
     assert out == (GOLDEN / "check_example1.txt").read_text()
-    assert sizes == [2, 3]
-    sizes.clear()
+    code, out, _ = run(capsys, "check", CASE, "--backend", "float")
+    assert code == 0
+    assert out == (GOLDEN / "check_example1_float.txt").read_text()
     assert check_modeling_condition(ex1_s1, ex1_s2, ex1_model).holds
-    assert sizes == [2, 3]
+    code, _, _ = run(capsys, "simulate", CASE, "--steer",
+                     "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    assert sizes == []
 
 
 def test_simulate_writes_csv(capsys, tmp_path):
@@ -708,18 +725,20 @@ def test_check_leaves_the_blend_unbuilt(capsys, monkeypatch, backend):
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
                                                     backend):
+    # one krylov_pivots each for the 2- and 3-dimensional subsystems,
+    # and one for the 4-dimensional segment system of the blend
     import dimvar.realization as realization
     calls = []
-    inner = realization.ctrb_subspace
+    inner = realization.krylov_pivots
 
     def counted(A, B, tol):
         calls.append(A.shape[0])
         return inner(A, B, tol)
 
-    monkeypatch.setattr(realization, "ctrb_subspace", counted)
+    monkeypatch.setattr(realization, "krylov_pivots", counted)
     code, out, _ = run(capsys, "check", CASE, "--backend", backend)
     assert code == 0
-    assert sorted(calls) == [2, 3]
+    assert sorted(calls) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -13,8 +13,8 @@ from dimvar import (LinSys, build_transient_model, check_modeling_condition,
 from dimvar import SubspaceBasis, realization
 from dimvar.controllability import _class_reps
 from dimvar.mixdim import _reps_equal, reduce_vector
-from dimvar.numerics import (DEFAULT_TOL, krylov_basis, krylov_pivots, to_float,
-                             zeros)
+from dimvar.numerics import (DEFAULT_TOL, krylov_pivots, pivot_columns,
+                             to_float, zeros)
 
 # the blend controllability matrix of the running example, frozen from
 # an exact recomputation (column k+1 = A* times column k, checked by
@@ -65,7 +65,7 @@ def _fraction_krylov(A, B):
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
     # forms for a (5,7) pair with weights 3/2 and 1/3, caught on its
-    # way into krylov_pivots
+    # way into krylov_pivots after the two subsystems
     seen = []
 
     def spy(A, B, tol):
@@ -78,7 +78,8 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
                                   beta=Fraction(1, 3))
     check_modeling_condition(s1, s2, model)
-    (At, Bt), = seen
+    assert [len(A) for A, _ in seen] == [5, 7, 11]
+    At, Bt = seen[2]
     assert At.shape == (11, 11) and Bt.shape == (11, 3)
     assert max(x.denominator for x in At.flat) > 1
     for A, B in ((At, Bt), (At, Bt[:, :1]), (model.base.A, model.base.B)):
@@ -109,28 +110,29 @@ def _rational_system(rng, n, m, uncontrollable, dens):
 
 
 def test_krylov_pivots_matches_krylov_basis_of_ctrb_matrix():
-    # pivots from the integer Krylov product against the pivots of the
-    # Fraction Krylov matrix: the same pivots and basis entries (exact),
-    # a bit-identical result (float)
+    # pivots from the integer Krylov product against an independent
+    # reference, the `pivot_columns` of the Fraction Krylov matrix: the
+    # same pivots and columns, entry type and value, which are also the
+    # span (exact); K's columns at the pivots bit-identical (float)
     rng = random.Random(53)
     for case in range(72):
         n, m = rng.randint(1, 12), case % 4
         A, B = _rational_system(rng, n, m, uncontrollable=case % 3 == 0,
                                 dens=(1,) if case % 2 else (1, 2, 3, 7))
-        piv, S = krylov_pivots(A, B)
-        ref_piv, ref = krylov_basis(ctrb_matrix(A, B), A)
-        assert piv == ref_piv
-        assert S.basis.shape == ref.basis.shape
-        for x, y in zip(S.basis.flat, ref.basis.flat):
+        piv, W, S = krylov_pivots(A, B)
+        K = ctrb_matrix(A, B)
+        ref_piv = pivot_columns(K)
+        assert piv == ref_piv and S.basis is W
+        assert W.shape == K[:, ref_piv].shape
+        for x, y in zip(W.flat, K[:, ref_piv].flat):
             assert type(x) is type(y) and x == y
         for Af, Bf in ((A.astype(float), B.astype(float)), (A, B.astype(float))):
-            fpiv, Q = krylov_pivots(Af, Bf)
-            ref_fpiv, ref_Q = krylov_basis(ctrb_matrix(Af, Bf), Af)
-            assert fpiv == ref_fpiv
-            assert Q.basis.dtype == ref_Q.basis.dtype == float
-            assert Q.basis.tobytes() == ref_Q.basis.tobytes()
+            fpiv, Wf, Q = krylov_pivots(Af, Bf)
+            ref = ctrb_matrix(Af, Bf)[:, fpiv]
+            assert Wf.dtype == Q.basis.dtype == ref.dtype == float
+            assert Wf.tobytes() == ref.tobytes() and Q.dim == len(fpiv)
     ints = np.array([[1, 2], [0, -3]], dtype=object)
-    piv, S = krylov_pivots(ints, np.array([[1], [1]], dtype=object))
+    piv, W, S = krylov_pivots(ints, np.array([[1], [1]], dtype=object))
     assert piv == [0, 1] and S.basis.tolist() == [[1, 3], [1, -3]]
     assert all(isinstance(x, Fraction) for x in S.basis.flat)
 
@@ -153,6 +155,18 @@ def test_ctrb_subspace_example1(ex1_s1, ex1_model):
 def test_ctrb_subspace_zero_input():
     s = LinSys("free", mat([[1, 2], [3, 4]]), zeros((2, 1)))
     assert ctrb_subspace(s.A, s.B).rank == 0
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_dimensional_system(exact):
+    # the number of inputs is read from B, so a 0 x 0 A with inputs has
+    # rank 0 and no class representatives on both backends
+    s = LinSys("empty", zeros((0, 0), exact), zeros((0, 2), exact))
+    res = ctrb_subspace(s.A, s.B)
+    assert res.rank == 0 and res.matrix.shape == (0, 2)
+    assert res.basis.dim == res.span.dim == 0
+    assert res.span.basis.dtype == (object if exact else float)
+    assert quotient_ctrb_subspace(s).reps == []
 
 
 def test_cayley_hamilton_cutoff():

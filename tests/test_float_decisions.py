@@ -1,7 +1,7 @@
 """Float structural decisions against exact ones, on seeded corpora.
 
 Every controllable subspace on floats comes from the staircase of
-`numerics.krylov_basis`; these corpora are the multi-input weighted
+`numerics.krylov_pivots`; these corpora are the multi-input weighted
 modeling checks, ill-scaled realization witnesses, ill-scaled Kalman
 decompositions and the n = 35 steering probes on which the earlier
 max-entry Krylov elimination went wrong.
@@ -16,7 +16,7 @@ import pytest
 from dimvar import (LinSys, Scenario, build_transient_model,
                     check_modeling_condition, check_realization,
                     ctrb_matrix, kalman_decomposition, run_transient_scenario)
-from dimvar.numerics import (complete_basis, krylov_basis, pivot_columns,
+from dimvar.numerics import (complete_basis, krylov_pivots, pivot_columns,
                              rank, unit_columns)
 
 _to_fraction = np.vectorize(Fraction, otypes=[object])
@@ -45,9 +45,9 @@ def test_krylov_basis_float_pivots_match_exact():
             for s in (exact, floats):
                 s.A[k:, :k] = 0
                 s.B[k:] = 0
-        piv, S = krylov_basis(ctrb_matrix(exact.A, exact.B), exact.A)
+        piv, _, S = krylov_pivots(exact.A, exact.B)
         K = ctrb_matrix(floats.A, floats.B)
-        fpiv, Q = krylov_basis(K, floats.A)
+        fpiv, _, Q = krylov_pivots(floats.A, floats.B)
         assert fpiv == piv and S.basis.dtype == object
         assert np.allclose(Q.basis.T @ Q.basis, np.eye(len(piv)), atol=1e-12)
         cols = unit_columns(K[:, piv])
@@ -66,7 +66,7 @@ def test_krylov_basis_thresholds_later_blocks_on_norm_A():
         B = np.zeros((4, 1))
         B[:2, 0] = rng.normal(size=2) * 1e-8
         A, B = R @ A @ R.T, R @ B
-        piv, Q = krylov_basis(ctrb_matrix(A, B), A)
+        piv, _, Q = krylov_pivots(A, B)
         assert piv == [0, 1] and Q.dim == 2
 
 
@@ -82,10 +82,10 @@ def test_krylov_basis_computes_norm_A_only_past_the_first_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", spy)
     A = np.random.default_rng(4).normal(size=(5, 5))
-    piv, Q = krylov_basis(ctrb_matrix(A, np.zeros((5, 2))), A)
+    piv, _, Q = krylov_pivots(A, np.zeros((5, 2)))
     assert piv == [] and Q.dim == 0 and two_norms == []
     B = np.eye(5)[:, :1]
-    piv, Q = krylov_basis(ctrb_matrix(A, B), A)
+    piv, _, Q = krylov_pivots(A, B)
     assert piv == [0, 1, 2, 3, 4] and len(two_norms) == 1
 
 

@@ -76,9 +76,25 @@ def test_one_float_rank_rule():
     # float Gaussian elimination is gone
     numerics = SRC / "numerics.py"
     assert set(_calls_by_function(numerics, "_staircase")) == {
-        "krylov_basis", "pivot_columns", "in_span_columns"}
+        "krylov_pivots", "pivot_columns", "in_span_columns"}
     for p in SRC.glob("*.py"):
         assert "_echelon" not in p.read_text(), p.name
+
+
+def test_one_krylov_routine():
+    # every controllable subspace comes from krylov_pivots(A, B): only
+    # `ctrb --system` still builds the whole CtrbResult, and the integer
+    # Krylov product is multiplied out for those two callers only
+    def callers(name):
+        return {(p.name, fn): k for p in sorted(SRC.glob("*.py"))
+                for fn, k in _calls_by_function(p, name).items()}
+
+    assert callers("ctrb_subspace") == {("cli.py", "cmd_ctrb"): 1}
+    assert callers("_krylov_integers") == {
+        ("numerics.py", "_krylov_product"): 1,
+        ("numerics.py", "krylov_pivots"): 1}
+    for p in SRC.glob("*.py"):
+        assert "krylov_basis" not in p.read_text(), p.name
 
 
 def test_scipy_is_imported_in_one_place():
