@@ -14,8 +14,8 @@ import numpy as np
 
 from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
-                       _krylov_product, complete_basis, equality_key, float_only,
-                       krylov_pivots)
+                       _krylov_product, common_backend, complete_basis,
+                       equality_key, float_only, krylov_pivots)
 from .systems import LinSys
 
 
@@ -125,7 +125,7 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
     deterministic and exact; on floats T is orthogonal (T^-1 = T^T) and
     its first ctrb_dim rows are an orthonormal basis of the subspace.
     """
-    B = _input_matrix(A, B)
+    A, B = common_backend(A, _input_matrix(A, B))
     V = krylov_pivots(A, B, tol)[2].basis
     P, T = complete_basis(V)
     Ab, Bb, k = T @ A @ P, T @ B, V.shape[1]

@@ -62,7 +62,7 @@ def _largest_factor(parts) -> int:
 def _strip_factors(parts, tol: Tolerance):
     """Strip the largest replication factor s from 2-D arrays jointly:
     (X, j) in parts as X0 (x) J_s with j (representative s * X0), else
-    as X0 (x) 1_s.  Returns the representatives and s.
+    as X0 (x) 1_s.  Returns the `common_backend` representatives and s.
 
     X = X0 (x) 1_s exactly when s divides X's row count and every index
     where a row differs from the one before (with j, also for columns),
@@ -73,31 +73,28 @@ def _strip_factors(parts, tol: Tolerance):
     the slices X[::s1, ::s1] (j) or X[::s1].  Float parts keep a divisor
     search (`_strip_floats`), as tolerance equality is not transitive.
     """
-    tokens = [_identity_tokens(X) for X, _ in parts]
-    exact = [(X, T, j) for (X, j), T in zip(parts, tokens) if T is not None]
-    s1 = _largest_factor([(T, j) for _, T, j in exact]) or 1
+    Xs = common_backend(*(X for X, _ in parts))
+    parts = [(X, j) for X, (_, j) in zip(Xs, parts)]
+    if _identity_tokens(Xs[0]) is None:
+        return _strip_floats(parts, tol)
+    s1 = _largest_factor([(_identity_tokens(X), j) for X, j in parts]) or 1
     s = s1 * _largest_factor([(equality_key(X[::s1, ::s1] if j else X[::s1]),
-                               j) for X, _, j in exact])
-    floats = [(X, j) for (X, j), T in zip(parts, tokens) if T is None]
-    reps, mult = _strip_floats(floats, s, tol) if floats else ([], s or 1)
-    if mult == 1:
-        return [X for X, _ in parts], 1
-    reps = iter(reps)
-    return [next(reps) if T is None
-            else (X[::mult, ::mult] * mult if j else X[::mult].copy())
-            for (X, j), T in zip(parts, tokens)], mult
+                               j) for X, j in parts])
+    if s < 2:
+        return Xs, 1
+    return [X[::s, ::s] * s if j else X[::s].copy() for X, j in parts], s
 
 
-def _strip_floats(parts, bound: int, tol: Tolerance):
-    """`_strip_factors` on float parts, for a factor dividing `bound` (0:
-    any): divisors largest first, repeated on the block means v0 +
-    mean(v - v0), v0 a block's first entry.  The factor eq of blocks of
-    ``==`` entries (`_largest_factor`) holds untested and keeps v0."""
+def _strip_floats(parts, tol: Tolerance):
+    """`_strip_factors` on float parts: divisors largest first, repeated
+    on the block means v0 + mean(v - v0), v0 a block's first entry.  The
+    factor eq of blocks of ``==`` entries (`_largest_factor`) holds
+    untested and keeps v0."""
     reps, mult = list(parts), 1
     while True:
         dims = [d for X, j in reps for d in (X.shape if j else X.shape[:1])]
-        g = math.gcd(bound // mult, *dims)
-        eq = math.gcd(g, _largest_factor(reps)) or 1
+        g = math.gcd(*dims)
+        eq = _largest_factor(reps) or 1
         for s in [d for d in range(g, eq, -1) if g % d == 0] + [eq]:
             views = [(X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
                       else X.reshape(X.shape[0] // s, s, X.shape[1], 1), j)

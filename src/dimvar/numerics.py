@@ -20,11 +20,13 @@ Two scalar backends are supported throughout the package:
 
 An array's backend is recognised from its dtype (``object`` = exact).
 Only this module turns the dtype into a choice of construction: other
-modules build arrays on an operand's backend with `as_backend` and
-promote mixed operands with `common_backend`, compare exact entries on
-integer `equality_key`s, and never read `is_exact`: an algorithm that
-differs by backend, like the integer `_krylov_integers`, lives here,
-and so do exact `solve` and `inverse`, on the same Bareiss kernel.
+modules build arrays on an operand's backend with `as_backend`, promote
+operands with one `common_backend` where they meet (the `mixdim`
+products, `_strip_factors`, `build_transient_model`, `_subsystem_ctrb`,
+`direct_sum_check`, `kalman_decomposition`), compare exact entries on
+integer `equality_key`s, and never read `is_exact`: algorithms that
+differ by backend (`_krylov_integers`, exact `solve` and `inverse` on
+the Bareiss kernel) live here.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ class SubspaceBasis:
     """A subspace of R^n represented by independent basis columns.
 
     ``basis`` has shape (ambient_dim, k); k = 0 encodes the zero
-    subspace.
+    subspace.  Independence is unchecked; the membership tests need it.
     """
 
     ambient_dim: int
@@ -409,7 +411,7 @@ def unit_columns(W: np.ndarray) -> np.ndarray:
 
 
 def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership test: v in span(S) iff appending v keeps the rank."""
+    """Membership of v in span(S), S of independent columns."""
     v = np.asarray(v)
     if v.ndim == 2:
         v = v[:, 0]
@@ -418,8 +420,8 @@ def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bo
 
 def in_span_columns(S: SubspaceBasis, W: np.ndarray,
                     tol: Tolerance = DEFAULT_TOL) -> list[bool]:
-    """Membership of every column of W in span(S): the decision of
-    rank([S | w_j]) == dim S for each column w_j.
+    """Membership of every column of W in span(S), S of independent
+    columns: the decision of rank([S | w_j]) == dim S for each w_j.
 
     Exact: all True for an S of full dimension (it is R^m); otherwise
     [S | W] is eliminated once with pivots in S's columns only, and w_j
@@ -456,7 +458,7 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
 
 def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
                 tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Mutual inclusion of two subspaces of the same ambient space."""
+    """Mutual inclusion of two subspaces, each of independent columns."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return (all(in_span_columns(S, T.basis, tol)) and
@@ -467,15 +469,14 @@ def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for square nonsingular A on either backend.
 
     Exact systems reduce [A | b] with `_bareiss`, pivoting in A's
-    columns, and back-substitute its integer echelon
-    form in Fractions.
+    columns, and back-substitute its integer echelon form in Fractions.
     """
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
     if not is_exact(A):
         return np.linalg.solve(A, b)
-    r, _, R = _bareiss(np.hstack([A, b.reshape(n, -1)]), ncols=n)
+    r, _, R = _bareiss(np.column_stack([A, b]), ncols=n)
     if r < n:
         raise ValueError("matrix is singular")
     x = np.empty((n, R.shape[1] - n), dtype=object)

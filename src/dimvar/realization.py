@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
-                       in_span_columns, krylov_pivots, pivot_columns, rank,
-                       unit_columns)
+                       common_backend, in_span_columns, krylov_pivots,
+                       pivot_columns, rank, unit_columns)
 from .systems import LinSys
 
 
@@ -72,7 +72,7 @@ def direct_sum_check(U: SubspaceBasis, V: SubspaceBasis, q: int,
         raise ValueError("ambient dimensions must equal q")
     if U.dim + V.dim != q:
         return False
-    return rank(np.hstack([U.basis, V.basis]), tol) == q
+    return rank(np.hstack(common_backend(U.basis, V.basis)), tol) == q
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ def check_realization(s1: LinSys, s2: LinSys,
 
 
 def _subsystem_ctrb(s1: LinSys, s2: LinSys, tol: Tolerance):
-    """The `krylov_pivots` of each system, in the order (s1, s2)."""
-    return tuple(krylov_pivots(s.A, s.B, tol) for s in (s1, s2))
+    """The `krylov_pivots` of s1 and s2, on their `common_backend`."""
+    A1, B1, A2, B2 = common_backend(s1.A, s1.B, s2.A, s2.B)
+    return krylov_pivots(A1, B1, tol), krylov_pivots(A2, B2, tol)
 
 
 def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
@@ -185,7 +186,7 @@ def _segments(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
                           masses=None) -> TransientModel:
-    """Blend two systems on n = lcm(p, q).
+    """Blend two systems on n = lcm(p, q), on their `common_backend`.
 
     Weights come either from formal masses (m1, m2), giving the convex
     pair alpha = m1/(m1+m2), beta = 1 - alpha, or directly as any
@@ -213,13 +214,14 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     p, q = s1.dim, s2.dim
     n = math.lcm(p, q)
     k, m = n // p, n // q
-    alpha, beta = as_backend(alpha, s1.A), as_backend(beta, s2.A)
+    A1, B1, A2, B2 = common_backend(s1.A, s1.B, s2.A, s2.B)
+    alpha, beta = as_backend(alpha, A1), as_backend(beta, A2)
     starts, lengths = _segments(p, q)
     i, j = starts // k, starts // m
-    A1 = alpha * (s1.A * as_backend(Fraction(1, k), s1.A))
-    A2 = beta * (s2.A * as_backend(Fraction(1, m), s2.A))
+    A1 = alpha * (A1 * as_backend(Fraction(1, k), A1))
+    A2 = beta * (A2 * as_backend(Fraction(1, m), A2))
     A = A1.take(i, 0).take(i, 1) + A2.take(j, 0).take(j, 1)
-    B = np.hstack([(alpha * s1.B).take(i, 0), (beta * s2.B).take(j, 0)])
+    B = np.hstack([(alpha * B1).take(i, 0), (beta * B2).take(j, 0)])
     return TransientModel(A=A, B=B, lengths=lengths, rows=(i, j),
                           name=f"blend({s1.name},{s2.name})",
                           weights=(alpha, beta), source_dims=(p, q),

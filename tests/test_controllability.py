@@ -169,6 +169,15 @@ def test_zero_dimensional_system(exact):
     assert quotient_ctrb_subspace(s).reps == []
 
 
+@pytest.mark.parametrize("A,B", [(zeros((2, 2)), zeros((3, 1))),
+                                 (zeros((2, 3)), zeros((2, 1))),
+                                 (zeros((2, 2)), zeros((3,)))])
+def test_incompatible_dimensions_are_refused(A, B):
+    for f in (ctrb_matrix, ctrb_subspace, kalman_decomposition):
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            f(A, B)
+
+
 def test_cayley_hamilton_cutoff():
     rng = random.Random(61)
     for _ in range(30):

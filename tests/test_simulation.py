@@ -126,6 +126,43 @@ def test_min_energy_unreachable():
     assert np.max(np.abs(exc.value.residual)) > 0.1
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_min_energy_without_inputs(t0):
+    # B = 0: the subspace is {0}, so only the free response is reached,
+    # with the zero input
+    A = np.diag([-1.0, 0.5])
+    B = np.zeros((2, 1))
+    z0 = np.array([1.0, -2.0])
+    free = np.exp(np.diag(A) * (1.0 - t0)) * z0
+    u = min_energy_control(A, B, z0, free, t0, 1.0)
+    assert u.eta is None
+    ts = np.linspace(t0, 1.0, 5)
+    assert not u(0.5).any() and not u.sample(ts, ts[1] - ts[0]).any()
+    with pytest.raises(UnreachableTargetError) as exc:
+        min_energy_control(A, B, z0, free + [0.0, 0.1], t0, 1.0)
+    assert np.max(np.abs(exc.value.residual - [0.0, 0.1])) < 1e-12
+
+
+def test_segment_steering_without_inputs():
+    # Bs = 0: the zero input when the target is the run's free response,
+    # else UnreachableTargetError with the residual repeated onto R^n
+    from dimvar.simulation import (_run_steps, _segment_steering,
+                                   _step_groups, _time_grid)
+    As, Bs = np.diag([-1.0, 0.5, 2.0]), np.zeros((3, 2))
+    lengths = np.array([1, 2, 3])
+    hs, groups = _step_groups(As, Bs, 0.01, *_time_grid(0.0, 1.0, 0.01)[1:])
+    zeta0 = np.array([1.0, -1.0, 0.5])
+    stages = np.zeros((2 * hs.size + 1, 2))
+    free = _run_steps(groups, stages, zeta0)[-1]
+    U = _segment_steering(As, Bs, lengths, hs, groups, zeta0, free)
+    assert U.shape == stages.shape and not U.any()
+    with pytest.raises(UnreachableTargetError) as exc:
+        _segment_steering(As, Bs, lengths, hs, groups, zeta0,
+                          free + [0.0, 0.1, 0.0])
+    assert np.max(np.abs(exc.value.residual
+                         - [0, 0.1, 0.1, 0, 0, 0])) < 1e-12
+
+
 def test_min_energy_uncontrollable_but_consistent():
     # target reachable because the uncontrollable part drifts there itself
     A = np.diag([1.0, -1.0])

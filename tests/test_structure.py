@@ -116,3 +116,19 @@ def test_scipy_is_imported_in_one_place():
                     assert sub is not node, f"module-level scipy in {p.name}"
                     found[(p.name, owner)] += 1
     assert found == {("numerics.py", "_expm"): 1}
+
+
+def test_operands_meet_on_one_backend():
+    # where a pair's arrays meet, one common_backend call promotes them,
+    # and factor stripping takes one backend at a time
+    import inspect
+    from dimvar import mixdim
+    meeting = {"mixdim.py": ["_strip_factors"],
+               "realization.py": ["build_transient_model", "_subsystem_ctrb",
+                                  "direct_sum_check"],
+               "controllability.py": ["kalman_decomposition"]}
+    for name, functions in meeting.items():
+        calls = _calls_by_function(SRC / name, "common_backend")
+        assert {f: calls[f] for f in functions} == dict.fromkeys(functions, 1)
+    assert list(inspect.signature(mixdim._strip_floats).parameters) == [
+        "parts", "tol"]
