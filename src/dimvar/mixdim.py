@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerance, _identity_tokens, as_backend,
-                       common_backend, equality_key)
+from .numerics import (DEFAULT_TOL, Tolerance, _identity_tokens, _one_column,
+                       as_backend, common_backend, equality_key)
 
 
 def _replicate(X: np.ndarray, s: int, j: bool) -> np.ndarray:
@@ -124,9 +124,7 @@ class MixVector:
 
 def reduce_vector(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MixVector:
     """The irreducible member of x's class (see `_strip_factors`)."""
-    x = np.asarray(x)
-    if x.ndim == 2:
-        x = x[:, 0]
+    x = _one_column(x)
     if x.shape[0] < 1:
         raise ValueError("empty vector")
     (y,), _ = _strip_factors([(x.reshape(-1, 1), False)], tol)
@@ -210,10 +208,9 @@ def second_stp(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A (x) J_{t/n}) (x (x) 1_{t/r}): the class action on vectors,
-    `stp_action_matrix` on x's (first) column."""
-    x = np.asarray(x)
-    return stp_action_matrix(A, x if x.ndim == 1 else x[:, 0])[:, 0]
+    """(A (x) J_{t/n}) (x (x) 1_{t/r}): the class action on a vector (or
+    one column), `stp_action_matrix` on it."""
+    return stp_action_matrix(A, _one_column(x))[:, 0]
 
 
 def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -232,9 +229,7 @@ def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     For square nonsingular A this acts as a pseudo-coordinate
     transformation on classes.
     """
-    A, x = common_backend(A, x)
-    if x.ndim == 2:
-        x = x[:, 0]
+    A, x = common_backend(A, _one_column(x))
     n, r = A.shape[1], x.shape[0]
     t = math.lcm(n, r)
     return (np.kron(A, as_backend(np.eye(t // n), A)) @

@@ -10,7 +10,7 @@ Two scalar backends are supported throughout the package:
   gives the pivots and zero patterns of Gaussian elimination over the
   rationals without any Fraction arithmetic.  Every controllable
   subspace comes from one routine, `krylov_pivots`, which runs it on the
-  integer Krylov product; membership in a full subspace needs none.
+  integer Krylov product.
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
   controllable subspaces of `krylov_pivots`) is one rule, `_staircase`:
@@ -314,10 +314,11 @@ def pivot_columns(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A subspace of R^n represented by independent basis columns.
+    """The subspace of R^n spanned by the columns of ``basis``.
 
     ``basis`` has shape (ambient_dim, k); k = 0 encodes the zero
-    subspace.  Independence is unchecked; the membership tests need it.
+    subspace.  Membership takes any columns; ``dim`` (k) is the
+    subspace's dimension when they are independent (unchecked).
     """
 
     ambient_dim: int
@@ -410,26 +411,32 @@ def unit_columns(W: np.ndarray) -> np.ndarray:
     return W / np.where(peak > 0, peak, 1.0)
 
 
-def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership of v in span(S), S of independent columns."""
+def _one_column(v) -> np.ndarray:
+    """v if 1-D, the column of an n x 1 v; ValueError for other shapes."""
     v = np.asarray(v)
-    if v.ndim == 2:
-        v = v[:, 0]
-    return in_span_columns(S, v.reshape(-1, 1), tol)[0]
+    if v.ndim == 2 and v.shape[1] == 1:
+        return v[:, 0]
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector or one column, not shape {v.shape}")
+    return v
+
+
+def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Membership of v (a vector or one column) in span(S)."""
+    return in_span_columns(S, _one_column(v).reshape(-1, 1), tol)[0]
 
 
 def in_span_columns(S: SubspaceBasis, W: np.ndarray,
                     tol: Tolerance = DEFAULT_TOL) -> list[bool]:
-    """Membership of every column of W in span(S), S of independent
-    columns: the decision of rank([S | w_j]) == dim S for each w_j.
+    """Membership of every column of W in span(S), S's columns possibly
+    dependent: the decision of rank([S | w_j]) == rank(S) for each w_j.
 
-    Exact: all True for an S of full dimension (it is R^m); otherwise
-    [S | W] is eliminated once with pivots in S's columns only, and w_j
-    lies in the span iff its residual below S's pivots is zero.  Float:
-    S is orthonormalised once by `_staircase` at the largest of the
-    columns' rank thresholds, then each w_j is tested as one more
-    candidate at its own, that of [S | w_j].  An S that loses a column
-    there has each column decided by its own `rank`.
+    Exact: [S | W] is eliminated once with pivots in S's columns only,
+    and w_j lies in the span iff its entries below S's pivot rows are
+    zero.  Float: w_j is decided at the rank threshold of [S | w_j]:
+    S is orthonormalised by `_staircase` once per run of equal
+    thresholds, and w_j is tested as one more candidate against the
+    columns S keeps there.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != S.ambient_dim:
@@ -438,27 +445,22 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     V, W = common_backend(S.basis, W)
     m, d = V.shape
     if is_exact(V):
-        if d == m:
-            return [True] * W.shape[1]
         r, _, R = _bareiss(np.hstack([V, W]), ncols=d)
-        if r == d:
-            return [not R[r:, d + j].any() for j in range(W.shape[1])]
-    else:
-        s_max = float(np.max(np.abs(V), initial=0.0))
-        thresh = [tol.rank_threshold(m, d + 1, max(s_max, float(np.max(
-            np.abs(w), initial=0.0)))) for w in W.T]
-        Q, cols = np.empty((m, min(m, d + 1))), np.ascontiguousarray(W.T)
-        if len(_staircase(Q, 0, np.ascontiguousarray(V.T),
-                          max(thresh, default=0.0))) == d:
-            return [not _staircase(Q, d, cols[j:j + 1], t)
-                    for j, t in enumerate(thresh)]
-    return [rank(np.hstack([V, W[:, j:j + 1]]), tol) == d
-            for j in range(W.shape[1])]
+        return [not R[r:, d + j].any() for j in range(W.shape[1])]
+    s_max = float(np.max(np.abs(V), initial=0.0))
+    Q, inside, run = np.empty((m, min(m, d + 1))), [], None
+    for w in np.ascontiguousarray(W.T):
+        t = tol.rank_threshold(m, d + 1, max(s_max, float(np.max(
+            np.abs(w), initial=0.0))))
+        if t != run:
+            run, k = t, len(_staircase(Q, 0, np.ascontiguousarray(V.T), t))
+        inside.append(not _staircase(Q, k, [w], t))
+    return inside
 
 
 def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
                 tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Mutual inclusion of two subspaces, each of independent columns."""
+    """Mutual inclusion of two subspaces (`in_span_columns` both ways)."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return (all(in_span_columns(S, T.basis, tol)) and

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, as_backend,
-                       common_backend, in_span_columns, krylov_pivots,
-                       pivot_columns, rank, unit_columns)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _one_column,
+                       as_backend, common_backend, in_span_columns,
+                       krylov_pivots, pivot_columns, rank, unit_columns)
 from .systems import LinSys
 
 
@@ -44,10 +44,8 @@ def augment_with_zero_dynamics(s: LinSys, q: int) -> LinSys:
 
 
 def embed(v: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad a vector into R^n."""
-    v = np.asarray(v)
-    if v.ndim == 2:
-        v = v[:, 0]
+    """Zero-pad a vector (or one column) into R^n."""
+    v = _one_column(v)
     m = v.shape[0]
     if n < m:
         raise ValueError(f"cannot embed dimension {m} into {n}")
@@ -67,7 +65,8 @@ def embed_subspace(S: SubspaceBasis, n: int) -> SubspaceBasis:
 
 def direct_sum_check(U: SubspaceBasis, V: SubspaceBasis, q: int,
                      tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff U and V intersect trivially and together fill R^q."""
+    """True iff U and V intersect trivially and together fill R^q; U and
+    V of independent columns, since their dims are column counts."""
     if U.ambient_dim != q or V.ambient_dim != q:
         raise ValueError("ambient dimensions must equal q")
     if U.dim + V.dim != q:
@@ -263,9 +262,9 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
-    sigma2 rows), tested for all lifted vectors by one `in_span_columns`
-    against the `krylov_pivots` span (orthonormal on floats), each tested
-    column scaled to largest |entry| 1 by `unit_columns`.
+    sigma2 rows).  A span of s independent columns is R^s and holds all
+    lifted vectors; a smaller one tests them by one `in_span_columns`,
+    each column scaled to largest |entry| 1 by `unit_columns`.
     """
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
@@ -277,9 +276,10 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
 def _modeling(model: TransientModel, ctrb: tuple,
               tol: Tolerance) -> ModelingReport:
     """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
-    _, S = _segment_ctrb(model, tol)
+    _, S = _segment_ctrb(model, tol)        # independent columns
     columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
-    inside = in_span_columns(S, unit_columns(columns), tol)
+    inside = ([True] * columns.shape[1] if S.dim == S.ambient_dim
+              else in_span_columns(S, unit_columns(columns), tol))
     lifted = np.repeat(columns, model.lengths, axis=0).T
     return ModelingReport(holds=all(inside), n=model.dim,
                           tested_vectors=list(zip(lifted, inside)),

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from dimvar import (DEFAULT_TOL, LinSys, SubspaceBasis,
 from dimvar.controllability import _class_reps
 from dimvar.numerics import eye, zeros
 from dimvar.realization import _segment_ctrb, _segments
+
+EXAMPLE1 = Path(__file__).resolve().parents[1] / "cases" / "example1.json"
 
 
 def test_augment_with_zero_dynamics(ex1_s1):
@@ -270,6 +274,45 @@ def test_modeling_condition_detects_missing_vectors(exact):
         dim_Cz, tested = _direct_modeling(s1, s2, model)
         assert dim_Cz == 1
         assert [ok for _, ok in tested] == [True, False]
+
+
+def _ladder_doc(rng, p, q):
+    """A case file of the benchmark ladder: an integer pair with one
+    input each, masses (1, 1)."""
+    doc = {"transient": {"masses": ["1", "1"]}}
+    for name, dim in (("sigma1", p), ("sigma2", q)):
+        s = _int_system(rng, name, dim, 1)
+        doc[name] = {"A": s.A.astype(str).tolist(), "B": s.B.astype(str).tolist()}
+    return doc
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_full_blend_subspace_needs_no_membership_test(monkeypatch, tmp_path,
+                                                       capsys, exact):
+    # a C_z of s independent columns is R^s: check_modeling_condition
+    # and `dimvar check` answer every lifted vector without testing it,
+    # on example1 and the seed-0 benchmark ladder pairs
+    from dimvar import cli, realization
+    docs = [json.loads(EXAMPLE1.read_text())]
+    for p, q, count in ((4, 6, 24), (5, 6, 6), (5, 7, 6)):
+        docs += [_ladder_doc(np.random.default_rng([0, p, q, i]), p, q)
+                 for i in range(count)]
+    calls, real = [], realization.in_span_columns
+    monkeypatch.setattr(realization, "in_span_columns",
+                        lambda *args: calls.append(args) or real(*args))
+    path = tmp_path / "case.json"
+    for doc in docs:
+        s1, s2 = (LinSys(k, mat(doc[k]["A"], exact), mat(doc[k]["B"], exact))
+                  for k in ("sigma1", "sigma2"))
+        model = build_transient_model(s1, s2, **cli._parse_weights(doc, "case"))
+        rep = check_modeling_condition(s1, s2, model)
+        assert rep.dim_Cz == len(model.lengths) and rep.holds
+        assert len(rep.tested_vectors) >= 2
+        path.write_text(json.dumps(doc))
+        argv = ["check", str(path)] + ([] if exact else ["--backend", "float"])
+        assert cli.main(argv) in (0, 1)
+        assert f"dim Cz = {rep.dim_Cz})" in capsys.readouterr().out
+    assert len(docs) == 37 and calls == []
 
 
 def test_modeling_condition_rejects_foreign_model(ex1_s1, ex1_s2, ex1_model):

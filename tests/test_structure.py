@@ -81,6 +81,14 @@ def test_one_float_rank_rule():
         assert "_echelon" not in p.read_text(), p.name
 
 
+def test_one_membership_rule():
+    # span membership is decided on S's own pivots, by one elimination
+    # (exact) or one staircase (float), never by a rank per column
+    calls = {name: _calls_by_function(SRC / "numerics.py", name)
+             for name in ("rank", "pivot_columns")}
+    assert [c["in_span_columns"] for c in calls.values()] == [0, 0]
+
+
 def test_one_krylov_routine():
     # every controllable subspace comes from krylov_pivots(A, B): only
     # `ctrb --system` still builds the whole CtrbResult, and the integer
