@@ -5,9 +5,9 @@ between them is realizable (the smaller system's controllable subspace,
 zero-embedded into the larger space, can be completed to the whole
 space by part of the larger system's controllable subspace), build the
 blended transient model on the lcm dimension, and check the necessary
-modeling condition (the blend's controllable subspace, decided once in
-`_segment_ctrb` for this check and ``dimvar ctrb --blend``, must contain
-both lifted subsystem subspaces).
+modeling condition (the blend's controllable subspace, proved full
+modulo a prime or decided in `_segment_ctrb` as for ``dimvar ctrb
+--blend``, must contain both lifted subsystem subspaces).
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _one_column,
-                       as_backend, common_backend, in_span_columns,
-                       krylov_pivots, pivot_columns, rank, unit_columns)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
+                       _certify_full_krylov, _one_column, as_backend,
+                       common_backend, in_span_columns, krylov_pivots,
+                       pivot_columns, rank, unit_columns)
 from .systems import LinSys
 
 
@@ -248,7 +249,7 @@ def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
     `TransientModel`).  E is injective and blocks past s never pivot, so
     the two have the same pivot columns, and C_z = E span ctrb(As, B).
     Returns the pivots and the span of ctrb(As, B) from `krylov_pivots`
-    (orthonormal on floats), with no Fraction Krylov matrix.
+    (orthonormal on floats), which stops once the product saturates.
     """
     piv, _, span = krylov_pivots(model.A * model.lengths, model.B, tol)
     return piv, span
@@ -259,12 +260,13 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     """Check that the blend's controllable subspace contains both
     subsystems' controllable subspaces after lifting to dimension n.
 
-    C_z comes from `_segment_ctrb`, as in ``dimvar ctrb --blend``:
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
-    sigma2 rows).  A span of s independent columns is R^s and holds all
-    lifted vectors; a smaller one tests them by one `in_span_columns`,
-    each column scaled to largest |entry| 1 by `unit_columns`.
+    sigma2 rows).  C_z = R^s, proved on exact input by
+    `_certify_full_krylov`, holds all lifted vectors.  Otherwise C_z
+    comes from `_segment_ctrb`, and one below R^s tests them by one
+    `in_span_columns`, each column scaled to largest |entry| 1 by
+    `unit_columns`.
     """
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
@@ -276,11 +278,14 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
 def _modeling(model: TransientModel, ctrb: tuple,
               tol: Tolerance) -> ModelingReport:
     """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
-    _, S = _segment_ctrb(model, tol)        # independent columns
+    s = len(model.lengths)
+    S = (None if _certify_full_krylov(model.A, model.B, model.lengths)
+         else _segment_ctrb(model, tol)[1])      # independent columns
+    dim = s if S is None else S.dim
     columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
-    inside = ([True] * columns.shape[1] if S.dim == S.ambient_dim
+    inside = ([True] * columns.shape[1] if dim == s
               else in_span_columns(S, unit_columns(columns), tol))
     lifted = np.repeat(columns, model.lengths, axis=0).T
     return ModelingReport(holds=all(inside), n=model.dim,
                           tested_vectors=list(zip(lifted, inside)),
-                          dim_Cz=S.dim)
+                          dim_Cz=dim)

@@ -46,6 +46,14 @@ def test_check_golden(capsys):
     assert out == (GOLDEN / "check_example1.txt").read_text()
 
 
+def test_check_ladder_golden(capsys):
+    # the seed-0 (7,11) ladder pair, n = 77, s = 17: C_z = R^17 is
+    # certified modulo a prime
+    code, out, _ = run(capsys, "check", str(ROOT / "cases" / "ladder_7x11.json"))
+    assert code == 0
+    assert out == (GOLDEN / "check_ladder_7x11.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, name", [(["check"], "check"),
                                         (["ctrb", "--blend"], "ctrb_blend"),
                                         (["blend"], "blend")])
@@ -725,20 +733,30 @@ def test_check_leaves_the_blend_unbuilt(capsys, monkeypatch, backend):
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
                                                     backend):
-    # one krylov_pivots each for the 2- and 3-dimensional subsystems,
-    # and one for the 4-dimensional segment system of the blend
+    # one krylov_pivots each for the 2- and 3-dimensional subsystems;
+    # the 4-dimensional segment system of the blend is asked once of the
+    # modular certificate, which proves C_z = R^4 on exact input, and
+    # goes to krylov_pivots on floats
     import dimvar.realization as realization
-    calls = []
-    inner = realization.krylov_pivots
+    calls, certified = [], []
+    inner, certify = realization.krylov_pivots, realization._certify_full_krylov
 
     def counted(A, B, tol):
         calls.append(A.shape[0])
         return inner(A, B, tol)
 
+    def asked(A, B, scale):
+        certified.append((A.shape[0], certify(A, B, scale)))
+        return certified[-1][1]
+
     monkeypatch.setattr(realization, "krylov_pivots", counted)
+    monkeypatch.setattr(realization, "_certify_full_krylov", asked)
     code, out, _ = run(capsys, "check", CASE, "--backend", backend)
     assert code == 0
-    assert sorted(calls) == [2, 3, 4]
+    if backend == "rational":
+        assert sorted(calls) == [2, 3] and certified == [(4, True)]
+    else:
+        assert sorted(calls) == [2, 3, 4] and certified == [(4, False)]
 
 
 @pytest.mark.parametrize("argv, code", [

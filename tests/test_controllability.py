@@ -65,14 +65,21 @@ def _fraction_krylov(A, B):
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
     # forms for a (5,7) pair with weights 3/2 and 1/3, caught on its
-    # way into krylov_pivots after the two subsystems
+    # way into the modular certificate after the two subsystems'
+    # krylov_pivots, as (A diag(lengths), B)
     seen = []
+    certify = realization._certify_full_krylov
 
     def spy(A, B, tol):
         seen.append((A, B))
         return krylov_pivots(A, B, tol)
 
+    def certify_spy(A, B, scale):
+        seen.append((A * scale, B))
+        return certify(A, B, scale)
+
     monkeypatch.setattr(realization, "krylov_pivots", spy)
+    monkeypatch.setattr(realization, "_certify_full_krylov", certify_spy)
     rng = random.Random(41)
     s1, s2 = rand_system(rng, 5, 2), rand_system(rng, 7)
     model = build_transient_model(s1, s2, alpha=Fraction(3, 2),

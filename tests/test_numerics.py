@@ -9,9 +9,13 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, matrix_exponential_apply, ones_vector,
                     parse_scalar, rank, vec)
-from dimvar.numerics import (_bareiss, equality_key, eye,
-                             in_span_columns, inverse, pivot_columns, solve,
-                             spans_equal, to_float, zeros)
+from dimvar.numerics import (_PRIME, _bareiss, _certify_full_krylov,
+                             _krylov_integers, _krylov_product, equality_key,
+                             eye, in_span_columns, inverse, krylov_pivots,
+                             pivot_columns, solve, spans_equal, to_float,
+                             zeros)
+from dimvar.realization import build_transient_model
+from dimvar.systems import LinSys
 
 
 def test_parse_scalar_grammar():
@@ -488,3 +492,108 @@ def test_equality_key_keeps_near_equal_large_values_apart():
     x = kron(np.array([a, b], dtype=object), ones_vector(3))
     _assert_key_matches_reference(x)
     assert equality_key(x).tolist() == [10**12] * 3 + [10**12 + 1] * 3
+
+
+def _krylov_corpus():
+    """Seeded exact (A, B): 1-3 inputs, entries k/d with d in 2, 3, 7,
+    general, block-triangular (uncontrollable) or with B = [b, Ab, ...]
+    (one long chain); then the segment systems of the seed-0 benchmark
+    ladder pairs blended with weights 3/2 and 1/3."""
+    rng = random.Random(24)
+    for n in range(1, 9):
+        for m in (1, 2, 3):
+            for kind in ("general", "split", "chain", "split chain"):
+                d = rng.choice((2, 3, 7))
+                A, B = (np.array([[Fraction(rng.randint(-4, 4), d)
+                                   for _ in range(cols)] for _ in range(n)],
+                                 dtype=object) for cols in (n, m))
+                if "split" in kind and n > 1:
+                    k = rng.randint(1, n - 1)
+                    A[k:, :k] = Fraction(0)
+                    B[k:] = Fraction(0)
+                if "chain" in kind:
+                    for i in range(1, m):
+                        B[:, i] = A @ B[:, i - 1]
+                yield A, B
+    to_frac = np.vectorize(Fraction, otypes=[object])
+    for p, q, count in ((4, 6, 24), (5, 6, 6), (5, 7, 6)):
+        for i in range(count):
+            g = np.random.default_rng([0, p, q, i])
+            s1, s2 = (LinSys(name, to_frac(g.integers(-3, 4, size=(dim, dim))),
+                             to_frac(g.integers(-3, 4, size=(dim, 1))))
+                      for name, dim in (("s1", p), ("s2", q)))
+            model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
+                                          beta=Fraction(1, 3))
+            yield model.A * model.lengths, model.B
+
+
+def test_saturated_krylov_pivots_match_whole_product_elimination():
+    # the exact Krylov product built and eliminated until rank n or a
+    # block without a pivot gives the pivots, K's columns and span of one
+    # `_bareiss` of the whole product, entry type and value
+    past_first_blocks = 0
+    for A, B in _krylov_corpus():
+        n, m = B.shape
+        piv_ref = _bareiss(np.hstack([Z for Z, _ in _krylov_integers(A, B)]))[1]
+        W_ref = _krylov_product(A, B)[:, piv_ref]
+        piv, W, S = krylov_pivots(A, B)
+        assert piv == piv_ref
+        for got in (W, S.basis):
+            assert got.shape == W_ref.shape
+            assert all(type(x) is Fraction and x == y
+                       for x, y in zip(got.flat, W_ref.flat))
+        past_first_blocks += bool(piv) and piv[-1] // m >= -(-n // m)
+    # some chains outlast the ceil(n/m) blocks that are eliminated first
+    assert past_first_blocks >= 5
+
+
+def test_krylov_pivots_exact_edge_shapes():
+    for n, m in ((0, 0), (0, 2), (3, 0), (1, 1)):
+        A = np.full((n, n), Fraction(0), dtype=object)
+        B = np.full((n, m), Fraction(0), dtype=object)
+        piv, W, S = krylov_pivots(A, B)
+        assert piv == [] and W.shape == S.basis.shape == (n, 0)
+
+
+def test_krylov_certificate_prime_and_int64_bound():
+    assert _PRIME < 2**26 and 2048 * (_PRIME - 1) ** 2 < 2**63
+    assert all(_PRIME % k for k in range(2, math.isqrt(_PRIME) + 1))
+    # a residue matmul of 2048 terms could overflow: refused unbuilt
+    empty = np.empty((0, 0), dtype=object)
+    assert not _certify_full_krylov(empty, np.empty((2048, 1), dtype=object), [])
+
+
+def test_krylov_certificate_is_sound_and_decides_the_corpus():
+    # rank n mod the prime proves rank n; on this corpus it is exact
+    for A, B in _krylov_corpus():
+        n = B.shape[0]
+        scale = np.arange(1, n + 1)
+        full = len(krylov_pivots(A * scale, B)[0]) == n
+        assert _certify_full_krylov(A, B, scale) == full
+        assert not _certify_full_krylov(to_float(A), to_float(B), scale)
+
+
+def test_krylov_certificate_edge_cases():
+    P = _PRIME
+    frac = np.vectorize(Fraction, otypes=[object])
+    one = np.array([[Fraction(0)]], dtype=object)
+    # n = 0: the empty Krylov matrix has full rank 0
+    assert _certify_full_krylov(np.empty((0, 0), dtype=object),
+                                np.empty((0, 2), dtype=object), [])
+    # B = 0 and B = [[p]]: rank 0 mod the prime, undecided
+    assert not _certify_full_krylov(frac([[1, 2], [3, 4]]), frac([[0], [0]]), [1, 1])
+    assert not _certify_full_krylov(one, frac([[P]]), [1])
+    # negative numerators and numerators beyond int64, over denominators
+    assert not _certify_full_krylov(one, frac([[-P * 2**70]]), [1])
+    assert not _certify_full_krylov(one, np.array([[Fraction(-P, 3)]]), [1])
+    assert _certify_full_krylov(one, frac([[-(2**70) - 1]]), [1])
+    assert _certify_full_krylov(one, np.array([[Fraction(2**64 + 1, 7)]]), [1])
+    # Krylov determinant P: rank 2 over Q, 1 mod the prime
+    A, B = frac([[0, 0], [P, 0]]), frac([[1], [0]])
+    assert not _certify_full_krylov(A, B, [1, 1])
+    assert len(krylov_pivots(A, B)[0]) == 2
+    # the column scale enters mod the prime: diag(P, 1) kills A's column 0
+    A = frac([[0, 1], [1, 0]])
+    assert _certify_full_krylov(A, B, [1, 1])
+    assert not _certify_full_krylov(A, B, [P, 1])
+    assert len(krylov_pivots(A * np.array([P, 1]), B)[0]) == 2

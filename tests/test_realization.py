@@ -276,6 +276,80 @@ def test_modeling_condition_detects_missing_vectors(exact):
         assert [ok for _, ok in tested] == [True, False]
 
 
+def _certificate_spy(monkeypatch):
+    """Record each answer of the modular full-rank certificate."""
+    from dimvar import realization
+    answers, real = [], realization._certify_full_krylov
+    monkeypatch.setattr(realization, "_certify_full_krylov",
+                        lambda *args: answers.append(real(*args)) or answers[-1])
+    return answers
+
+
+def test_modeling_falls_back_where_the_prime_divides_a_minor(monkeypatch):
+    # integer Krylov matrices that are singular modulo the certificate's
+    # prime but not over Q: the certificate declines, and the exact
+    # elimination gives the n-dimensional reference's dim C_z, holds and
+    # tested vectors; negative and beyond-int64 numerators, B = 0
+    from dimvar.numerics import _PRIME as P
+    answers = _certificate_spy(monkeypatch)
+
+    def system(A, B):
+        return LinSys("s", mat(A), mat(B))
+
+    pairs = [
+        # B = [[P]]: Krylov matrix [P], rank 0 mod P
+        (system([[0]], [[P]]), system([[1]], [[0]]), False),
+        (system([[0]], [["-%d/3" % P]]), system([[1]], [[0]]), False),
+        (system([[2]], [[-P * 2**70]]), system([[-1]], [[0]]), False),
+        # a 2 x 2 Krylov determinant of P
+        (system([[0, 0], [P, 0]], [[1], [0]]), system([[0, 0], [0, 0]], [[0], [0]]), False),
+        # (2,3): sigma1's input P b and none for sigma2, C_z = R^4
+        (system([[0, 0], [1, 2]], [[2 * P], [-P]]),
+         system([[-2, -2, 2], [2, -1, -1], [2, 0, -1]], [[0], [0], [0]]), False),
+        # B = 0: C_z = 0, and C1 = C2 = 0 lift no vector to test
+        (system([[0, 1], [0, 0]], [[0], [0]]), system([[1, 0], [0, 1]], [[0], [0]]), False),
+        # far from the prime, also beyond int64: certified
+        (system([[0]], [[-(2**70) - 1]]), system([[1]], [[0]]), True),
+    ]
+    for s1, s2, certified in pairs:
+        B_full = s1.B.any() or s2.B.any()
+        answers.clear()
+        model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
+                                      beta=Fraction(1, 3))
+        rep = check_modeling_condition(s1, s2, model)
+        assert answers == [certified]
+        dim_Cz, tested = _direct_modeling(s1, s2, model)
+        assert rep.dim_Cz == dim_Cz == (len(model.lengths) if B_full else 0)
+        assert rep.holds == all(ok for _, ok in tested)
+        assert len(rep.tested_vectors) == len(tested)
+        for (v, ok), (v_ref, ok_ref) in zip(rep.tested_vectors, tested):
+            assert np.array_equal(v, v_ref) and ok is ok_ref
+
+
+def test_exact_check_at_scale_needs_no_segment_elimination(monkeypatch,
+                                                            tmp_path, capsys):
+    # the seed-0 (23,29) pair of the ladder's generator, n = 667: the
+    # certificate proves C_z = R^51, so no `_bareiss` runs on the
+    # 51-row segment system, and both backends decide alike
+    from dimvar import cli, numerics
+    doc = _ladder_doc(np.random.default_rng([0, 23, 29, 0]), 23, 29)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    rows, real = [], numerics._bareiss
+    monkeypatch.setattr(numerics, "_bareiss",
+                        lambda M, *a, **k: rows.append(M.shape[0]) or real(M, *a, **k))
+    answers = _certificate_spy(monkeypatch)
+    out = {}
+    for backend in ("rational", "float"):
+        assert cli.main(["check", str(path), "--json", "--backend", backend]) == 0
+        r = json.loads(capsys.readouterr().out)
+        out[backend] = [r["realization"][k] for k in ("realizable", "dim_C1", "dim_C2")] + \
+            [r["modeling"][k] for k in ("holds", "dim_Cz")]
+    assert answers == [True, False]     # exact certified; floats decline
+    assert rows and 51 not in rows
+    assert out["rational"] == out["float"] == [True, 23, 29, True, 51]
+
+
 def _ladder_doc(rng, p, q):
     """A case file of the benchmark ladder: an integer pair with one
     input each, masses (1, 1)."""
