@@ -10,8 +10,8 @@ Two scalar backends are supported throughout the package:
   gives the pivots and zero patterns of Gaussian elimination over the
   rationals without any Fraction arithmetic.  Every controllable
   subspace comes from one routine, `krylov_pivots`, which runs it on the
-  integer Krylov product block by block until it saturates.  A full
-  one can instead be proved modulo a prime (`_certify_full_krylov`).
+  integer Krylov product until it saturates; a full one may be proved
+  modulo a prime instead (`_certify_full_krylov`).
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
   controllable subspaces of `krylov_pivots`) is one rule, `_staircase`:
@@ -180,10 +180,9 @@ def _integer_scaled(M: np.ndarray):
 
 
 def _krylov_integers(A: np.ndarray, B: np.ndarray):
-    """Yield the max(n, 1) blocks of [B, AB, ..., A^(n-1) B], 2-D B, in
-    order as (Z, d): block j is Z on floats (d None) and Z / d on exact
-    input, Z = (LA)^j LB in Python ints, d = L^(j+1), L the lcm of
-    [A | B]'s denominators."""
+    """Yield the max(n, 1) blocks of [B, AB, ..., A^(n-1) B], 2-D B, as
+    (Z, d): block j is Z on floats (d None), else Z / d with Z = (LA)^j LB
+    in Python ints, d = L^(j+1), L the lcm of [A | B]'s denominators."""
     A, B = common_backend(A, B)
     n, L = B.shape[0], None
     if is_exact(A):
@@ -201,17 +200,15 @@ _PRIME = 67108859     # < 2^26: a sum of < 2048 products of residues fits int64
 
 def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
-    Z, d = zip(*_krylov_integers(A, B))
-    return np.hstack(Z) if d[0] is None else _fraction(
-        np.hstack(Z), np.repeat(np.array(d, dtype=object), B.shape[1]))
+    return np.hstack([Z if d is None else _fraction(Z, d)
+                      for Z, d in _krylov_integers(A, B)])
 
 
 def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
     """True only when the Krylov matrix of exact (A diag(scale), B) has
     rank n modulo `_PRIME`, which proves rank n (a minor nonzero mod the
     prime is nonzero), from int64 residues of the integer-scaled [A | B].
-    False on floats, for n >= 2048 and when the rank mod the prime is
-    below n: that is left to `krylov_pivots`."""
+    False on floats, for n >= 2048 or a lower rank mod the prime."""
     n, m = B.shape
     if not (is_exact(A) and is_exact(B)) or n >= 2048:
         return False
@@ -221,8 +218,6 @@ def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
         K.append(As @ K[-1] % _PRIME)
     K, r = np.hstack(K), 0
     for c in range(K.shape[1]):
-        if r == n:
-            break
         rows = K[r:, c].nonzero()[0]
         if rows.size:
             K[[r, r + rows[0]]] = K[[r + rows[0], r]]
@@ -262,7 +257,7 @@ def equality_key(M: np.ndarray):
     return Z[inv].reshape(M.shape)
 
 
-def _bareiss(M: np.ndarray, ncols: int | None = None, steps=None):
+def _bareiss(M: np.ndarray, ncols: int | None = None):
     """Row-reduce an exact M; return (rank, pivot column indices, copy).
 
     Fraction-free: Bareiss elimination ("Sylvester's identity and
@@ -274,16 +269,11 @@ def _bareiss(M: np.ndarray, ncols: int | None = None, steps=None):
     the reduced rows are those of Gaussian elimination over the
     rationals; the returned copy holds those integers.  Only the first
     `ncols` columns (default all) may pivot; the row operations still
-    reach every column.  A `steps` list records them; steps recorded
-    for integer columns X are replayed on M first: [X | M] in two calls.
+    reach every column.
     """
     A, _ = _integer_scaled(M)
     m, n = A.shape
-    for k, (sel, p, prev, mult) in enumerate(steps or ()):
-        A[[k, sel]] = A[[sel, k]]
-        A[k + 1:] = (p * A[k + 1:] - mult * A[k]) // prev
-    piv_row, pivots = len(steps or ()), []
-    prev = steps[-1][1] if steps else 1
+    piv_row, prev, pivots = 0, 1, []
     for c in range(n if ncols is None else ncols):
         if piv_row >= m:
             break
@@ -297,8 +287,6 @@ def _bareiss(M: np.ndarray, ncols: int | None = None, steps=None):
         # every row below is updated, also where its entry in column c
         # is zero: the exact division by prev needs all of them
         below = A[piv_row + 1:, c:]
-        if steps is not None:
-            steps.append((sel, p, prev, below[:, :1].copy()))
         A[piv_row + 1:, c:] = (p * below - below[:, :1] * A[piv_row, c:]) // prev
         pivots.append(c)
         piv_row += 1
@@ -387,10 +375,9 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     Exact: the `_bareiss` pivots of `_krylov_integers` (its columns are
     K's times nonzero integers, so the pivots are K's), and only those
     columns divided back; they are also the span.  Pivots come in chains
-    (if A^j b_i depends on the columns before it, so does A^(j+1) b_i),
-    so the first ceil(n/m) blocks are eliminated, then one more block at
-    a time, on which `_bareiss` replays the row operations before, until
-    rank n or a block adds no pivot.  Float: the
+    (if A^j b_i depends on the columns before it, so does A^(j+1) b_i), so
+    the whole product is eliminated only when the first ceil(n/m) blocks
+    have rank below n and their last block pivots.  Float: the
     controllability staircase (Van Dooren 1981; Paige 1981), which
     returns an orthonormal basis Q of the span.  `_staircase` tests the
     candidates block by block: the columns b_i of B, then A q for each q
@@ -406,18 +393,13 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     blocks, (n, m) = _krylov_integers(A, B), B.shape
     Z, L = next(blocks)
     if L is not None:
-        # the fewest blocks that can reach rank n, then one at a time
         Z = np.hstack([Z] + [next(blocks)[0]
                              for _ in range(-(-n // m) - 1 if m else 0)])
-        piv, done, steps = [], 0, []
-        while True:
-            r, new, _ = _bareiss(Z[:, done:], steps=steps)
-            piv += [done + c for c in new]
-            if r == n or not piv or piv[-1] < Z.shape[1] - m:
-                break
-            done, Z = Z.shape[1], np.hstack([Z, next(blocks)[0]])
-        W = _fraction(Z[:, piv], np.array([L ** (c // m + 1) for c in piv],
-                                          dtype=object))
+        r, piv, _ = _bareiss(Z)
+        if r < n and piv and piv[-1] >= Z.shape[1] - m:
+            Z = np.hstack([Z] + [X for X, _ in blocks])
+            piv = _bareiss(Z)[1]
+        W = _fraction(Z[:, piv], [L ** (c // m + 1) for c in piv])
         return piv, W, SubspaceBasis(n, W)
     A = np.asarray(A, dtype=float)
     thresh = tol.rank_threshold(

@@ -262,11 +262,10 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
 
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
-    sigma2 rows).  C_z = R^s, proved on exact input by
-    `_certify_full_krylov`, holds all lifted vectors.  Otherwise C_z
-    comes from `_segment_ctrb`, and one below R^s tests them by one
-    `in_span_columns`, each column scaled to largest |entry| 1 by
-    `unit_columns`.
+    sigma2 rows).  C_z = R^s, proved by `_certify_full_krylov` (exact
+    input) or found by `_segment_ctrb`, holds all lifted vectors; a
+    smaller C_z tests them by one `in_span_columns`, each column scaled
+    to largest |entry| 1 by `unit_columns`.
     """
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
@@ -278,14 +277,12 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
 def _modeling(model: TransientModel, ctrb: tuple,
               tol: Tolerance) -> ModelingReport:
     """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
-    s = len(model.lengths)
-    S = (None if _certify_full_krylov(model.A, model.B, model.lengths)
-         else _segment_ctrb(model, tol)[1])      # independent columns
-    dim = s if S is None else S.dim
+    full = _certify_full_krylov(model.A, model.B, model.lengths)
+    S = None if full else _segment_ctrb(model, tol)[1]  # independent columns
     columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
-    inside = ([True] * columns.shape[1] if dim == s
+    inside = ([True] * columns.shape[1] if full or S.dim == S.ambient_dim
               else in_span_columns(S, unit_columns(columns), tol))
     lifted = np.repeat(columns, model.lengths, axis=0).T
     return ModelingReport(holds=all(inside), n=model.dim,
                           tested_vectors=list(zip(lifted, inside)),
-                          dim_Cz=dim)
+                          dim_Cz=len(model.lengths) if full else S.dim)

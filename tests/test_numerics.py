@@ -496,13 +496,14 @@ def test_equality_key_keeps_near_equal_large_values_apart():
 
 def _krylov_corpus():
     """Seeded exact (A, B): 1-3 inputs, entries k/d with d in 2, 3, 7,
-    general, block-triangular (uncontrollable) or with B = [b, Ab, ...]
-    (one long chain); then the segment systems of the seed-0 benchmark
-    ladder pairs blended with weights 3/2 and 1/3."""
+    general, block-triangular (uncontrollable), with B = [b, Ab, ...]
+    (one long chain) or with B = [b, 0, ...] (chain 0 alone); then the
+    segment systems of the seed-0 benchmark ladder pairs blended with
+    weights 3/2 and 1/3."""
     rng = random.Random(24)
     for n in range(1, 9):
         for m in (1, 2, 3):
-            for kind in ("general", "split", "chain", "split chain"):
+            for kind in ("general", "split", "chain", "split chain", "zero"):
                 d = rng.choice((2, 3, 7))
                 A, B = (np.array([[Fraction(rng.randint(-4, 4), d)
                                    for _ in range(cols)] for _ in range(n)],
@@ -514,6 +515,8 @@ def _krylov_corpus():
                 if "chain" in kind:
                     for i in range(1, m):
                         B[:, i] = A @ B[:, i - 1]
+                if kind == "zero":
+                    B[:, 1:] = Fraction(0)
                 yield A, B
     to_frac = np.vectorize(Fraction, otypes=[object])
     for p, q, count in ((4, 6, 24), (5, 6, 6), (5, 7, 6)):
@@ -528,8 +531,9 @@ def _krylov_corpus():
 
 
 def test_saturated_krylov_pivots_match_whole_product_elimination():
-    # the exact Krylov product built and eliminated until rank n or a
-    # block without a pivot gives the pivots, K's columns and span of one
+    # eliminating the first ceil(n/m) blocks of the exact Krylov product,
+    # and the whole product only when they have rank below n and their
+    # last block pivots, gives the pivots, K's columns and span of one
     # `_bareiss` of the whole product, entry type and value
     past_first_blocks = 0
     for A, B in _krylov_corpus():
