@@ -51,7 +51,7 @@ def _fmt_scalar(x) -> str:
 
 
 def _fmt_vector(v) -> str:
-    return "[" + ", ".join(_fmt_scalar(x) for x in np.asarray(v).reshape(-1)) + "]"
+    return "[" + ", ".join(_fmt_scalar(x) for x in v) + "]"
 
 
 def _fmt_matrix(M, indent: str = "  ") -> str:
@@ -69,7 +69,7 @@ def _json_matrix(M):
 
 
 def _json_vector(v):
-    return [_json_scalar(x) for x in np.asarray(v).reshape(-1)]
+    return [_json_scalar(x) for x in v]
 
 
 def _load_file(path: str) -> dict:

@@ -14,17 +14,9 @@ import numpy as np
 
 from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
-                       _krylov_product, common_backend, complete_basis,
-                       equality_key, float_only, krylov_pivots)
+                       _input_matrix, _krylov_product, common_backend,
+                       complete_basis, equality_key, float_only, krylov_pivots)
 from .systems import LinSys
-
-
-def _input_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B as a 2-D matrix; ValueError unless A is square with B's rows."""
-    n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise ValueError("incompatible dimensions")
-    return B.reshape(-1, 1) if B.ndim == 1 else B
 
 
 def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -155,9 +147,7 @@ def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
     if te <= t0:
         raise ValueError(f"empty horizon: te={te} <= t0={t0}")
     A, B = float_only("Gramian", A, B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n = A.shape[0]
+    B, n = _input_matrix(A, B), A.shape[0]
     E = _expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]]) * (te - t0))
     W = E[n:, n:].T @ E[:n, n:]
     if t0 != 0.0:

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerance, _identity_tokens, _one_column,
-                       as_backend, common_backend, equality_key)
+from .numerics import (DEFAULT_TOL, Tolerance, _columns, _identity_tokens,
+                       _one_column, as_backend, common_backend, equality_key)
 
 
 def _replicate(X: np.ndarray, s: int, j: bool) -> np.ndarray:
@@ -127,7 +127,7 @@ def reduce_vector(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> MixVector:
     x = _one_column(x)
     if x.shape[0] < 1:
         raise ValueError("empty vector")
-    (y,), _ = _strip_factors([(x.reshape(-1, 1), False)], tol)
+    (y,), _ = _strip_factors([(_columns(x), False)], tol)
     return MixVector(value=x, irreducible=y[:, 0])
 
 
@@ -140,10 +140,9 @@ def vec_equivalent(x: np.ndarray, y: np.ndarray,
 
 
 def vec_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-dimensional addition on the lcm dimension."""
-    x, y = common_backend(x, y)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("vec_add expects 1-D vectors")
+    """Cross-dimensional addition on the lcm dimension of two vectors,
+    each 1-D or one column (ValueError otherwise); the sum is 1-D."""
+    x, y = common_backend(_one_column(x), _one_column(y))
     t = math.lcm(x.shape[0], y.shape[0])
     return (_replicate(x, t // x.shape[0], False) +
             _replicate(y, t // y.shape[0], False))
@@ -185,10 +184,7 @@ def reduce_matrix_vec(B: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 
     All columns reduce jointly with the same factor.
     """
-    B = np.asarray(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    (out,), _ = _strip_factors([(B, False)], tol)
+    (out,), _ = _strip_factors([(_columns(B), False)], tol)
     return out
 
 
@@ -215,9 +211,7 @@ def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-wise class action: (A (x) J_{t/n}) (B (x) 1_{t/r})."""
-    A, B = common_backend(A, B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
+    A, B = common_backend(A, _columns(B))
     n, r = A.shape[1], B.shape[0]
     t = math.lcm(n, r)
     return _kron_j(A, t // n) @ _replicate(B, t // r, False)

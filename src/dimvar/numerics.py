@@ -444,19 +444,33 @@ def unit_columns(W: np.ndarray) -> np.ndarray:
     return W / np.where(peak > 0, peak, 1.0)
 
 
+def _columns(B) -> np.ndarray:
+    """B as a matrix: a 1-D B is one column; ValueError unless 1-D or 2-D."""
+    B = np.asarray(B)
+    if B.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a matrix, not shape {B.shape}")
+    return B.reshape(-1, 1) if B.ndim == 1 else B
+
+
 def _one_column(v) -> np.ndarray:
     """v if 1-D, the column of an n x 1 v; ValueError for other shapes."""
-    v = np.asarray(v)
-    if v.ndim == 2 and v.shape[1] == 1:
-        return v[:, 0]
-    if v.ndim != 1:
+    v = _columns(v)
+    if v.shape[1] != 1:
         raise ValueError(f"expected a vector or one column, not shape {v.shape}")
-    return v
+    return v[:, 0]
+
+
+def _input_matrix(A: np.ndarray, B) -> np.ndarray:
+    """`_columns` of B; ValueError unless A is square with B's rows."""
+    B, n = _columns(B), A.shape[0]
+    if A.shape != (n, n) or B.shape[0] != n:
+        raise ValueError("incompatible dimensions")
+    return B
 
 
 def in_span(S: SubspaceBasis, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership of v (a vector or one column) in span(S)."""
-    return in_span_columns(S, _one_column(v).reshape(-1, 1), tol)[0]
+    return in_span_columns(S, _columns(_one_column(v)), tol)[0]
 
 
 def in_span_columns(S: SubspaceBasis, W: np.ndarray,

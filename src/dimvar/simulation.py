@@ -32,7 +32,8 @@ import numpy as np
 
 from .controllability import ctrb_gramian
 from .mixdim import reduce_vector, vec_sub
-from .numerics import Tolerance, _expm, krylov_pivots, to_float
+from .numerics import (Tolerance, _expm, _input_matrix, _one_column,
+                       krylov_pivots, to_float)
 from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
@@ -91,19 +92,19 @@ def _check_times(t0: float, te: float, step: float) -> None:
 class ControlSignal:
     """Minimum-energy open-loop input u(t) = B^T e^{A^T (te - t)} eta.
 
-    Evaluates to zero outside [t0, te].  ``eta = None`` encodes the
-    zero signal.  Calling the signal evaluates one time point, with one
-    matrix exponential memoised per point; ``sample`` evaluates a whole
-    evenly spaced grid, as RK4 needs, from two stacked exponentials.
+    Bfull has A's rows (a 1-D Bfull is one input), eta is a vector or
+    one column, and u(t) is 1-D.  Evaluates to zero outside [t0, te].
+    ``eta = None`` encodes the zero signal.  Calling the signal
+    evaluates one time point, with one matrix exponential memoised per
+    point; ``sample`` evaluates a whole evenly spaced grid, as RK4
+    needs, from two stacked exponentials.
     """
 
     def __init__(self, A: np.ndarray, Bfull: np.ndarray, eta, t0: float,
                  te: float):
         self.A = np.asarray(A, dtype=float)
-        self.Bfull = np.asarray(Bfull, dtype=float)
-        if self.Bfull.ndim == 1:
-            self.Bfull = self.Bfull.reshape(-1, 1)
-        self.eta = None if eta is None else np.asarray(eta, dtype=float)
+        self.Bfull = _input_matrix(self.A, np.asarray(Bfull, dtype=float))
+        self.eta = None if eta is None else _one_column(np.asarray(eta, float))
         self.t0, self.te = t0, te
         self._cache: dict[float, np.ndarray] = {}
 
@@ -269,16 +270,15 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     _rk4_step_map), and the steps are applied together by a doubling
     scan over the powers of P (see _scan).  Non-finite times, a step
     that is not positive and a horizon of more than MAX_STEPS steps
-    raise ValueError.
+    raise ValueError, as do a Bfull without A's rows (a 1-D Bfull is
+    one input) and a z0 that is not a vector or one column of A's size.
     """
     _check_times(t0, te, step)
     A = np.asarray(A, dtype=float)
-    Bfull = np.asarray(Bfull, dtype=float)
-    if Bfull.ndim == 1:
-        Bfull = Bfull.reshape(-1, 1)
-    z = np.asarray(z0, dtype=float).reshape(-1)
-    if A.shape[0] != z.shape[0] or Bfull.shape[0] != z.shape[0]:
-        raise ValueError("dimension mismatch between A, B and z0")
+    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
+    z = _one_column(np.asarray(z0, dtype=float))
+    if A.shape[0] != z.shape[0]:
+        raise ValueError("dimension mismatch between A and z0")
 
     times, full, short = _time_grid(t0, te, step)
     hs, groups = _step_groups(A, Bfull, step, full, short)
@@ -313,14 +313,12 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     Gramian of (Q^T A Q, Q^T B) and eta = Q W^-1 Q^T d.  The displacement
     d = z_target - e^{A(te-t0)} z0 must have no component d - Q Q^T d
     outside the subspace, otherwise UnreachableTargetError is raised
-    with that residual.
+    with that residual.  Bfull and the states are shaped as for
+    `rk4_integrate`.
     """
     A = np.asarray(A, dtype=float)
-    Bfull = np.asarray(Bfull, dtype=float)
-    if Bfull.ndim == 1:
-        Bfull = Bfull.reshape(-1, 1)
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    z_target = np.asarray(z_target, dtype=float).reshape(-1)
+    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
+    z0, z_target = (_one_column(np.asarray(z, float)) for z in (z0, z_target))
     d = z_target - _expm(A * (te - t0)) @ z0
     Q = krylov_pivots(A, Bfull)[2].basis
     dc = _reachable_part(d, Q, Q, 1)
@@ -485,20 +483,22 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     endpoint error compares the end values with the target's entries at
     the sigma2 ``rows``.  Returns (Trajectory, RealizationOutcome).
 
-    Raises UnreachableTargetError, with the realization check in its
-    message, when the target leaves the controllable subspace, and
+    Raises ValueError, before the blend is built, unless x_start and
+    y_target are vectors (or columns) of sigma1's and sigma2's sizes;
+    UnreachableTargetError, with the realization check in its message,
+    when the target leaves the controllable subspace; and
     LinAlgError when the steering map's numerical rank is below that
     subspace's dimension.
     """
-    model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
-                                  masses=masses)
-    report = check_realization(s1, s2)
-    x_start = np.asarray(sc.x_start, dtype=float).reshape(-1)
-    y_target = np.asarray(sc.y_target, dtype=float).reshape(-1)
+    x_start = _one_column(np.asarray(sc.x_start, dtype=float))
+    y_target = _one_column(np.asarray(sc.y_target, dtype=float))
     if x_start.shape[0] != s1.dim:
         raise ValueError("x_start dimension does not match the first system")
     if y_target.shape[0] != s2.dim:
         raise ValueError("y_target dimension does not match the second system")
+    model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
+                                  masses=masses)
+    report = check_realization(s1, s2)
     As, Bs = to_float(model.A * model.lengths), to_float(model.B)
     zeta0, zeta_star = x_start[model.rows[0]], y_target[model.rows[1]]
     times, full, short = _time_grid(sc.t0, sc.te, sc.step)

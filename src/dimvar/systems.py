@@ -13,15 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixdim
-from .numerics import (DEFAULT_TOL, Tolerance, as_backend, common_backend,
-                       inverse, rank)
+from .numerics import (DEFAULT_TOL, Tolerance, _columns, as_backend,
+                       common_backend, inverse, rank)
 
 
 @dataclass(frozen=True)
 class LinSys:
     """A linear control system dx/dt = A x + B u.
 
-    B may have zero columns for input-free augmentation blocks.
+    B must have A's rows; a 1-D B is stored as one input column, and B
+    may have zero columns for input-free augmentation blocks.
     """
 
     name: str
@@ -32,12 +33,10 @@ class LinSys:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"{self.name}: A must be square")
-        B = self.B
-        if B.ndim == 1:
-            object.__setattr__(self, "B", B.reshape(-1, 1))
-            B = self.B
+        B = _columns(self.B)
         if B.shape[0] != n:
             raise ValueError(f"{self.name}: B has {B.shape[0]} rows, A has {n}")
+        object.__setattr__(self, "B", B)
 
     @property
     def dim(self) -> int:

@@ -14,6 +14,7 @@ from dimvar.numerics import in_span_columns, rank
 
 ROOT = Path(__file__).resolve().parent.parent
 CASE = str(ROOT / "cases" / "example1.json")
+MODELING_FAILS = str(ROOT / "cases" / "modeling_fails.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -52,6 +53,18 @@ def test_check_ladder_golden(capsys):
     code, out, _ = run(capsys, "check", str(ROOT / "cases" / "ladder_7x11.json"))
     assert code == 0
     assert out == (GOLDEN / "check_ladder_7x11.txt").read_text()
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_check_modeling_fails_golden(capsys, backend):
+    # sigma2 cancels sigma1's drift and has no input: C_z = span(B1) is
+    # below the blend's dimension, so the certificate declines and the
+    # lifted A1 B1 is tested for membership
+    code, out, _ = run(capsys, "check", MODELING_FAILS, "--backend", backend)
+    assert code == 1
+    assert out == (GOLDEN / "check_modeling_fails.txt").read_text()
+    assert "dim Cz = 1" in out and "  [1, 0] in Cz: no\n" in out
+    assert out.endswith("reason: modeling condition fails\n")
 
 
 @pytest.mark.parametrize("argv, name", [(["check"], "check"),
@@ -783,3 +796,57 @@ def test_cli_never_loads_scipy(tmp_path, argv, code):
     r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                        text=True, check=True)
     assert r.stdout.split() == [str(code), "False"]
+
+
+def _without(*path):
+    """An edit of a case document that deletes the field at ``path``."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return doc
+    return edit
+
+
+def _three_row_B(doc):
+    doc["sigma1"]["B"] = [["0"], ["1"], ["0"]]
+    return doc
+
+
+@pytest.mark.parametrize("edit, command, message", [
+    pytest.param(lambda doc: [doc], "check", "top level must be an object",
+                 id="top-level-list"),
+    pytest.param(_without("sigma1", "B"), "check",
+                 "'sigma1' is missing field 'B'", id="missing-B"),
+    pytest.param(_three_row_B, "check", "sigma1: B has 3 rows, A has 2",
+                 id="B-rows"),
+    pytest.param(_without("transient", "beta"), "check",
+                 "'transient' is missing field 'beta'", id="missing-beta"),
+    pytest.param(_without("scenario"), "simulate",
+                 "missing field 'scenario'", id="missing-scenario"),
+    pytest.param(_without("scenario", "t0"), "simulate",
+                 "'scenario' is missing field 't0'", id="missing-t0"),
+])
+def test_incomplete_case_exits_2(capsys, tmp_path, edit, command, message):
+    path = write_case(tmp_path, edit(base_doc()))
+    code, out, err = run(capsys, command, path,
+                         *(["--out", str(tmp_path / "t.csv")]
+                           if command == "simulate" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_simulate_unwritable_out_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "t.csv"
+    code, out, err = run(capsys, "simulate", CASE, "--steer", "--out",
+                         str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
+
+
+def test_tol_must_be_a_number(capsys):
+    code, out, err = run(capsys, "check", CASE, "--tol", "abc")
+    assert (code, out) == (2, "")
+    assert "--tol: must be a positive, finite number, got 'abc'" in err

@@ -12,7 +12,7 @@ from dimvar import (DEFAULT_TOL, LinSys, j_matrix, kron, lift_system, mat,
                     reduce_vector, second_stp, stp_action, stp_action_matrix,
                     stp_identity_action, systems_equivalent, vec, vec_add,
                     vec_equivalent, vec_sub)
-from dimvar.numerics import Tolerance, equality_key, eye, inverse
+from dimvar.numerics import Tolerance, equality_key, eye, inverse, zeros
 
 
 def test_reduce_vector_basic():
@@ -531,3 +531,17 @@ def test_strip_keys_match_reference_up_to_n130():
         _check_strip_matches_reference(A_, B_, x_)
         assert systems_equivalent(LinSys("a", A, B), LinSys("b", A_, B_))
         assert mat_equivalent(A, A_) and vec_equivalent(x, x_)
+
+
+def test_vec_add_takes_vectors_or_single_columns():
+    x, y = vec([1, 2]), vec([1, 1, 1])
+    assert vec_add(x[:, None], y).tolist() == vec_add(x, y).tolist()
+    assert vec_sub(x, y[:, None]).tolist() == [0, 0, 0, 1, 1, 1]
+    for bad in (mat([[1, 2], [3, 4]]), mat([[1, 2]]), zeros((2, 1, 1))):
+        with pytest.raises(ValueError):
+            vec_add(bad, y)
+
+
+def test_reduce_vector_refuses_an_empty_vector():
+    with pytest.raises(ValueError, match="empty vector"):
+        reduce_vector(vec([]))

@@ -601,3 +601,51 @@ def test_krylov_certificate_edge_cases():
     assert _certify_full_krylov(A, B, [1, 1])
     assert not _certify_full_krylov(A, B, [P, 1])
     assert len(krylov_pivots(A * np.array([P, 1]), B)[0]) == 2
+
+
+def test_input_matrices_take_one_rule():
+    # B is one 1-D input column or a matrix with A's rows, wherever it is
+    # taken: a 3-D B is refused, a B with other rows is "incompatible
+    # dimensions", and a 1-D B gives what its column gives
+    from dimvar import (ControlSignal, ctrb_gramian, ctrb_matrix,
+                        ctrb_subspace, kalman_decomposition,
+                        min_energy_control, reduce_matrix_vec, rk4_integrate,
+                        stp_action_matrix)
+    with pytest.raises(ValueError, match=r"not shape \(2, 1, 1\)"):
+        LinSys("x", eye(2), zeros((2, 1, 1)))
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z0, z1, eta = np.zeros(2), np.ones(2), np.array([1.0, -2.0])
+    uses = {
+        "LinSys": lambda B: LinSys("x", A, B).B,
+        "ctrb_matrix": lambda B: ctrb_matrix(A, B),
+        "ctrb_subspace": lambda B: ctrb_subspace(A, B).matrix,
+        "kalman_decomposition": lambda B: kalman_decomposition(A, B).B_top,
+        "ctrb_gramian": lambda B: ctrb_gramian(A, B, 0.0, 1.0).W,
+        "ControlSignal": lambda B: ControlSignal(A, B, eta, 0.0, 1.0)(0.5),
+        "rk4_integrate": lambda B: rk4_integrate(
+            A, B, lambda t: np.ones(1), z0, 0.0, 0.1, 0.01).states,
+        "min_energy_control": lambda B: min_energy_control(
+            A, B, z0, z1, 0.0, 1.0).eta,
+        "stp_action_matrix": lambda B: stp_action_matrix(A, B),
+    }
+    for name, use in uses.items():
+        b = np.array([0.0, 1.0])
+        assert np.array_equal(use(b), use(b[:, None])), name
+        with pytest.raises(ValueError, match="shape"):
+            use(np.ones((2, 1, 1)))
+        if name != "stp_action_matrix":     # any rows act on classes
+            with pytest.raises(ValueError, match="incompatible dimensions"
+                               if name != "LinSys" else "B has 3 rows"):
+                use(np.ones((3, 1)))
+    assert reduce_matrix_vec(vec([1, 1])).tolist() == [[1]]
+    with pytest.raises(ValueError, match="shape"):
+        reduce_matrix_vec(zeros((2, 1, 1)))
+
+
+def test_subspace_shapes_are_checked():
+    with pytest.raises(ValueError, match="basis must be ambient_dim x k"):
+        SubspaceBasis(3, eye(2))
+    with pytest.raises(ValueError, match="basis must be ambient_dim x k"):
+        SubspaceBasis(2, vec([1, 0]))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        spans_equal(SubspaceBasis.zero(2), SubspaceBasis.zero(3))

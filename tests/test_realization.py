@@ -454,3 +454,8 @@ def test_segment_ctrb_matches_blend_elimination(dims, cases):
         ref_reps = _class_reps(ref.basis, DEFAULT_TOL)
         assert [(r.multiplicity, r.irreducible.tolist()) for r in reps] == \
             [(r.multiplicity, r.irreducible.tolist()) for r in ref_reps]
+
+
+def test_embed_subspace_refuses_a_smaller_space():
+    with pytest.raises(ValueError, match="cannot embed ambient 3 into 2"):
+        embed_subspace(SubspaceBasis(3, eye(3)), 2)

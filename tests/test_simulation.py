@@ -709,3 +709,56 @@ def test_steering_corpus_pass_count(p, q):
                 continue
             passed += traj.target_class_error <= 1e-5
     assert passed >= STEERING_CORPUS[p, q]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (2, 3)])
+def test_state_arrays_of_other_shapes_are_refused(monkeypatch, shape):
+    # a state is 1-D or one column; a (2, 3) array is not a 6-state
+    # start, so its entries are never read as one
+    from dimvar import simulation
+    n = math.prod(shape)
+    A = np.diag(np.ones(n - 1), 1)
+    B = np.eye(n)[:, -1]
+    bad, good = np.zeros(shape), np.zeros(n)
+    with pytest.raises(ValueError, match="one column"):
+        rk4_integrate(A, B, lambda t: np.zeros(1), bad, 0.0, 0.1, 0.01)
+    for z0, z_target in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="one column"):
+            min_energy_control(A, B, z0, z_target, 0.0, 1.0)
+    s = LinSys("s", mat(A.astype(int)), mat(B.astype(int)[:, None]))
+    monkeypatch.setattr(simulation, "build_transient_model",
+                        lambda *args, **kwargs: pytest.fail("blend built"))
+    for start, target in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="one column"):
+            run_transient_scenario(s, s, Scenario(0.0, 1.0, start, target),
+                                   alpha=1, beta=1)
+    # an n x 1 column is still a state
+    traj = rk4_integrate(A, B, lambda t: np.zeros(1), good[:, None], 0.0,
+                         0.1, 0.01)
+    assert traj.states.shape == (11, n)
+
+
+def test_control_signal_takes_eta_as_one_column():
+    # u(t) is 1-D whichever way eta comes, and sample works on a column
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    B = np.array([0.0, 1.0])
+    eta = np.array([1.0, -2.0])
+    row = ControlSignal(A, B, eta, 0.0, 1.0)
+    col = ControlSignal(A, B, eta[:, None], 0.0, 1.0)
+    assert col(0.5).shape == (1,)
+    assert np.array_equal(col(0.5), row(0.5))
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(col.sample(ts, 0.1), row.sample(ts, 0.1))
+    with pytest.raises(ValueError, match="one column"):
+        ControlSignal(A, B, np.ones((2, 2)), 0.0, 1.0)
+
+
+def test_time_grid_refuses_a_drifted_grid():
+    # at t0 = 2^40 a step of 3e-4 rounds to one ulp, 2^-12, so the loop
+    # needs about 1.17e6 steps for a horizon of 0.95e6 nominal steps
+    from dimvar.simulation import _time_grid
+    t0, step = 2.0**40, 3e-4
+    te = t0 + 0.95e6 * step
+    assert te - t0 <= MAX_STEPS * step       # passes _check_times
+    with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
+        _time_grid(t0, te, step)

@@ -140,3 +140,26 @@ def test_operands_meet_on_one_backend():
         assert {f: calls[f] for f in functions} == dict.fromkeys(functions, 1)
     assert list(inspect.signature(mixdim._strip_floats).parameters) == [
         "parts", "tol"]
+
+
+def test_one_shape_rule():
+    # vectors take their shape from numerics._one_column and input
+    # matrices from _columns / _input_matrix: no other module flattens
+    # an array or tests for a 1-D one
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        if p.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "reshape"
+                    and [ast.unparse(a) for a in node.args]
+                    in (["-1"], ["-1", "1"], ["(-1,)"], ["(-1, 1)"])):
+                found.append((p.name, node.lineno, ast.unparse(node)))
+            if (isinstance(node, ast.Compare)
+                    and any(getattr(x, "attr", None) == "ndim"
+                            for x in [node.left, *node.comparators])
+                    and any(getattr(x, "value", None) == 1
+                            for x in [node.left, *node.comparators])):
+                found.append((p.name, node.lineno, ast.unparse(node)))
+    assert found == []

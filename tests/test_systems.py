@@ -201,3 +201,16 @@ def test_blend_on_segments_matches_kronecker_reference(exact):
             _identical(model.base.B, B)
             if exact:
                 assert all(type(x) is Fraction for x in model.base.A.flat)
+
+
+def test_systems_equivalent_needs_equal_input_counts():
+    s1 = LinSys("a", eye(2), mat([[1], [0]]))
+    s2 = LinSys("b", eye(2), eye(2))
+    with pytest.raises(ValueError, match="input counts differ"):
+        systems_equivalent(s1, s2)
+
+
+def test_pseudo_transform_needs_a_square_T():
+    s = LinSys("a", eye(2), mat([[1], [0]]))
+    with pytest.raises(ValueError, match="T must be square"):
+        apply_pseudo_transform(s, mat([[1, 0]]))
