@@ -628,15 +628,17 @@ def test_input_matrices_take_one_rule():
             A, B, z0, z1, 0.0, 1.0).eta,
         "stp_action_matrix": lambda B: stp_action_matrix(A, B),
     }
+    b = np.array([0.0, 1.0])
     for name, use in uses.items():
-        b = np.array([0.0, 1.0])
         assert np.array_equal(use(b), use(b[:, None])), name
         with pytest.raises(ValueError, match="shape"):
             use(np.ones((2, 1, 1)))
-        if name != "stp_action_matrix":     # any rows act on classes
-            with pytest.raises(ValueError, match="incompatible dimensions"
-                               if name != "LinSys" else "B has 3 rows"):
-                use(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="B has 3 rows, A has 2"):
+        uses.pop("LinSys")(np.ones((3, 1)))
+    del uses["stp_action_matrix"]           # acts on B's class, any rows
+    for name, use in uses.items():
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            use(np.ones((3, 1)))
     assert reduce_matrix_vec(vec([1, 1])).tolist() == [[1]]
     with pytest.raises(ValueError, match="shape"):
         reduce_matrix_vec(zeros((2, 1, 1)))
