@@ -25,7 +25,8 @@ from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
 from .realization import (ModelingReport, RealizationReport, TransientModel,
                           augment_with_zero_dynamics, build_transient_model,
                           check_modeling_condition, check_realization,
-                          direct_sum_check, embed, embed_subspace)
+                          check_transient, direct_sum_check, embed,
+                          embed_subspace)
 from .simulation import (ControlSignal, RealizationOutcome, Scenario,
                          Trajectory, UnreachableTargetError,
                          export_trajectory, min_energy_control,

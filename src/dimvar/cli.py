@@ -31,10 +31,9 @@ import numpy as np
 from . import __version__
 from .controllability import _class_reps, ctrb_matrix, ctrb_subspace
 from .mixdim import reduce_vector
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, mat,
-                       parse_scalar, vec)
-from .realization import (_modeling, _realization, _segment_ctrb,
-                          _subsystem_ctrb, build_transient_model)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, krylov_pivots,
+                       mat, parse_scalar, vec)
+from .realization import build_transient_model, check_transient
 from .simulation import (Scenario, UnreachableTargetError, export_trajectory,
                          run_transient_scenario)
 from .systems import LinSys
@@ -158,11 +157,8 @@ def _print_notes(doc: dict, out) -> None:
 def cmd_check(args) -> int:
     doc = _load_file(args.file)
     s1, s2, weights = _parse_case(doc, args)
-    tol = args.tolerance
     model = build_transient_model(s1, s2, **weights)
-    ctrb = _subsystem_ctrb(s1, s2, tol)     # C1 and C2, once for both checks
-    real = _realization(s1, s2, ctrb, tol)
-    modeling = _modeling(model, ctrb, tol)
+    real, modeling = check_transient(s1, s2, model, args.tolerance)
     ok = real.realizable and modeling.holds
     if args.json:
         payload = {
@@ -215,7 +211,8 @@ def cmd_ctrb(args) -> int:
         model = build_transient_model(s1, s2, **weights)
         sys_ = model.base
         matrix = ctrb_matrix(sys_.A, sys_.B)
-        basis = SubspaceBasis(sys_.dim, matrix[:, _segment_ctrb(model, tol)[0]])
+        piv = krylov_pivots(model.A * model.lengths, model.B, tol)[0]
+        basis = SubspaceBasis(sys_.dim, matrix[:, piv])  # see TransientModel
         # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
         # column j m + i of the Krylov matrix is A^j times input column i
         cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)

@@ -181,27 +181,32 @@ def _integer_scaled(M: np.ndarray):
 
 def _krylov_integers(A: np.ndarray, B: np.ndarray):
     """Yield the max(n, 1) blocks of [B, AB, ..., A^(n-1) B], 2-D B, as
-    (Z, d): block j is Z on floats (d None), else Z / d with Z = (LA)^j LB
-    in Python ints, d = L^(j+1), L the lcm of [A | B]'s denominators."""
+    (Z, L): block j is Z on floats (L None), else Z / L^(j+1) with Z =
+    (LA)^j LB in Python ints, L the lcm of [A | B]'s denominators."""
     A, B = common_backend(A, B)
     n, L = B.shape[0], None
     if is_exact(A):
         Z, L = _integer_scaled(np.hstack([A, B]))
         A, B = Z[:, :n], Z[:, n:]
     yield B, L
-    for j in range(2, n + 1):
-        B = A @ B
-        yield B, None if L is None else L ** j
+    for _ in range(1, n):
+        yield (B := A @ B), L
 
 
 _fraction = np.frompyfunc(Fraction, 2, 1)      # elementwise Fraction(x, d)
+_whole = np.frompyfunc(Fraction, 1, 1)         # Fraction(x): no gcd to take
 _PRIME = 67108859     # < 2^26: a sum of < 2048 products of residues fits int64
+
+
+def _divide_back(Z: np.ndarray, L: int, j) -> np.ndarray:
+    """Z / L^j as Fractions, j one power or one per column."""
+    return _whole(Z) if L == 1 else _fraction(Z, L ** np.asarray(j, object))
 
 
 def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
-    return np.hstack([Z if d is None else _fraction(Z, d)
-                      for Z, d in _krylov_integers(A, B)])
+    return np.hstack([Z if L is None else _divide_back(Z, L, j)
+                      for j, (Z, L) in enumerate(_krylov_integers(A, B), 1)])
 
 
 def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
@@ -399,7 +404,7 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         if r < n and piv and piv[-1] >= Z.shape[1] - m:
             Z = np.hstack([Z] + [X for X, _ in blocks])
             piv = _bareiss(Z)[1]
-        W = _fraction(Z[:, piv], [L ** (c // m + 1) for c in piv])
+        W = _divide_back(Z[:, piv], L, [c // m + 1 for c in piv])
         return piv, W, SubspaceBasis(n, W)
     A = np.asarray(A, dtype=float)
     thresh = tol.rank_threshold(

@@ -6,7 +6,7 @@ zero-embedded into the larger space, can be completed to the whole
 space by part of the larger system's controllable subspace), build the
 blended transient model on the lcm dimension, and check the necessary
 modeling condition (the blend's controllable subspace, proved full
-modulo a prime or decided in `_segment_ctrb` as for ``dimvar ctrb
+modulo a prime or decided on its segment system as for ``dimvar ctrb
 --blend``, must contain both lifted subsystem subspaces).
 """
 
@@ -143,7 +143,9 @@ class TransientModel:
     segment lengths and ``rows`` the sigma1 and sigma2 row each segment
     reads.  With E the n x s segment indicator, ``base`` = (E A E^T,
     E B) is built on first read, and base.A E = E As: the blend on
-    range E is the segment system (As, B), As = A diag(lengths).
+    range E is the segment system (As, B), As = A diag(lengths).  The
+    blend's Krylov matrix is E ctrb(As, B), E is injective and blocks
+    past s never pivot: both pivot alike, and C_z = E span ctrb(As, B).
     """
 
     A: np.ndarray
@@ -242,19 +244,6 @@ class ModelingReport:
     dim_Cz: int
 
 
-def _segment_ctrb(model: TransientModel, tol: Tolerance = DEFAULT_TOL):
-    """The blend's controllable subspace C_z in segment coordinates.
-
-    The blend's Krylov matrix is E ctrb(As, B) block for block (see
-    `TransientModel`).  E is injective and blocks past s never pivot, so
-    the two have the same pivot columns, and C_z = E span ctrb(As, B).
-    Returns the pivots and the span of ctrb(As, B) from `krylov_pivots`
-    (orthonormal on floats), which stops once the product saturates.
-    """
-    piv, _, span = krylov_pivots(model.A * model.lengths, model.B, tol)
-    return piv, span
-
-
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
                              tol: Tolerance = DEFAULT_TOL) -> ModelingReport:
     """Check that the blend's controllable subspace contains both
@@ -263,22 +252,22 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
     sigma2 rows).  C_z = R^s, proved by `_certify_full_krylov` (exact
-    input) or found by `_segment_ctrb`, holds all lifted vectors; a
-    smaller C_z tests them by one `in_span_columns`, each column scaled
-    to largest |entry| 1 by `unit_columns`.
+    input) or found by `krylov_pivots` of (As, B), holds all lifted
+    vectors; a smaller C_z tests them by one `in_span_columns`, each
+    column scaled to largest |entry| 1 by `unit_columns`.
     """
+    return _modeling(s1, s2, model, _subsystem_ctrb(s1, s2, tol), tol)
+
+
+def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb: tuple,
+              tol: Tolerance) -> ModelingReport:
+    """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    return _modeling(model, _subsystem_ctrb(s1, s2, tol), tol)
-
-
-def _modeling(model: TransientModel, ctrb: tuple,
-              tol: Tolerance) -> ModelingReport:
-    """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
     full = _certify_full_krylov(model.A, model.B, model.lengths)
-    S = None if full else _segment_ctrb(model, tol)[1]  # independent columns
+    S = None if full else krylov_pivots(model.A * model.lengths, model.B, tol)[2]
     columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
     inside = ([True] * columns.shape[1] if full or S.dim == S.ambient_dim
               else in_span_columns(S, unit_columns(columns), tol))
@@ -286,3 +275,10 @@ def _modeling(model: TransientModel, ctrb: tuple,
     return ModelingReport(holds=all(inside), n=model.dim,
                           tested_vectors=list(zip(lifted, inside)),
                           dim_Cz=len(model.lengths) if full else S.dim)
+
+
+def check_transient(s1: LinSys, s2: LinSys, model: TransientModel,
+                    tol: Tolerance = DEFAULT_TOL):
+    """(`check_realization`, `check_modeling_condition`), C1 and C2 once."""
+    ctrb = _subsystem_ctrb(s1, s2, tol)
+    return _realization(s1, s2, ctrb, tol), _modeling(s1, s2, model, ctrb, tol)

@@ -89,6 +89,13 @@ def _check_times(t0: float, te: float, step: float) -> None:
         raise ValueError(f"horizon longer than {MAX_STEPS} steps")
 
 
+def _state(z, n: int, name: str, of: str = "A") -> np.ndarray:
+    """z as a float vector of `of`'s n states, else ValueError naming z."""
+    if len(z := _one_column(np.asarray(z, dtype=float))) != n:
+        raise ValueError(f"dimension mismatch between {of} and {name}")
+    return z
+
+
 class ControlSignal:
     """Minimum-energy open-loop input u(t) = B^T e^{A^T (te - t)} eta.
 
@@ -104,7 +111,7 @@ class ControlSignal:
                  te: float):
         self.A = np.asarray(A, dtype=float)
         self.Bfull = _input_matrix(self.A, np.asarray(Bfull, dtype=float))
-        self.eta = None if eta is None else _one_column(np.asarray(eta, float))
+        self.eta = None if eta is None else _state(eta, len(self.A), "eta")
         self.t0, self.te = t0, te
         self._cache: dict[float, np.ndarray] = {}
 
@@ -276,9 +283,7 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     _check_times(t0, te, step)
     A = np.asarray(A, dtype=float)
     Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
-    z = _one_column(np.asarray(z0, dtype=float))
-    if A.shape[0] != z.shape[0]:
-        raise ValueError("dimension mismatch between A and z0")
+    z = _state(z0, len(A), "z0")
 
     times, full, short = _time_grid(t0, te, step)
     hs, groups = _step_groups(A, Bfull, step, full, short)
@@ -318,7 +323,7 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     """
     A = np.asarray(A, dtype=float)
     Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
-    z0, z_target = (_one_column(np.asarray(z, float)) for z in (z0, z_target))
+    z0, z_target = _state(z0, len(A), "z0"), _state(z_target, len(A), "z_target")
     d = z_target - _expm(A * (te - t0)) @ z0
     Q = krylov_pivots(A, Bfull)[2].basis
     dc = _reachable_part(d, Q, Q, 1)
@@ -463,9 +468,8 @@ def _class_error(z_end: np.ndarray, y_target: np.ndarray) -> float:
     z_end is reduced with tolerance-based block constancy, then both
     representatives are compared on their lcm dimension.
     """
-    r = reduce_vector(np.asarray(z_end, dtype=float),
-                      CLASS_REDUCTION_TOL).irreducible
-    diff = vec_sub(r, to_float(np.asarray(y_target)))
+    r = reduce_vector(z_end, CLASS_REDUCTION_TOL).irreducible
+    diff = vec_sub(r, y_target)
     return float(np.max(np.abs(diff))) if diff.size else 0.0
 
 
@@ -490,12 +494,8 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     LinAlgError when the steering map's numerical rank is below that
     subspace's dimension.
     """
-    x_start = _one_column(np.asarray(sc.x_start, dtype=float))
-    y_target = _one_column(np.asarray(sc.y_target, dtype=float))
-    if x_start.shape[0] != s1.dim:
-        raise ValueError("x_start dimension does not match the first system")
-    if y_target.shape[0] != s2.dim:
-        raise ValueError("y_target dimension does not match the second system")
+    x_start = _state(sc.x_start, s1.dim, "x_start", s1.name)
+    y_target = _state(sc.y_target, s2.dim, "y_target", s2.name)
     model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
                                   masses=masses)
     report = check_realization(s1, s2)

@@ -78,6 +78,15 @@ def test_float_backend_golden(capsys, argv, name, fmt):
     assert out == (GOLDEN / f"{name}_example1_float.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("argv, name", [(["check"], "check"),
+                                        (["ctrb", "--blend"], "ctrb_blend"),
+                                        (["blend"], "blend")])
+def test_exact_json_golden(capsys, argv, name):
+    code, out, _ = run(capsys, argv[0], CASE, *argv[1:], "--json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_example1.json").read_text()
+
+
 @pytest.mark.parametrize("system", ["sigma1", "sigma2"])
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("fmt", ["txt", "json"])
@@ -850,3 +859,80 @@ def test_tol_must_be_a_number(capsys):
     code, out, err = run(capsys, "check", CASE, "--tol", "abc")
     assert (code, out) == (2, "")
     assert "--tol: must be a positive, finite number, got 'abc'" in err
+
+
+# where example1 is mutated, and what a field may become
+_MUTABLE = [(), ("sigma1",), ("sigma1", "A"), ("sigma1", "A", 0),
+            ("sigma1", "A", 0, 1), ("sigma1", "B"), ("sigma1", "B", 1, 0),
+            ("sigma2", "A"), ("sigma2", "A", 2, 1), ("sigma2", "B", 1),
+            ("transient",), ("transient", "alpha"), ("transient", "beta"),
+            ("transient", "masses"), ("scenario",), ("scenario", "t0"),
+            ("scenario", "te"), ("scenario", "x_start"),
+            ("scenario", "x_start", 0), ("scenario", "y_target"),
+            ("scenario", "y_target", 2), ("scenario", "step"),
+            ("scenario", "quad_steps"), ("notes",), ("notes", 0)]
+_VALUES = [None, True, False, "abc", "", [], {}, [[1], [1, 2]], [[[1]]],
+           [["1", "2"]], float("inf"), 10**400, "nan", "inf", "-inf", "1/0",
+           1e-300, "1e-300", 1e300, "-1e300", "0", 0, -1, "-3/2", 2.5,
+           {"alpha": "1"}]
+_COMMANDS = [["check"], ["ctrb"], ["ctrb", "--system", "sigma2"],
+             ["ctrb", "--blend"], ["blend"], ["simulate"],
+             ["simulate", "--steer"], ["reduce"]]
+
+
+def _mutated(rng):
+    """example1 with one or two fields replaced, and a description."""
+    doc, done = base_doc(), []
+    for _ in range(rng.choice((1, 2))):
+        path, value = rng.choice(_MUTABLE), rng.choice(_VALUES)
+        if not path:
+            doc = value
+        else:
+            parent = doc
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]     # replace only what exists
+                parent[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                continue
+        done.append((path, value))
+    return doc, done
+
+
+def test_mutated_inputs_never_escape_main(capsys, tmp_path):
+    # seeded mutations of example1's fields, through every subcommand on
+    # both backends: a usage or input error exits 2 with "error: ...",
+    # a numerical failure exits 3, and no exception escapes main.
+    # Entries near 1e300 overflow float products; as in
+    # test_simulate_overflowing_free_response_exits_3, numpy's overflow
+    # warnings are silenced so that only main's own handling is tested.
+    import random
+    rng = random.Random(6)
+    out_path = str(tmp_path / "t.csv")
+    codes = set()
+    for case in range(300):
+        doc, done = _mutated(rng)
+        command = rng.choice(_COMMANDS)
+        argv = command + ["--backend", rng.choice(("rational", "float"))]
+        argv += ["--json"] if rng.random() < 0.5 else []
+        if command[0] == "reduce":
+            text = json.dumps(done[-1][1] if done else 1).strip("[]")
+            argv.append(f"--vector={text}")
+        else:
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps(doc))
+            argv.insert(1, str(path))
+        if command[0] == "simulate":
+            argv += ["--out", out_path]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"case {case}: {argv} on {done} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (case, argv, done)
+        if code == 2:
+            assert err.startswith("error: "), (case, argv, done, err)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -11,12 +13,13 @@ from conftest import rand_rational_matrix, rand_system
 from dimvar import (DEFAULT_TOL, LinSys, SubspaceBasis,
                     augment_with_zero_dynamics,
                     build_transient_model, check_modeling_condition,
-                    check_realization, column_space_basis, ctrb_matrix,
+                    check_realization, check_transient, column_space_basis,
+                    ctrb_matrix,
                     ctrb_subspace, direct_sum_check, embed, embed_subspace,
                     in_span, kron, mat, ones_vector, rank, vec)
 from dimvar.controllability import _class_reps
-from dimvar.numerics import eye, zeros
-from dimvar.realization import _segment_ctrb, _segments
+from dimvar.numerics import eye, krylov_pivots, zeros
+from dimvar.realization import _segments
 
 EXAMPLE1 = Path(__file__).resolve().parents[1] / "cases" / "example1.json"
 
@@ -436,7 +439,8 @@ def test_segment_ctrb_matches_blend_elimination(dims, cases):
         s1, s2 = rand_system(rng, p, inputs[0]), rand_system(rng, q, inputs[1])
         model = build_transient_model(s1, s2, **weights)
         A, B = model.base.A, model.base.B
-        (starts, _), (piv, S) = _segments(p, q), _segment_ctrb(model)
+        (starts, _), (piv, _, S) = (_segments(p, q),
+                                    krylov_pivots(model.A * model.lengths, model.B))
         assert len(starts) == S.ambient_dim == p + q - math.gcd(p, q)
         ref = ctrb_subspace(A, B)
         K = ref.matrix
@@ -459,3 +463,125 @@ def test_segment_ctrb_matches_blend_elimination(dims, cases):
 def test_embed_subspace_refuses_a_smaller_space():
     with pytest.raises(ValueError, match="cannot embed ambient 3 into 2"):
         embed_subspace(SubspaceBasis(3, eye(3)), 2)
+
+
+def _plain(x):
+    """A report as nested lists and values: arrays by dtype, shape and
+    entries, so that two reports compare with ==."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_plain(y) for y in x]
+    return x
+
+
+def _case(exact, path=EXAMPLE1):
+    """The systems and model of a case file, on one backend."""
+    from dimvar import cli
+    doc = json.loads(Path(path).read_text())
+    s1, s2 = (LinSys(k, mat(doc[k]["A"], exact), mat(doc[k]["B"], exact))
+              for k in ("sigma1", "sigma2"))
+    return s1, s2, build_transient_model(s1, s2, **cli._parse_weights(doc, "case"))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_transient_decides_each_subsystem_subspace_once(monkeypatch,
+                                                              exact):
+    # one krylov_pivots each for the 2- and 3-dimensional subsystems,
+    # and one question to the certificate for the 4-dimensional segment
+    # system, which proves C_z = R^4 on exact input; floats decide it by
+    # krylov_pivots.  The two separate checks find C1 and C2 twice.
+    from dimvar import realization
+    s1, s2, model = _case(exact)
+    calls, inner = [], realization.krylov_pivots
+    monkeypatch.setattr(realization, "krylov_pivots",
+                        lambda A, B, tol: calls.append(A.shape[0]) or inner(A, B, tol))
+    answers = _certificate_spy(monkeypatch)
+    real, modeling = check_transient(s1, s2, model)
+    assert real.realizable and modeling.holds
+    assert sorted(calls) == ([2, 3] if exact else [2, 3, 4])
+    assert answers == [exact]
+    calls.clear()
+    check_realization(s1, s2)
+    check_modeling_condition(s1, s2, model)
+    assert sorted(calls) == ([2, 2, 3, 3] if exact else [2, 2, 3, 3, 4])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_transient_equals_the_two_checks(exact):
+    # seeded integer pairs of either order and up to two inputs each,
+    # example1 and the case whose modeling condition fails
+    def both(s1, s2, model):
+        return _plain(check_transient(s1, s2, model)), _plain(
+            (check_realization(s1, s2), check_modeling_condition(s1, s2, model)))
+
+    outcomes = set()
+    for p, q, inputs, weights in [
+            (2, 3, (1, 1), {"masses": (1, 1)}),
+            (3, 2, (2, 1), {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)}),
+            (4, 6, (1, 2), {"masses": (1, 3)}),
+            (6, 4, (1, 1), {"masses": (2, 1)}),
+            (5, 7, (1, 1), {"alpha": Fraction(2), "beta": Fraction(1, 3)})]:
+        for seed in range(3):
+            rng = np.random.default_rng([seed, p, q, *inputs])
+            s1 = _int_system(rng, "s1", p, inputs[0], exact)
+            s2 = _int_system(rng, "s2", q, inputs[1], exact)
+            # a zero input, so that some blends are not controllable
+            if seed == 2:
+                s2 = LinSys("s2", s2.A, s2.B * 0)
+            got, want = both(s1, s2, build_transient_model(s1, s2, **weights))
+            assert got == want
+            outcomes.add((got[0]["realizable"], got[1]["holds"]))
+    for path in (EXAMPLE1, EXAMPLE1.parent / "modeling_fails.json"):
+        got, want = both(*_case(exact, path))
+        assert got == want
+        outcomes.add((got[0]["realizable"], got[1]["holds"]))
+    assert {(True, True), (False, True), (True, False)} <= outcomes
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_transient_refuses_a_foreign_model_as_the_modeling_check(exact):
+    s1, s2, model = _case(exact)
+    two_inputs = LinSys("sigma2", s2.A, np.hstack([s2.B, s2.B]))
+    for a, b, message in ((s1, two_inputs, "these systems' inputs"),
+                          (s2, s1, "these systems")):
+        errors = []
+        for check in (check_transient, check_modeling_condition):
+            with pytest.raises(ValueError) as info:
+                check(a, b, model)
+            errors.append(str(info.value))
+        assert errors == [f"model was not built from {message}"] * 2
+
+
+# sha256 of `dimvar check` on the (31,37) ladder pair, as printed
+# before `check` ran on check_transient
+_CHECK_31x37 = {
+    "txt": "6708f627cb9242b8443be0e48021cc86f3b4ea078fa56ed34d11766122e83dc2",
+    "json": "dc8c9a74dc363556dd8c6c9c005bcf0472dfacfae2f31cc1310610720e62fd80"}
+
+
+def test_check_at_scale_is_pinned(tmp_path, capsys):
+    # the seed-0 (31,37) pair of the ladder's generator, n = 1147: the
+    # exact text and JSON outputs keep their digests, and the float
+    # backend reaches the same decisions
+    from dimvar import cli
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(
+        _ladder_doc(np.random.default_rng([0, 31, 37, 0]), 31, 37)))
+    out, decisions = {}, []
+    for fmt, backend in (("txt", "rational"), ("json", "rational"),
+                         ("json", "float")):
+        argv = ["check", str(path), "--backend", backend]
+        assert cli.main(argv + (["--json"] if fmt == "json" else [])) == 0
+        out[fmt, backend] = capsys.readouterr().out
+        if fmt == "json":
+            r = json.loads(out[fmt, backend])
+            decisions.append(
+                [r["realization"][k] for k in ("realizable", "dim_C1", "dim_C2")]
+                + [r["modeling"][k] for k in ("holds", "dim_Cz")])
+    for fmt, digest in _CHECK_31x37.items():
+        assert hashlib.sha256(
+            out[fmt, "rational"].encode()).hexdigest() == digest, fmt
+    assert decisions == [[True, 31, 37, True, 67]] * 2

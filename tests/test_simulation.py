@@ -762,3 +762,35 @@ def test_time_grid_refuses_a_drifted_grid():
     assert te - t0 <= MAX_STEPS * step       # passes _check_times
     with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
         _time_grid(t0, te, step)
+
+
+_A2, _B2 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0])
+_GOOD, _LONG = np.zeros(2), np.ones(3)
+
+
+@pytest.mark.parametrize("call, mismatch", [
+    (lambda: rk4_integrate(_A2, _B2, lambda t: np.zeros(1), _LONG, 0.0, 0.1,
+                           0.01), "A and z0"),
+    (lambda: min_energy_control(_A2, _B2, _LONG, _GOOD, 0.0, 1.0), "A and z0"),
+    (lambda: min_energy_control(_A2, _B2, _GOOD, _LONG, 0.0, 1.0),
+     "A and z_target"),
+    (lambda: ControlSignal(_A2, _B2, _LONG, 0.0, 1.0), "A and eta"),
+], ids=["rk4_integrate", "min_energy_z0", "min_energy_z_target",
+        "control_signal_eta"])
+def test_continuous_design_refuses_a_state_of_another_length(call, mismatch):
+    # a 3-entry state for a 2-state A is refused by the call itself,
+    # with a message naming both, not by numpy's matmul or broadcast
+    # (nor, for a ControlSignal, when it is first evaluated)
+    with pytest.raises(ValueError, match=f"^dimension mismatch between {mismatch}$"):
+        call()
+
+
+def test_scenario_states_of_another_length_name_their_system(ex1_s1, ex1_s2):
+    for start, target, mismatch in ((vec([0, 1, 0]), vec([1, 1, 1]),
+                                     "sigma1 and x_start"),
+                                    (vec([0, 1]), vec([1, 1]),
+                                     "sigma2 and y_target")):
+        with pytest.raises(ValueError, match=f"^dimension mismatch between {mismatch}$"):
+            run_transient_scenario(ex1_s1, ex1_s2,
+                                   Scenario(0.0, 1.0, start, target),
+                                   alpha=1, beta=1)

@@ -163,3 +163,15 @@ def test_one_shape_rule():
                             for x in [node.left, *node.comparators])):
                 found.append((p.name, node.lineno, ast.unparse(node)))
     assert found == []
+
+
+def test_cli_imports_only_public_realization_names():
+    # `check` runs check_transient and `ctrb --blend` takes its pivots
+    # from krylov_pivots, so the CLI needs none of realization's private
+    # helpers, and the segment-system wrapper is gone
+    from dimvar import realization
+    imported = [a.name for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "realization"
+                for a in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert not hasattr(realization, "_segment_ctrb")
