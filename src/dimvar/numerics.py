@@ -11,7 +11,8 @@ Two scalar backends are supported throughout the package:
   rationals without any Fraction arithmetic.  Every controllable
   subspace comes from one routine, `krylov_pivots`, which runs it on the
   integer Krylov product until it saturates; a full one may be proved
-  modulo a prime instead (`_certify_full_krylov`).
+  by the same kernel on int64 residues modulo a prime instead
+  (`_certify_full_krylov`): `_bareiss` reads its mode from the dtype.
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
   controllable subspaces of `krylov_pivots`) is one rule, `_staircase`:
@@ -26,8 +27,7 @@ operands with one `common_backend` where they meet (the `mixdim`
 products, `_strip_factors`, `build_transient_model`, `_subsystem_ctrb`,
 `direct_sum_check`, `kalman_decomposition`), compare exact entries on
 integer `equality_key`s, and never read `is_exact`: algorithms that
-differ by backend (`_krylov_integers`, exact `solve` and `inverse` on
-the Bareiss kernel) live here.
+differ by backend (`_krylov_integers`, `_bareiss`, `solve`) live here.
 """
 
 from __future__ import annotations
@@ -109,12 +109,9 @@ def as_backend(X, like: np.ndarray):
     plain ints) when `like` is exact, float64 otherwise.  A scalar X
     gives a scalar; float entries convert to their exact binary value.
     """
-    X = np.asarray(X)
     if is_exact(like):
-        X = np.array([Fraction(x) for x in X.ravel().tolist()],
-                     dtype=object).reshape(X.shape)
-    else:
-        X = np.asarray(X, dtype=float)
+        return _whole(np.asarray(X))
+    X = np.asarray(X, dtype=float)
     return X.item() if X.ndim == 0 else X
 
 
@@ -221,16 +218,7 @@ def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
     As, K = Z[:, :n] * (np.asarray(scale) % _PRIME) % _PRIME, [Z[:, n:]]
     for _ in range(n - 1):
         K.append(As @ K[-1] % _PRIME)
-    K, r = np.hstack(K), 0
-    for c in range(K.shape[1]):
-        rows = K[r:, c].nonzero()[0]
-        if rows.size:
-            K[[r, r + rows[0]]] = K[[r + rows[0], r]]
-            # residues are below 2^26, so each product below 2^52
-            K[r + 1:, c:] = (K[r + 1:, c:] * K[r, c]
-                             - K[r + 1:, c, None] * K[r, c:]) % _PRIME
-            r += 1
-    return r == n
+    return _bareiss(np.hstack(K))[0] == n
 
 
 def _identity_tokens(M: np.ndarray):
@@ -263,20 +251,23 @@ def equality_key(M: np.ndarray):
 
 
 def _bareiss(M: np.ndarray, ncols: int | None = None):
-    """Row-reduce an exact M; return (rank, pivot column indices, copy).
+    """Row-reduce M; return (rank, pivot column indices, copy).
 
     Fraction-free: Bareiss elimination ("Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", 1968) of the
-    integer-scaled copy, with the first nonzero entry of a column as its
-    pivot.  Every entry below a pivot row is then a minor of the scaled
-    matrix, i.e. the Gaussian elimination entry times a nonzero product
-    of pivots, so the pivot columns, the rank and the zero pattern of
-    the reduced rows are those of Gaussian elimination over the
-    rationals; the returned copy holds those integers.  Only the first
-    `ncols` columns (default all) may pivot; the row operations still
-    reach every column.
+    multistep integer-preserving Gaussian elimination", 1968), with the
+    first nonzero entry of a column as its pivot.  An exact M is scaled
+    to integers: every entry below a pivot row is then a minor of the
+    scaled matrix, i.e. the Gaussian elimination entry times a nonzero
+    product of pivots, so the pivot columns, the rank and the zero
+    pattern of the reduced rows are those of Gaussian elimination over
+    the rationals; the copy holds those integers.  An int64 M holds
+    residues modulo `_PRIME` (below 2^26, so products stay below 2^52),
+    and each step is taken modulo it instead of divided by the previous
+    pivot.  Only the first `ncols` columns (default all) may pivot; the
+    row operations still reach every column.
     """
-    A, _ = _integer_scaled(M)
+    exact = is_exact(M)
+    A = _integer_scaled(M)[0] if exact else M.copy()
     m, n = A.shape
     piv_row, prev, pivots = 0, 1, []
     for c in range(n if ncols is None else ncols):
@@ -292,7 +283,8 @@ def _bareiss(M: np.ndarray, ncols: int | None = None):
         # every row below is updated, also where its entry in column c
         # is zero: the exact division by prev needs all of them
         below = A[piv_row + 1:, c:]
-        A[piv_row + 1:, c:] = (p * below - below[:, :1] * A[piv_row, c:]) // prev
+        step = p * below - below[:, :1] * A[piv_row, c:]
+        A[piv_row + 1:, c:] = step // prev if exact else step % _PRIME
         pivots.append(c)
         piv_row += 1
         prev = p
@@ -540,9 +532,7 @@ def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse(A: np.ndarray) -> np.ndarray:
-    if not is_exact(A):
-        return np.linalg.inv(A)
-    return solve(A, eye(A.shape[0]))
+    return solve(A, as_backend(np.eye(len(A)), A))
 
 
 def matrix_exponential_apply(A: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:

@@ -129,6 +129,8 @@ def test_zero_dimensional_solve_inverse_and_kalman(exact):
 def test_solve_refuses_a_non_square_matrix(exact):
     with pytest.raises(ValueError, match="A must be square"):
         solve(zeros((2, 3), exact), zeros((2,), exact))
+    with pytest.raises(ValueError, match="A must be square"):
+        inverse(zeros((2, 3), exact))
 
 
 def test_float_solve_and_inverse_call_numpy():

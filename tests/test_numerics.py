@@ -603,6 +603,79 @@ def test_krylov_certificate_edge_cases():
     assert len(krylov_pivots(A * np.array([P, 1]), B)[0]) == 2
 
 
+def _modular_reference(K):
+    """The certificate's own elimination loop before it called
+    `_bareiss`, kept as a reference: (rank, pivots, reduced copy) of the
+    int64 residues K modulo the prime."""
+    K, r, pivots = K.copy(), 0, []
+    for c in range(K.shape[1]):
+        rows = K[r:, c].nonzero()[0]
+        if rows.size:
+            K[[r, r + rows[0]]] = K[[r + rows[0], r]]
+            K[r + 1:, c:] = (K[r + 1:, c:] * K[r, c]
+                             - K[r + 1:, c, None] * K[r, c:]) % _PRIME
+            pivots.append(c)
+            r += 1
+    return r, pivots, K
+
+
+def _residues(Z):
+    return (np.asarray(Z, dtype=object) % _PRIME).astype(np.int64)
+
+
+def _residue_corpus():
+    """int64 residue matrices: the `_krylov_corpus` Krylov matrices with
+    a column scale, seeded ones from 0 x k and k x 0 up to 12 x 24, with
+    zero columns and of low rank modulo the prime."""
+    for A, B in _krylov_corpus():
+        scale = np.arange(1, B.shape[0] + 1)
+        yield _residues(np.hstack([Z for Z, _ in _krylov_integers(A * scale, B)]))
+    rng = np.random.default_rng(27)
+    yield from (np.zeros(shape, np.int64) for shape in ((0, 0), (0, 3), (3, 0)))
+    for m in range(1, 13):
+        for k in (1, m, 2 * m):
+            R = rng.integers(0, _PRIME, size=(m, k))
+            yield R
+            R = R.copy()
+            R[:, rng.random(k) < 0.4] = 0
+            yield R
+            r = int(rng.integers(1, m + 1))
+            yield rng.integers(0, _PRIME, (m, r)) @ rng.integers(0, _PRIME, (r, k)) % _PRIME
+
+
+def _dependent_only_modulo_the_prime():
+    """(integer M, its residues): a last column that is an integer
+    combination of the others plus the prime times a unit vector, so
+    independent over Q and dependent modulo the prime."""
+    rng = random.Random(27)
+    for m in range(1, 9):
+        for k in range(1, m + 1):
+            M = np.array([[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)],
+                         dtype=object)
+            M[:, k - 1] = M[:, :k - 1] @ [rng.randint(-5, 5) for _ in range(k - 1)]
+            M[rng.randrange(m), k - 1] += _PRIME
+            yield M, _residues(M)
+
+
+def test_bareiss_on_residues_matches_the_modular_reference():
+    # an int64 input is eliminated modulo the prime, as the certificate's
+    # own loop did: same rank, pivots and reduced residues, input untouched
+    count = 0
+    for K in _residue_corpus():
+        copy = K.copy()
+        r, piv, R = _bareiss(K)
+        r_ref, piv_ref, R_ref = _modular_reference(K)
+        assert (r, piv) == (r_ref, piv_ref)
+        assert R.dtype == np.int64 and np.array_equal(R, R_ref)
+        assert np.array_equal(K, copy)
+        count += 1
+    assert count == 267
+    for M, K in _dependent_only_modulo_the_prime():
+        r, piv, _ = _bareiss(K)
+        assert (r, piv) == _modular_reference(K)[:2]
+        assert r == _bareiss(M)[0] - 1 == M.shape[1] - 1
+
+
 def test_input_matrices_take_one_rule():
     # B is one 1-D input column or a matrix with A's rows, wherever it is
     # taken: a 3-D B is refused, a B with other rows is "incompatible

@@ -332,15 +332,16 @@ def test_modeling_falls_back_where_the_prime_divides_a_minor(monkeypatch):
 def test_exact_check_at_scale_needs_no_segment_elimination(monkeypatch,
                                                             tmp_path, capsys):
     # the seed-0 (23,29) pair of the ladder's generator, n = 667: the
-    # certificate proves C_z = R^51, so no `_bareiss` runs on the
-    # 51-row segment system, and both backends decide alike
+    # certificate proves C_z = R^51 by its int64 residue elimination, so
+    # no exact `_bareiss` runs on the 51-row segment system, and both
+    # backends decide alike
     from dimvar import cli, numerics
     doc = _ladder_doc(np.random.default_rng([0, 23, 29, 0]), 23, 29)
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
-    rows, real = [], numerics._bareiss
-    monkeypatch.setattr(numerics, "_bareiss",
-                        lambda M, *a, **k: rows.append(M.shape[0]) or real(M, *a, **k))
+    calls, real = [], numerics._bareiss
+    monkeypatch.setattr(numerics, "_bareiss", lambda M, *a, **k: calls.append(
+        (M.shape[0], M.dtype == object)) or real(M, *a, **k))
     answers = _certificate_spy(monkeypatch)
     out = {}
     for backend in ("rational", "float"):
@@ -349,7 +350,7 @@ def test_exact_check_at_scale_needs_no_segment_elimination(monkeypatch,
         out[backend] = [r["realization"][k] for k in ("realizable", "dim_C1", "dim_C2")] + \
             [r["modeling"][k] for k in ("holds", "dim_Cz")]
     assert answers == [True, False]     # exact certified; floats decline
-    assert rows and 51 not in rows
+    assert (51, False) in calls and (51, True) not in calls
     assert out["rational"] == out["float"] == [True, 23, 29, True, 51]
 
 

@@ -175,3 +175,10 @@ def test_cli_imports_only_public_realization_names():
                 for a in node.names]
     assert imported and not [name for name in imported if name.startswith("_")]
     assert not hasattr(realization, "_segment_ctrb")
+
+
+def test_one_elimination_loop():
+    # the exact decisions and the prime certificate share one kernel:
+    # only `_bareiss` searches a column for its pivot
+    assert {fn for name in ("nonzero", "flatnonzero")
+            for fn in _calls_by_function(SRC / "numerics.py", name)} == {"_bareiss"}
