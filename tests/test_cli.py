@@ -861,6 +861,137 @@ def test_tol_must_be_a_number(capsys):
     assert "--tol: must be a positive, finite number, got 'abc'" in err
 
 
+
+def _with(*path_and_value):
+    """An edit of a case document that sets the field at a path."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+_FLOAT_RANGE = "has an entry beyond float range"
+_INPUT_ERRORS = [
+    # id, edit of example1 (None: no file is written; a str is written
+    # as the file's text), argv, the last line of stderr; {case} is the
+    # edited file and {dir} the directory it is written to
+    ("missing-file", None, ["check", "{case}"],
+     "error: cannot read {case}: [Errno 2] No such file or directory: "
+     "'{case}'"),
+    ("invalid-json", lambda doc: "{not json", ["check", "{case}"],
+     "error: {case}: invalid JSON at line 1: Expecting property name "
+     "enclosed in double quotes"),
+    ("top-level-list", lambda doc: [doc], ["check", "{case}"],
+     "error: {case}: top level must be an object"),
+    ("notes-int", _with("notes", 5), ["blend", "{case}"],
+     "error: {case}: 'notes' must be a list of strings"),
+    ("missing-sigma1", _without("sigma1"), ["check", "{case}"],
+     "error: {case}: missing field 'sigma1'"),
+    ("missing-sigma2", _without("sigma2"),
+     ["ctrb", "{case}", "--system", "sigma2"],
+     "error: {case}: missing field 'sigma2'"),
+    ("missing-transient", _without("transient"), ["blend", "{case}"],
+     "error: {case}: missing field 'transient' (weights)"),
+    ("missing-scenario", _without("scenario"),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: missing field 'scenario'"),
+    ("missing-B", _without("sigma1", "B"), ["check", "{case}"],
+     "error: {case}: 'sigma1' is missing field 'B'"),
+    ("missing-beta", _without("transient", "beta"), ["check", "{case}"],
+     "error: {case}: 'transient' is missing field 'beta'"),
+    ("missing-t0", _without("scenario", "t0"),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: 'scenario' is missing field 't0'"),
+    ("zero-denominator", _with("sigma1", "A", 0, 0, "1/0"),
+     ["check", "{case}"],
+     "error: {case}: 'sigma1' has an unparseable entry: Fraction(1, 0)"),
+    ("ragged", _with("sigma1", "A", [["0", "1"], ["0"]]),
+     ["ctrb", "{case}"],
+     "error: {case}: 'sigma1' has an unparseable entry: row 1 has 1 "
+     "entries, row 0 has 2"),
+    ("A-not-square", _with("sigma1", "A", [["0", "1"]]), ["check", "{case}"],
+     "error: {case}: sigma1: A must be square"),
+    ("B-rows", _three_row_B, ["check", "{case}"],
+     "error: {case}: sigma1: B has 3 rows, A has 2"),
+    ("transient-list", _with("transient", ["3/2", "1/2"]),
+     ["check", "{case}"],
+     "error: {case}: 'transient' has an unparseable entry: list indices "
+     "must be integers or slices, not str"),
+    ("nonpositive-weight", _with("transient", "alpha", "0"),
+     ["check", "{case}"],
+     "error: {case}: transient weights must be strictly positive"),
+    ("weight-0-in-floats", _with("transient", "alpha", "1e-400"),
+     ["check", "{case}", "--backend", "float"],
+     "error: {case}: 'transient' has a weight that is 0 in floats"),
+    ("sigma1-float-range", _with("sigma1", "A", 0, 1, "1e400"),
+     ["check", "{case}", "--backend", "float"],
+     f"error: {{case}}: 'sigma1' {_FLOAT_RANGE}"),
+    ("sigma2-float-range", _with("sigma2", "A", 0, 0, "1e400"),
+     ["ctrb", "{case}", "--system", "sigma2", "--backend", "float"],
+     f"error: {{case}}: 'sigma2' {_FLOAT_RANGE}"),
+    ("transient-float-range", _with("transient", "beta", "1e400"),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     f"error: {{case}}: 'transient' {_FLOAT_RANGE}"),
+    ("scenario-float-range", _with("scenario", "x_start", ["1e400", "1"]),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     f"error: {{case}}: 'scenario' {_FLOAT_RANGE}"),
+    ("scenario-int", _with("scenario", 5),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: 'int' object is not subscriptable"),
+    ("empty-horizon", _with("scenario", "te", 0.0),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: empty horizon: te=0.0 <= t0=0.0"),
+    ("bool-t0", _with("scenario", "t0", False),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: 't0': False is a boolean, not a number"),
+    ("string-x_start", _with("scenario", "x_start", "01"),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: 'x_start': '01' is a string, not a "
+     "list of scalars"),
+    ("long-horizon", _with("scenario", "step", 1e-9),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: horizon longer than 1000000 steps"),
+    ("unknown-system", None, ["ctrb", CASE, "--system", "sigma3"],
+     "error: unknown system name: 'sigma3' (expected sigma1 or sigma2)"),
+    ("unparseable-vector", None, ["reduce", "--vector", "1,x"],
+     "error: cannot parse vector: Invalid literal for Fraction: 'x'"),
+    ("vector-float-range", None,
+     ["reduce", "--vector", "1e400", "--backend", "float"],
+     "error: vector has an entry beyond float range"),
+    ("unwritable-out", None,
+     ["simulate", CASE, "--out", "{dir}/missing/t.csv"],
+     "error: cannot write {dir}/missing/t.csv: [Errno 2] No such file or "
+     "directory: '{dir}/missing/t.csv'"),
+    ("tol-not-a-number", None, ["check", CASE, "--tol", "abc"],
+     "dimvar check: error: argument --tol: must be a positive, finite "
+     "number, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("edit, argv, line", [
+    pytest.param(*row[1:], id=row[0]) for row in _INPUT_ERRORS])
+def test_input_error_messages(capsys, tmp_path, edit, argv, line):
+    # every input error exits 2 before any output, with this message;
+    # argparse puts its usage before its own
+    case = tmp_path / "case.json"
+    if edit is not None:
+        doc = edit(base_doc())
+        case.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+    def fill(text):
+        return text.replace("{case}", str(case)).replace("{dir}", str(tmp_path))
+
+    code, out, err = run(capsys, *map(fill, argv))
+    assert (code, out) == (2, "")
+    assert err == fill(line) + "\n" or (
+        err.startswith("usage: ") and err.endswith("\n" + fill(line) + "\n"))
+
+
 # where example1 is mutated, and what a field may become
 _MUTABLE = [(), ("sigma1",), ("sigma1", "A"), ("sigma1", "A", 0),
             ("sigma1", "A", 0, 1), ("sigma1", "B"), ("sigma1", "B", 1, 0),
