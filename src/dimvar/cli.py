@@ -57,18 +57,13 @@ def _fmt_matrix(M, indent: str = "  ") -> str:
     return "\n".join(indent + _fmt_vector(row) for row in np.asarray(M))
 
 
-def _json_scalar(x):
+def _json(x):
+    """x for json.dumps: nested lists of {"num", "den"} or floats."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, np.ndarray):
+        return [_json(e) for e in x]
     return float(x)
-
-
-def _json_matrix(M):
-    return [[_json_scalar(x) for x in row] for row in np.asarray(M)]
-
-
-def _json_vector(v):
-    return [_json_scalar(x) for x in v]
 
 
 def _load_file(path: str) -> dict:
@@ -87,66 +82,65 @@ def _load_file(path: str) -> dict:
     return doc
 
 
-def _parse_system(doc: dict, key: str, path: str, exact: bool) -> LinSys:
+def _section(doc: dict, key: str, path: str, parse, bad=None):
+    """parse(doc[key]), with every error an InputError naming `path`."""
     if key not in doc:
         raise InputError(f"{path}: missing field '{key}'")
-    entry = doc[key]
     try:
-        A = mat(entry["A"], exact)
-        B = mat(entry["B"], exact)
+        return parse(doc[key])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}")
     except KeyError as exc:
         raise InputError(f"{path}: '{key}' is missing field {exc}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: '{key}' has an unparseable entry: {exc}")
+        bad = bad or f"'{key}' has an unparseable entry"
+        raise InputError(f"{path}: {bad}: {exc}")
     except OverflowError:
         raise InputError(f"{path}: '{key}' has an entry beyond float range")
+
+
+def _parse_system(doc: dict, key: str, path: str, exact: bool) -> LinSys:
+    A, B = _section(doc, key, path, lambda entry: (mat(entry["A"], exact),
+                                                   mat(entry["B"], exact)))
     try:
         return LinSys(name=key, A=A, B=B)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
 
-def _parse_weights(doc: dict, path: str) -> dict:
-    if "transient" not in doc:
-        raise InputError(f"{path}: missing field 'transient' (weights)")
-    tr = doc["transient"]
-    try:
-        a, b = vec(tr["masses"] if "masses" in tr
-                   else [tr["alpha"], tr["beta"]])
-    except KeyError as exc:
-        raise InputError(f"{path}: 'transient' is missing field {exc}")
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: 'transient' has an unparseable entry: {exc}")
+def _weights(tr) -> dict:
+    """alpha and beta, or `build_transient_model`'s pair from masses."""
+    a, b = vec(tr["masses"] if "masses" in tr else [tr["alpha"], tr["beta"]])
     if a <= 0 or b <= 0:
-        raise InputError(f"{path}: transient weights must be strictly positive")
-    if "masses" in tr:      # the convex pair of `build_transient_model`
+        raise InputError("transient weights must be strictly positive")
+    if "masses" in tr:
+        if "alpha" in tr or "beta" in tr:
+            raise InputError("'transient' has both masses and alpha/beta")
         a, b = a / (a + b), b / (a + b)
     return {"alpha": a, "beta": b}
 
 
-def _parse_case(doc: dict, args) -> tuple[LinSys, LinSys, dict]:
-    """Both systems, on the chosen backend, and the transient weights.
+def _parse_case(args) -> tuple[dict, LinSys, LinSys, dict]:
+    """The case file, its systems on the chosen backend, and its weights.
 
     The float backend, and `simulate` on either backend, compute in
     floats, so there every matrix entry and weight must fit in one, and
     no weight may round to 0.
     """
+    doc = _load_file(args.file)
     s1, s2 = (_parse_system(doc, key, args.file, args.exact)
               for key in ("sigma1", "sigma2"))
-    weights = _parse_weights(doc, args.file)
+    weights = _section(doc, "transient", args.file, _weights)
     if not args.exact or args.command == "simulate":
-        for what, values in (("sigma1", [*s1.A.flat, *s1.B.flat]),
-                             ("sigma2", [*s2.A.flat, *s2.B.flat]),
-                             ("transient", weights.values())):
-            try:
-                [float(x) for x in values]
-            except OverflowError:
-                raise InputError(
-                    f"{args.file}: '{what}' has an entry beyond float range")
+        values = {"sigma1": [*s1.A.flat, *s1.B.flat],
+                  "sigma2": [*s2.A.flat, *s2.B.flat],
+                  "transient": weights.values()}
+        for key in values:
+            _section(values, key, args.file, lambda v: [float(x) for x in v])
         if not all(map(float, weights.values())):
             raise InputError(
                 f"{args.file}: 'transient' has a weight that is 0 in floats")
-    return s1, s2, weights
+    return doc, s1, s2, weights
 
 
 def _print_notes(doc: dict, out) -> None:
@@ -155,8 +149,7 @@ def _print_notes(doc: dict, out) -> None:
 
 
 def cmd_check(args) -> int:
-    doc = _load_file(args.file)
-    s1, s2, weights = _parse_case(doc, args)
+    doc, s1, s2, weights = _parse_case(args)
     model = build_transient_model(s1, s2, **weights)
     real, modeling = check_transient(s1, s2, model, args.tolerance)
     ok = real.realizable and modeling.holds
@@ -167,14 +160,14 @@ def cmd_check(args) -> int:
                 "q": real.q,
                 "dim_C1": real.dim_C1,
                 "dim_C2": real.dim_C2,
-                "witness": _json_matrix(real.witness.basis.T),
+                "witness": _json(real.witness.basis.T),
                 "notes": real.notes,
             },
             "modeling": {
                 "holds": modeling.holds,
                 "n": modeling.n,
                 "dim_Cz": modeling.dim_Cz,
-                "tested": [{"vector": _json_vector(v), "in_Cz": bool(b)}
+                "tested": [{"vector": _json(v), "in_Cz": bool(b)}
                            for v, b in modeling.tested_vectors],
             },
             "ok": ok,
@@ -204,10 +197,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_ctrb(args) -> int:
-    doc = _load_file(args.file)
     tol = args.tolerance
     if args.blend:
-        s1, s2, weights = _parse_case(doc, args)
+        doc, s1, s2, weights = _parse_case(args)
         model = build_transient_model(s1, s2, **weights)
         sys_ = model.base
         matrix = ctrb_matrix(sys_.A, sys_.B)
@@ -220,6 +212,7 @@ def cmd_ctrb(args) -> int:
         matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
                                            cols[:, split:].ravel()])]
     else:
+        doc = _load_file(args.file)
         if args.system not in ("sigma1", "sigma2"):
             raise InputError(f"unknown system name: {args.system!r} "
                              "(expected sigma1 or sigma2)")
@@ -231,9 +224,9 @@ def cmd_ctrb(args) -> int:
         payload = {
             "system": sys_.name,
             "rank": basis.dim,
-            "ctrb_matrix": _json_matrix(matrix),
-            "basis": _json_matrix(basis.basis.T),
-            "class_reps": [_json_vector(r.irreducible) for r in reps],
+            "ctrb_matrix": _json(matrix),
+            "basis": _json(basis.basis.T),
+            "class_reps": [_json(r.irreducible) for r in reps],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -262,7 +255,7 @@ def cmd_reduce(args) -> int:
         raise InputError("vector has an entry beyond float range")
     mv = reduce_vector(x, args.tolerance)
     if args.json:
-        print(json.dumps({"irreducible": _json_vector(mv.irreducible),
+        print(json.dumps({"irreducible": _json(mv.irreducible),
                           "multiplicity": mv.multiplicity}))
     else:
         print(f"{_fmt_vector(mv.irreducible)} (×{mv.multiplicity})")
@@ -270,18 +263,17 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_blend(args) -> int:
-    doc = _load_file(args.file)
-    s1, s2, weights = _parse_case(doc, args)
+    doc, s1, s2, weights = _parse_case(args)
     model = build_transient_model(s1, s2, **weights)
     a, b = model.weights
     if args.json:
         payload = {
             "n": model.dim,
-            "alpha": _json_scalar(a),
-            "beta": _json_scalar(b),
-            "A": _json_matrix(model.base.A),
-            "B1": _json_matrix(model.B1_star),
-            "B2": _json_matrix(model.B2_star),
+            "alpha": _json(a),
+            "beta": _json(b),
+            "A": _json(model.base.A),
+            "B1": _json(model.B1_star),
+            "B2": _json(model.B2_star),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -297,11 +289,14 @@ def cmd_blend(args) -> int:
     return 0
 
 
-def _scenario_vector(scd: dict, field: str) -> np.ndarray:
+def _scenario_vector(scd: dict, field: str, of: LinSys) -> np.ndarray:
     try:
-        return vec(scd[field], exact=False)
+        x = vec(scd[field], exact=False)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"'{field}': {exc}") from None
+    if len(x) != of.dim:
+        raise ValueError(f"dimension mismatch between {of.name} and {field}")
+    return x
 
 
 def _scalar(scd: dict, field: str, kind, default=None):
@@ -312,25 +307,13 @@ def _scalar(scd: dict, field: str, kind, default=None):
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_file(args.file)
-    s1, s2, weights = _parse_case(doc, args)
-    if "scenario" not in doc:
-        raise InputError(f"{args.file}: missing field 'scenario'")
-    scd = doc["scenario"]
-    try:
-        sc = Scenario(
-            t0=_scalar(scd, "t0", float), te=_scalar(scd, "te", float),
-            x_start=_scenario_vector(scd, "x_start"),
-            y_target=_scenario_vector(scd, "y_target"),
-            step=_scalar(scd, "step", float, 1e-3),
-            quad_steps=_scalar(scd, "quad_steps", int, 512))
-    except KeyError as exc:
-        raise InputError(f"{args.file}: 'scenario' is missing field {exc}")
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{args.file}: bad scenario: {exc}")
-    except OverflowError:
-        raise InputError(
-            f"{args.file}: 'scenario' has an entry beyond float range")
+    doc, s1, s2, weights = _parse_case(args)
+    sc = _section(doc, "scenario", args.file, lambda scd: Scenario(
+        t0=_scalar(scd, "t0", float), te=_scalar(scd, "te", float),
+        x_start=_scenario_vector(scd, "x_start", s1),
+        y_target=_scenario_vector(scd, "y_target", s2),
+        step=_scalar(scd, "step", float, 1e-3),
+        quad_steps=_scalar(scd, "quad_steps", int, 512)), "bad scenario")
     try:
         traj, outcome = run_transient_scenario(
             s1, s2, sc, steer=args.steer, **weights)

@@ -567,6 +567,8 @@ _MALFORMED = [
     ("transient-str", ["transient"], "abc", _WEIGHTED, _BOTH, "'transient'"),
     ("string-masses", ["transient"], {"masses": "12"}, _WEIGHTED, _BOTH,
      "'transient' has an unparseable entry: '12' is a string"),
+    ("both-weight-forms", ["transient", "masses"], ["1", "1"], _WEIGHTED,
+     _BOTH, "'transient' has both masses and alpha/beta"),
     ("scenario-list", ["scenario"], [0, 1], ("simulate",), _BOTH,
      "bad scenario"),
     ("scenario-int", ["scenario"], 5, ("simulate",), _BOTH, "bad scenario"),
@@ -861,7 +863,6 @@ def test_tol_must_be_a_number(capsys):
     assert "--tol: must be a positive, finite number, got 'abc'" in err
 
 
-
 def _with(*path_and_value):
     """An edit of a case document that sets the field at a path."""
     *path, value = path_and_value
@@ -896,7 +897,7 @@ _INPUT_ERRORS = [
      ["ctrb", "{case}", "--system", "sigma2"],
      "error: {case}: missing field 'sigma2'"),
     ("missing-transient", _without("transient"), ["blend", "{case}"],
-     "error: {case}: missing field 'transient' (weights)"),
+     "error: {case}: missing field 'transient'"),
     ("missing-scenario", _without("scenario"),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      "error: {case}: missing field 'scenario'"),
@@ -956,6 +957,17 @@ _INPUT_ERRORS = [
     ("long-horizon", _with("scenario", "step", 1e-9),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      "error: {case}: bad scenario: horizon longer than 1000000 steps"),
+    ("both-weight-forms", _with("transient", "masses", ["1", "1"]),
+     ["check", "{case}"],
+     "error: {case}: 'transient' has both masses and alpha/beta"),
+    ("x_start-length", _with("sigma1", base_doc()["sigma2"]),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: dimension mismatch between sigma1 and "
+     "x_start"),
+    ("y_target-length", _with("sigma2", base_doc()["sigma1"]),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: dimension mismatch between sigma2 and "
+     "y_target"),
     ("unknown-system", None, ["ctrb", CASE, "--system", "sigma3"],
      "error: unknown system name: 'sigma3' (expected sigma1 or sigma2)"),
     ("unparseable-vector", None, ["reduce", "--vector", "1,x"],

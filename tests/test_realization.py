@@ -382,7 +382,7 @@ def test_full_blend_subspace_needs_no_membership_test(monkeypatch, tmp_path,
     for doc in docs:
         s1, s2 = (LinSys(k, mat(doc[k]["A"], exact), mat(doc[k]["B"], exact))
                   for k in ("sigma1", "sigma2"))
-        model = build_transient_model(s1, s2, **cli._parse_weights(doc, "case"))
+        model = build_transient_model(s1, s2, **cli._weights(doc["transient"]))
         rep = check_modeling_condition(s1, s2, model)
         assert rep.dim_Cz == len(model.lengths) and rep.holds
         assert len(rep.tested_vectors) >= 2
@@ -484,7 +484,7 @@ def _case(exact, path=EXAMPLE1):
     doc = json.loads(Path(path).read_text())
     s1, s2 = (LinSys(k, mat(doc[k]["A"], exact), mat(doc[k]["B"], exact))
               for k in ("sigma1", "sigma2"))
-    return s1, s2, build_transient_model(s1, s2, **cli._parse_weights(doc, "case"))
+    return s1, s2, build_transient_model(s1, s2, **cli._weights(doc["transient"]))
 
 
 @pytest.mark.parametrize("exact", [True, False])

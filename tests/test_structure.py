@@ -182,3 +182,25 @@ def test_one_elimination_loop():
     # only `_bareiss` searches a column for its pivot
     assert {fn for name in ("nonzero", "flatnonzero")
             for fn in _calls_by_function(SRC / "numerics.py", name)} == {"_bareiss"}
+
+
+def test_one_reading_rule_for_case_files():
+    # `_section` turns a malformed case-file section into the InputError
+    # that names the file and the section: no other CLI function catches
+    # a missing key, and only `reduce --vector` and main's exit 3 catch
+    # an overflow besides it
+    catches = {}
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = getattr(node.type, "elts", [node.type])
+            for t in types:
+                catches.setdefault(ast.unparse(t), set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "cli.py").read_text()), None)
+    assert catches["KeyError"] == {"_section"}
+    assert catches["OverflowError"] == {"_section", "cmd_reduce", "main"}
