@@ -9,10 +9,9 @@ minimum-energy steered transients end to end.
 
 __version__ = "0.1.0"
 
-from .controllability import (CtrbResult, Gramian, KalmanDecomp,
-                              QuotientCtrb, ctrb_gramian, ctrb_matrix,
-                              ctrb_subspace, kalman_decomposition,
-                              quotient_ctrb_subspace)
+from .controllability import (CtrbResult, KalmanDecomp, QuotientCtrb,
+                              ctrb_matrix, ctrb_subspace,
+                              kalman_decomposition, quotient_ctrb_subspace)
 from .mixdim import (MatrixClassRep, MixVector, mat_equivalent,
                      mat_vec_equivalent, reduce_matrix, reduce_matrix_vec,
                      reduce_vector, second_stp, stp_action,
@@ -20,16 +19,15 @@ from .mixdim import (MatrixClassRep, MixVector, mat_equivalent,
                      vec_equivalent, vec_sub)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
                        column_space_basis, in_span, j_matrix, kron, mat,
-                       matrix_exponential_apply, ones_vector, parse_scalar,
-                       rank, vec)
+                       ones_vector, parse_scalar, rank, vec)
 from .realization import (ModelingReport, RealizationReport, TransientModel,
                           augment_with_zero_dynamics, build_transient_model,
                           check_modeling_condition, check_realization,
                           check_transient, direct_sum_check, embed,
                           embed_subspace)
-from .simulation import (ControlSignal, RealizationOutcome, Scenario,
-                         Trajectory, UnreachableTargetError,
-                         export_trajectory, min_energy_control,
-                         rk4_integrate, run_transient_scenario)
+from .simulation import (RealizationOutcome, Scenario, Trajectory,
+                         UnreachableTargetError, export_trajectory,
+                         min_energy_control, rk4_integrate,
+                         run_transient_scenario)
 from .systems import (LinSys, QuotientSysRep, apply_pseudo_transform,
                       lift_system, project_system, systems_equivalent)

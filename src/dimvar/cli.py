@@ -125,21 +125,26 @@ def _parse_case(args) -> tuple[dict, LinSys, LinSys, dict]:
 
     The float backend, and `simulate` on either backend, compute in
     floats, so there every matrix entry and weight must fit in one, and
-    no weight may round to 0.
+    no weight may round to 0.  Each section is range-checked right after
+    it is parsed, so a file's first fault is reported on either backend.
     """
     doc = _load_file(args.file)
-    s1, s2 = (_parse_system(doc, key, args.file, args.exact)
-              for key in ("sigma1", "sigma2"))
+    floats = not args.exact or args.command == "simulate"
+
+    def in_range(key, values):
+        if floats:
+            _section({key: values}, key, args.file,
+                     lambda v: [float(x) for x in v])
+
+    s1 = _parse_system(doc, "sigma1", args.file, args.exact)
+    in_range("sigma1", [*s1.A.flat, *s1.B.flat])
+    s2 = _parse_system(doc, "sigma2", args.file, args.exact)
+    in_range("sigma2", [*s2.A.flat, *s2.B.flat])
     weights = _section(doc, "transient", args.file, _weights)
-    if not args.exact or args.command == "simulate":
-        values = {"sigma1": [*s1.A.flat, *s1.B.flat],
-                  "sigma2": [*s2.A.flat, *s2.B.flat],
-                  "transient": weights.values()}
-        for key in values:
-            _section(values, key, args.file, lambda v: [float(x) for x in v])
-        if not all(map(float, weights.values())):
-            raise InputError(
-                f"{args.file}: 'transient' has a weight that is 0 in floats")
+    in_range("transient", weights.values())
+    if floats and not all(map(float, weights.values())):
+        raise InputError(
+            f"{args.file}: 'transient' has a weight that is 0 in floats")
     return doc, s1, s2, weights
 
 
@@ -299,21 +304,23 @@ def _scenario_vector(scd: dict, field: str, of: LinSys) -> np.ndarray:
     return x
 
 
-def _scalar(scd: dict, field: str, kind, default=None):
+def _scalar(scd: dict, field: str, default=None) -> float:
     value = scd[field] if default is None else scd.get(field, default)
-    if isinstance(value, bool):
-        raise ValueError(f"'{field}': {value} is a boolean, not a number")
-    return kind(value)
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"{value} is a boolean, not a number")
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'{field}': {exc}") from None
 
 
 def cmd_simulate(args) -> int:
     doc, s1, s2, weights = _parse_case(args)
     sc = _section(doc, "scenario", args.file, lambda scd: Scenario(
-        t0=_scalar(scd, "t0", float), te=_scalar(scd, "te", float),
+        t0=_scalar(scd, "t0"), te=_scalar(scd, "te"),
         x_start=_scenario_vector(scd, "x_start", s1),
         y_target=_scenario_vector(scd, "y_target", s2),
-        step=_scalar(scd, "step", float, 1e-3),
-        quad_steps=_scalar(scd, "quad_steps", int, 512)), "bad scenario")
+        step=_scalar(scd, "step", 1e-3)), "bad scenario")
     try:
         traj, outcome = run_transient_scenario(
             s1, s2, sc, steer=args.steer, **weights)

@@ -1,9 +1,10 @@
 """Controllability machinery.
 
 Kalman controllability matrix and subspace, the quotient-space version
-(class representatives of the basis columns), the controllability
-decomposition into controllable/uncontrollable blocks, and finite-
-horizon Gramians for minimum-energy steering.
+(class representatives of the basis columns), and the controllability
+decomposition into controllable/uncontrollable blocks.  Minimum-energy
+steering needs no Gramian: `simulation` solves for the inputs of its
+RK4 run directly.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _expm,
-                       _input_matrix, _krylov_product, common_backend,
-                       complete_basis, equality_key, float_only, krylov_pivots)
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _input_matrix,
+                       _krylov_product, common_backend, complete_basis,
+                       equality_key, krylov_pivots)
 from .systems import LinSys
 
 
@@ -123,35 +124,3 @@ def kalman_decomposition(A: np.ndarray, B: np.ndarray,
     Ab, Bb, k = T @ A @ P, T @ B, V.shape[1]
     return KalmanDecomp(T=T, A11=Ab[:k, :k], A12=Ab[:k, k:], A22=Ab[k:, k:],
                         B_top=Bb[:k, :], ctrb_dim=k)
-
-
-@dataclass(frozen=True)
-class Gramian:
-    """Finite-horizon controllability Gramian over [t0, te]."""
-
-    W: np.ndarray
-    t0: float
-    te: float
-
-
-def ctrb_gramian(A: np.ndarray, B: np.ndarray, t0: float, te: float,
-                 quad_steps: int = 512) -> Gramian:
-    """W = int_{t0}^{te} e^{A tau} B B^T e^{A^T tau} dtau.
-
-    Van Loan's block exponential ("Computing integrals involving the
-    matrix exponential", 1978): the exponential of
-    [[-A, B B^T], [0, A^T]] (te - t0) is [[., E12], [0, E22]] and
-    W(0, te - t0) = E22^T E12; a nonzero t0 conjugates that by
-    e^{A t0}.  ``quad_steps`` is accepted and ignored.
-    """
-    if te <= t0:
-        raise ValueError(f"empty horizon: te={te} <= t0={t0}")
-    A, B = float_only("Gramian", A, B)
-    B, n = _input_matrix(A, B), A.shape[0]
-    E = _expm(np.block([[-A, B @ B.T], [np.zeros((n, n)), A.T]]) * (te - t0))
-    W = E[n:, n:].T @ E[:n, n:]
-    if t0 != 0.0:
-        F = _expm(A * t0)
-        W = F @ W @ F.T
-    W = 0.5 * (W + W.T)  # kill asymmetric round-off
-    return Gramian(W=W, t0=t0, te=te)

@@ -124,13 +124,6 @@ def common_backend(*arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=float) for a in arrays]
 
 
-def float_only(what: str, *arrays) -> list[np.ndarray]:
-    """The arrays as float64; TypeError when any of them is exact."""
-    if any(is_exact(np.asarray(a)) for a in arrays):
-        raise TypeError(f"{what} requires the float64 backend")
-    return [np.asarray(a, dtype=float) for a in arrays]
-
-
 def zeros(shape, exact: bool = True) -> np.ndarray:
     if exact:
         return np.full(shape, Fraction(0), dtype=object)
@@ -533,15 +526,3 @@ def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inverse(A: np.ndarray) -> np.ndarray:
     return solve(A, as_backend(np.eye(len(A)), A))
-
-
-def matrix_exponential_apply(A: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    """Compute e^{A t} v (float64 backend only)."""
-    A, v = float_only("matrix exponential", A, v)
-    return _expm(A * t) @ v
-
-
-def _expm(M: np.ndarray) -> np.ndarray:
-    """scipy's expm of M (or a stack), imported only when it first runs."""
-    import scipy.linalg
-    return scipy.linalg.expm(M)

@@ -17,23 +17,21 @@ is one cumulative sum, and the m steps are applied together by a
 doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
 ..., not one Python step at a time.
 
-`min_energy_control` and `ControlSignal` remain the continuous
-minimum-energy design (Gramian and matrix exponentials) for any
-(A, B), and `rk4_integrate` integrates any input signal.  The steering
-runs on numpy alone; scipy is loaded only when these exponentials run.
+`min_energy_control` is the same design for any (A, B): the stage
+inputs of its RK4 run, which `rk4_integrate` takes in place of an input
+callable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import ctrb_gramian
 from .mixdim import reduce_vector, vec_sub
-from .numerics import (Tolerance, _expm, _input_matrix, _one_column,
-                       krylov_pivots, to_float)
+from .numerics import (Tolerance, _input_matrix, _one_column, krylov_pivots,
+                       to_float)
 from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
@@ -59,8 +57,6 @@ class Scenario:
     """Parameters of one steered transient run.
 
     The horizon te - t0 must hold between 10 and MAX_STEPS steps.
-    ``quad_steps`` is accepted and ignored: steering needs no
-    quadrature.
     """
 
     t0: float
@@ -68,7 +64,6 @@ class Scenario:
     x_start: np.ndarray
     y_target: np.ndarray
     step: float = 1e-3
-    quad_steps: int = 512
 
     def __post_init__(self):
         _check_times(self.t0, self.te, self.step)
@@ -94,65 +89,6 @@ def _state(z, n: int, name: str, of: str = "A") -> np.ndarray:
     if len(z := _one_column(np.asarray(z, dtype=float))) != n:
         raise ValueError(f"dimension mismatch between {of} and {name}")
     return z
-
-
-class ControlSignal:
-    """Minimum-energy open-loop input u(t) = B^T e^{A^T (te - t)} eta.
-
-    Bfull has A's rows (a 1-D Bfull is one input), eta is a vector or
-    one column, and u(t) is 1-D.  Evaluates to zero outside [t0, te].
-    ``eta = None`` encodes the zero signal.  Calling the signal
-    evaluates one time point, with one matrix exponential memoised per
-    point; ``sample`` evaluates a whole evenly spaced grid, as RK4
-    needs, from two stacked exponentials.
-    """
-
-    def __init__(self, A: np.ndarray, Bfull: np.ndarray, eta, t0: float,
-                 te: float):
-        self.A = np.asarray(A, dtype=float)
-        self.Bfull = _input_matrix(self.A, np.asarray(Bfull, dtype=float))
-        self.eta = None if eta is None else _state(eta, len(self.A), "eta")
-        self.t0, self.te = t0, te
-        self._cache: dict[float, np.ndarray] = {}
-
-    @property
-    def channels(self) -> int:
-        return self.Bfull.shape[1]
-
-    @staticmethod
-    def zero(A, Bfull, t0: float, te: float) -> "ControlSignal":
-        return ControlSignal(A, Bfull, None, t0, te)
-
-    def __call__(self, t: float) -> np.ndarray:
-        if self.eta is None or t < self.t0 or t > self.te:
-            return np.zeros(self.channels)
-        u = self._cache.get(t)
-        if u is None:
-            u = self.Bfull.T @ (_expm(self.A.T * (self.te - t)) @ self.eta)
-            self._cache[t] = u
-        return u
-
-    def sample(self, ts: np.ndarray, spacing: float) -> np.ndarray:
-        """Inputs at the increasing times ``ts``, one row per time;
-        consecutive times are ``spacing`` apart up to round-off.
-
-        The costate w(s) = e^{A^T (te - s)} eta is computed at every
-        K-th time a, K about sqrt(len(ts)), and carried to the times
-        after it as w(a + j spacing) = e^{-A^T j spacing} w(a), so the
-        whole grid costs two stacked exponentials.
-        """
-        ts = np.asarray(ts, dtype=float)
-        U = np.zeros((ts.size, self.channels))
-        inside = np.flatnonzero((ts >= self.t0) & (ts <= self.te))
-        if self.eta is None or inside.size == 0:
-            return U
-        K = math.isqrt(inside.size - 1) + 1
-        anchors = ts[inside[0]:inside[-1] + 1:K]
-        V = _expm(self.A.T * (self.te - anchors)[:, None, None]) @ self.eta
-        carry = _expm(self.A.T * (-spacing * np.arange(K))[:, None, None])
-        W = np.einsum("jab,kb->kja", carry, V).reshape(-1, len(self.A))
-        U[inside] = W[:inside.size] @ self.Bfull
-        return U
 
 
 @dataclass
@@ -270,15 +206,16 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
 
     The final step is shortened to land exactly on te; the times are
     those of the loop t = t + min(step, te - t), bit for bit (see
-    _time_grid).  ``u`` is any callable t -> input vector, called once
-    per distinct stage time; a ControlSignal instead samples its evenly
-    spaced stage times at once and is called only at the stage times of
-    a shortened final step.  Each step is its exact linear map (see
-    _rk4_step_map), and the steps are applied together by a doubling
-    scan over the powers of P (see _scan).  Non-finite times, a step
-    that is not positive and a horizon of more than MAX_STEPS steps
+    _time_grid).  ``u`` is either a callable t -> input vector, called
+    once per distinct stage time t_0, t_0 + h_0/2, t_1, ..., t_m, or the
+    inputs there as one array of 2m + 1 rows and one column per input,
+    as `min_energy_control` returns them.  Each step is its exact linear
+    map (see _rk4_step_map), and the steps are applied together by a
+    doubling scan over the powers of P (see _scan).  Non-finite times, a
+    step that is not positive and a horizon of more than MAX_STEPS steps
     raise ValueError, as do a Bfull without A's rows (a 1-D Bfull is
-    one input) and a z0 that is not a vector or one column of A's size.
+    one input), a z0 that is not a vector or one column of A's size and
+    an input array of another shape.
     """
     _check_times(t0, te, step)
     A = np.asarray(A, dtype=float)
@@ -291,46 +228,12 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     stages = np.empty(2 * hs.size + 1)
     stages[0::2] = times
     stages[1::2] = times[:-1] + hs / 2
-    # the inputs there: a ControlSignal samples the evenly spaced stage
-    # times of the full steps at once; the rest are single calls
-    c = Bfull.shape[1]
-    even = 2 * full + 1 if isinstance(u, ControlSignal) else 0
-    head = u.sample(stages[:even], step / 2) if even else np.zeros((0, c))
-    tail = [np.asarray(u(s), dtype=float) for s in stages[even:]]
-    U = np.vstack([head, np.reshape(tail, (len(tail), c))])
+    shape = (stages.size, Bfull.shape[1])
+    if callable(u):
+        U = np.reshape([np.asarray(u(s), dtype=float) for s in stages], shape)
+    elif (U := np.asarray(u, dtype=float)).shape != shape:
+        raise ValueError(f"input array of shape {U.shape}, expected {shape}")
     return Trajectory(times=times, states=_run_steps(groups, U, z))
-
-
-def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
-                       z_target: np.ndarray, t0: float, te: float,
-                       quad_steps: int = 512) -> ControlSignal:
-    """Design the Gramian-based minimum-energy steering input.
-
-    ``quad_steps`` is accepted and ignored (see ctrb_gramian).
-
-    The input u(t) = B^T e^{A^T (te - t)} eta over [t0, te] reaches
-    W(0, te - t0) eta, so eta solves with the Gramian of the shifted
-    horizon [0, te - t0], whatever t0 is.
-
-    The Gramian solve happens on an orthonormal basis Q of the
-    controllable subspace (the `span` of `krylov_pivots`), so
-    uncontrollable (singular-Gramian) systems are handled: W is the
-    Gramian of (Q^T A Q, Q^T B) and eta = Q W^-1 Q^T d.  The displacement
-    d = z_target - e^{A(te-t0)} z0 must have no component d - Q Q^T d
-    outside the subspace, otherwise UnreachableTargetError is raised
-    with that residual.  Bfull and the states are shaped as for
-    `rk4_integrate`.
-    """
-    A = np.asarray(A, dtype=float)
-    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
-    z0, z_target = _state(z0, len(A), "z0"), _state(z_target, len(A), "z_target")
-    d = z_target - _expm(A * (te - t0)) @ z0
-    Q = krylov_pivots(A, Bfull)[2].basis
-    dc = _reachable_part(d, Q, Q, 1)
-    if Q.shape[1] == 0:
-        return ControlSignal.zero(A, Bfull, t0, te)
-    W = ctrb_gramian(Q.T @ A @ Q, Q.T @ Bfull, 0.0, te - t0, quad_steps).W
-    return ControlSignal(A, Bfull, Q @ np.linalg.solve(W, dc), t0, te)
 
 
 def _reachable_part(d, left, right, lengths):
@@ -450,6 +353,32 @@ def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
     if Q.shape[1] == 0:
         return np.zeros((2 * hs.size + 1, Bs.shape[1]))
     return _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)
+
+
+def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
+                       z_target: np.ndarray, t0: float, te: float,
+                       step: float = 1e-3) -> np.ndarray:
+    """Stage inputs of least Simpson-weighted norm that steer the RK4 run
+    of dz/dt = A z + B u(t) over [t0, te] from z0 to z_target.
+
+    The steering of `run_transient_scenario` for any (A, B): the rows
+    are the inputs at `rk4_integrate`'s distinct stage times, so
+    ``rk4_integrate(A, Bfull, u, z0, t0, te, step)`` with the returned
+    u ends at z_target up to round-off.  Times, Bfull and the states are
+    checked as by `rk4_integrate`, and an empty horizon raises
+    ValueError.  A displacement outside the controllable subspace raises
+    UnreachableTargetError with its residual; a steering map of lower
+    numerical rank than that subspace raises LinAlgError.
+    """
+    _check_times(t0, te, step)
+    if te <= t0:
+        raise ValueError(f"empty horizon: te={te} <= t0={t0}")
+    A = np.asarray(A, dtype=float)
+    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
+    z0, z_target = _state(z0, len(A), "z0"), _state(z_target, len(A), "z_target")
+    hs, groups = _step_groups(A, Bfull, step, *_time_grid(t0, te, step)[1:])
+    return _segment_steering(A, Bfull, np.ones(len(A), dtype=int), hs, groups,
+                             z0, z_target)
 
 
 @dataclass(frozen=True)

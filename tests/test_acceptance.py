@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_rational_vector, rand_system
-from dimvar import (ControlSignal, LinSys, Scenario, build_transient_model,
+from dimvar import (LinSys, Scenario, build_transient_model,
                     check_modeling_condition, check_realization, ctrb_matrix,
                     ctrb_subspace, j_matrix, kalman_decomposition, kron,
                     lift_system, mat, mat_equivalent, min_energy_control,
@@ -211,7 +211,7 @@ def test_criterion_09_kalman_structure():
     # uncontrollable coordinates evolve autonomously under any input
     A = np.diag([0.5, -2.0])
     B = np.array([[1.0], [0.0]])
-    u = ControlSignal(A, B, np.array([3.0, -1.0]), 0.0, 1.0)
+    u = lambda t: np.array([3.0 * math.exp(0.5 * (1.0 - t))])
     tr = rk4_integrate(A, B, u, np.array([1.0, 1.0]), 0.0, 1.0, 1e-3)
     ok = ok and abs(tr.states[-1, 1] - math.exp(-2.0)) <= 1e-8
     report(9, ok, "Kalman decomposition exact; uncontrollable block "

@@ -598,8 +598,6 @@ _MALFORMED = [
      "bad scenario: 'te': True is a boolean"),
     ("bool-step", ["scenario", "step"], True, ("simulate",), _BOTH,
      "bad scenario: 'step': True is a boolean"),
-    ("bool-quad-steps", ["scenario", "quad_steps"], True, ("simulate",),
-     _BOTH, "bad scenario: 'quad_steps': True is a boolean"),
 ]
 
 
@@ -794,8 +792,8 @@ def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
     (["simulate", CASE, "--steer"], 0),
 ])
 def test_cli_never_loads_scipy(tmp_path, argv, code):
-    # a fresh interpreter: scipy is imported only where an expm runs, and
-    # no command runs one (steering solves by numpy's QR)
+    # a fresh interpreter: no command imports scipy, since steering
+    # solves by numpy's QR
     cmd = argv + (["--out", str(tmp_path / "t.csv")]
                   if argv[0] == "simulate" else [])
     script = (
@@ -876,6 +874,21 @@ def _with(*path_and_value):
     return edit
 
 
+def _two_faults(doc):
+    """sigma1 beyond float range, and sigma2 unparseable."""
+    doc["sigma1"]["A"][0][1] = "1e400"
+    doc["sigma2"]["A"][0][0] = "x"
+    return doc
+
+
+def _float_error(value):
+    """Python's message for float(value), which differs by version."""
+    try:
+        float(value)
+    except TypeError as exc:
+        return str(exc)
+
+
 _FLOAT_RANGE = "has an entry beyond float range"
 _INPUT_ERRORS = [
     # id, edit of example1 (None: no file is written; a str is written
@@ -938,6 +951,13 @@ _INPUT_ERRORS = [
     ("transient-float-range", _with("transient", "beta", "1e400"),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      f"error: {{case}}: 'transient' {_FLOAT_RANGE}"),
+    # the first faulty system is reported, whichever backend parses it
+    ("two-faults-check-float", _two_faults, ["check", "{case}", "--backend",
+                                             "float"],
+     f"error: {{case}}: 'sigma1' {_FLOAT_RANGE}"),
+    ("two-faults-simulate", _two_faults,
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     f"error: {{case}}: 'sigma1' {_FLOAT_RANGE}"),
     ("scenario-float-range", _with("scenario", "x_start", ["1e400", "1"]),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      f"error: {{case}}: 'scenario' {_FLOAT_RANGE}"),
@@ -950,6 +970,13 @@ _INPUT_ERRORS = [
     ("bool-t0", _with("scenario", "t0", False),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      "error: {case}: bad scenario: 't0': False is a boolean, not a number"),
+    ("string-te", _with("scenario", "te", "abc"),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: 'te': could not convert string to "
+     "float: 'abc'"),
+    ("list-step", _with("scenario", "step", []),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     f"error: {{case}}: bad scenario: 'step': {_float_error([])}"),
     ("string-x_start", _with("scenario", "x_start", "01"),
      ["simulate", "{case}", "--out", "{dir}/t.csv"],
      "error: {case}: bad scenario: 'x_start': '01' is a string, not a "

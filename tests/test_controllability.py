@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import rand_rational_matrix, rand_system
 from dimvar import (LinSys, build_transient_model, check_modeling_condition,
-                    ctrb_gramian, ctrb_matrix, ctrb_subspace,
-                    in_span, kalman_decomposition, lift_system, mat,
-                    quotient_ctrb_subspace, rank, vec, vec_equivalent)
+                    ctrb_matrix, ctrb_subspace, in_span, kalman_decomposition,
+                    lift_system, mat, quotient_ctrb_subspace, rank, vec,
+                    vec_equivalent)
 from dimvar import SubspaceBasis, realization
 from dimvar.controllability import _class_reps
 from dimvar.mixdim import _reps_equal, reduce_vector
@@ -352,65 +351,3 @@ def test_kalman_completion_float_threshold():
     assert kd.ctrb_dim == 2 and kd.T.shape == (3, 3)
     assert np.max(np.abs((kd.T @ A @ np.linalg.inv(kd.T))[2:, :2])) <= 1e-12
     assert np.max(np.abs((kd.T @ B)[2:])) <= 1e-20
-
-
-def test_gramian_constants():
-    W = ctrb_gramian(np.zeros((1, 1)), np.ones((1, 1)), 0.0, 2.5).W
-    assert abs(W[0, 0] - 2.5) < 1e-12
-    W = ctrb_gramian(np.zeros((2, 2)), np.eye(2), 0.0, 2.0).W
-    assert np.allclose(W, 2.0 * np.eye(2), atol=1e-12)
-    with pytest.raises(ValueError):
-        ctrb_gramian(np.zeros((1, 1)), np.ones((1, 1)), 1.0, 1.0)
-    with pytest.raises(TypeError):
-        ctrb_gramian(mat([[0]]), mat([[1]]), 0.0, 1.0)
-
-
-def test_gramian_example1_analytic(ex1_s1):
-    # e^{A tau} B = [tau, 1]^T, so W = [[1/3, 1/2], [1/2, 1]]
-    W = ctrb_gramian(to_float(ex1_s1.A), to_float(ex1_s1.B), 0.0, 1.0).W
-    assert np.max(np.abs(W - np.array([[1 / 3, 1 / 2], [1 / 2, 1]]))) < 1e-9
-
-
-def test_gramian_properties_random():
-    rng = np.random.default_rng(75)
-    done = 0
-    while done < 20:
-        n = int(rng.integers(1, 5))
-        A = rng.uniform(-1, 1, (n, n)) - 1.0 * np.eye(n)  # stable-ish
-        B = rng.uniform(-1, 1, (n, int(rng.integers(1, 3))))
-        C = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
-        sv = np.linalg.svd(C, compute_uv=False)
-        if sv.min() < 0.1 * sv.max():
-            continue  # skip near-degenerate draws; rank is then ambiguous
-        g = ctrb_gramian(A, B, 0.0, 1.0)
-        assert np.max(np.abs(g.W - g.W.T)) <= 1e-10
-        eigs = np.linalg.eigvalsh(g.W)
-        assert eigs.min() >= -1e-9
-        r_gram = np.linalg.matrix_rank(g.W, tol=1e-7 * max(np.trace(g.W), 1e-30))
-        assert r_gram == rank(C)
-        done += 1
-
-
-def _gramian_simpson(A, B, t0, te, panels):
-    """Composite Simpson quadrature of the Gramian integrand."""
-    h = (te - t0) / panels
-    taus = t0 + (h / 2) * np.arange(2 * panels + 1)
-    G = [F @ F.T for F in (scipy.linalg.expm(A * tau) @ B for tau in taus)]
-    weights = np.ones(2 * panels + 1)
-    weights[1::2] = 4.0
-    weights[2:-1:2] = 2.0
-    return (h / 6) * sum(w * g for w, g in zip(weights, G))
-
-
-def test_gramian_shifted_horizon():
-    rng = np.random.default_rng(11)
-    for n, t0, te in ((2, 0.5, 1.5), (4, 1.0, 1.7), (5, -0.4, 0.6)):
-        A = rng.uniform(-1, 1, (n, n))
-        B = rng.uniform(-1, 1, (n, 2))
-        W = ctrb_gramian(A, B, t0, te).W
-        F = scipy.linalg.expm(A * t0)
-        shifted = F @ ctrb_gramian(A, B, 0.0, te - t0).W @ F.T
-        simpson = _gramian_simpson(A, B, t0, te, 4096)
-        scale = max(1.0, np.max(np.abs(W)))
-        assert np.max(np.abs(W - shifted)) <= 1e-10 * scale
-        assert np.max(np.abs(W - simpson)) <= 1e-10 * scale

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
-                    kron, mat, matrix_exponential_apply, ones_vector,
-                    parse_scalar, rank, vec)
+                    kron, mat, ones_vector, parse_scalar, rank, vec)
 from dimvar.numerics import (_PRIME, _bareiss, _certify_full_krylov,
                              _krylov_integers, _krylov_product, equality_key,
                              eye, in_span_columns, inverse, krylov_pivots,
@@ -151,20 +150,6 @@ def test_solve_and_inverse_exact():
     assert np.array_equal(A @ inverse(A), eye(2))
     with pytest.raises(ValueError):
         solve(mat([[1, 1], [1, 1]]), vec([1, 0]))
-
-
-def test_matrix_exponential_apply():
-    v = np.array([1.0, 2.0])
-    out = matrix_exponential_apply(np.zeros((2, 2)), 3.0, v)
-    assert np.allclose(out, v)
-    out = matrix_exponential_apply(np.array([[1.0]]), 1.0, np.array([1.0]))
-    assert abs(out[0] - np.e) < 1e-8
-    # nilpotent: e^{A} = I + A exactly
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = matrix_exponential_apply(A, 1.0, np.array([0.0, 1.0]))
-    assert np.allclose(out, [1.0, 1.0], atol=1e-12)
-    with pytest.raises(TypeError):
-        matrix_exponential_apply(mat([[1]]), 1.0, vec([1]))
 
 
 def _rank_in_span(S, w):
@@ -680,25 +665,22 @@ def test_input_matrices_take_one_rule():
     # B is one 1-D input column or a matrix with A's rows, wherever it is
     # taken: a 3-D B is refused, a B with other rows is "incompatible
     # dimensions", and a 1-D B gives what its column gives
-    from dimvar import (ControlSignal, ctrb_gramian, ctrb_matrix,
-                        ctrb_subspace, kalman_decomposition,
+    from dimvar import (ctrb_matrix, ctrb_subspace, kalman_decomposition,
                         min_energy_control, reduce_matrix_vec, rk4_integrate,
                         stp_action_matrix)
     with pytest.raises(ValueError, match=r"not shape \(2, 1, 1\)"):
         LinSys("x", eye(2), zeros((2, 1, 1)))
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    z0, z1, eta = np.zeros(2), np.ones(2), np.array([1.0, -2.0])
+    z0, z1 = np.zeros(2), np.ones(2)
     uses = {
         "LinSys": lambda B: LinSys("x", A, B).B,
         "ctrb_matrix": lambda B: ctrb_matrix(A, B),
         "ctrb_subspace": lambda B: ctrb_subspace(A, B).matrix,
         "kalman_decomposition": lambda B: kalman_decomposition(A, B).B_top,
-        "ctrb_gramian": lambda B: ctrb_gramian(A, B, 0.0, 1.0).W,
-        "ControlSignal": lambda B: ControlSignal(A, B, eta, 0.0, 1.0)(0.5),
         "rk4_integrate": lambda B: rk4_integrate(
             A, B, lambda t: np.ones(1), z0, 0.0, 0.1, 0.01).states,
         "min_energy_control": lambda B: min_energy_control(
-            A, B, z0, z1, 0.0, 1.0).eta,
+            A, B, z0, z1, 0.0, 1.0),
         "stp_action_matrix": lambda B: stp_action_matrix(A, B),
     }
     b = np.array([0.0, 1.0])

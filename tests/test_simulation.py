@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_system
-from dimvar import (ControlSignal, LinSys, Scenario, Trajectory,
+from dimvar import (LinSys, Scenario, Trajectory,
                     UnreachableTargetError, export_trajectory, in_span,
                     mat, min_energy_control, rk4_integrate,
                     run_transient_scenario, vec)
@@ -64,10 +64,9 @@ def test_rk4_final_step_shortened():
 def test_rk4_is_fourth_order():
     A = np.array([[0.0, 1.0], [-2.0, -0.5]])
     z0 = np.array([1.0, 0.0])
-    exact = None
     errs = []
-    import scipy.linalg
-    exact = scipy.linalg.expm(A * 1.0) @ z0
+    w, V = np.linalg.eig(A)          # e^A = V diag(e^w) V^-1
+    exact = (V @ (np.exp(w) * np.linalg.solve(V, z0))).real
     for h in (1e-2, 5e-3):
         tr = rk4_integrate(A, np.zeros((2, 1)), lambda t: np.zeros(1),
                            z0, 0.0, 1.0, h)
@@ -76,27 +75,22 @@ def test_rk4_is_fourth_order():
     assert 12.0 < ratio < 20.0  # halving h divides the error by ~16
 
 
-def test_control_signal_zero_and_window():
-    A = np.zeros((2, 2))
-    B = np.eye(2)
-    u0 = ControlSignal.zero(A, B, 0.0, 1.0)
-    assert np.array_equal(u0(0.5), np.zeros(2))
-    u = ControlSignal(A, B, np.array([1.0, 2.0]), 0.0, 1.0)
-    assert np.array_equal(u(0.5), [1.0, 2.0])  # expm of 0 matrix
-    assert np.array_equal(u(-0.1), np.zeros(2))
-    assert np.array_equal(u(1.1), np.zeros(2))
-    assert u(0.5) is u._cache[0.5]
-
-
 def test_min_energy_double_integrator_oracle():
-    # steer (0,0) -> (1,0) on [0,1]: eta = (12, -6), u(0) = 6, u(1) = -6
+    # steer (0,0) -> (1,0) on [0,1]: the minimum-energy input is
+    # u(t) = 6 - 12t, and the stage inputs are its values at the stage
+    # times t_0, t_0 + h/2, t_1, ...
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
     u = min_energy_control(A, B, np.zeros(2), np.array([1.0, 0.0]), 0.0, 1.0)
-    assert np.max(np.abs(u.eta - np.array([12.0, -6.0]))) < 1e-8
-    assert abs(u(0.0)[0] - 6.0) < 1e-8
     tr = rk4_integrate(A, B, u, np.zeros(2), 0.0, 1.0, 1e-3)
+    stages = np.empty(2 * len(tr.times) - 1)
+    stages[0::2] = tr.times
+    stages[1::2] = (tr.times[:-1] + tr.times[1:]) / 2
+    assert u.shape == (2001, 1)
+    assert np.max(np.abs(u[:, 0] - (6 - 12 * stages))) < 1e-10
     assert np.max(np.abs(tr.states[-1] - [1.0, 0.0])) < 1e-9
+    with pytest.raises(ValueError, match="empty horizon"):
+        min_energy_control(A, B, np.zeros(2), np.ones(2), 1.0, 1.0)
 
 
 def test_min_energy_random_controllable():
@@ -135,9 +129,7 @@ def test_min_energy_without_inputs(t0):
     z0 = np.array([1.0, -2.0])
     free = np.exp(np.diag(A) * (1.0 - t0)) * z0
     u = min_energy_control(A, B, z0, free, t0, 1.0)
-    assert u.eta is None
-    ts = np.linspace(t0, 1.0, 5)
-    assert not u(0.5).any() and not u.sample(ts, ts[1] - ts[0]).any()
+    assert u.shape[1] == 1 and not u.any()
     with pytest.raises(UnreachableTargetError) as exc:
         min_energy_control(A, B, z0, free + [0.0, 0.1], t0, 1.0)
     assert np.max(np.abs(exc.value.residual - [0.0, 0.1])) < 1e-12
@@ -178,7 +170,7 @@ def test_uncontrollable_block_autonomy():
     # inputs never disturb the uncontrollable coordinate
     A = np.diag([0.5, -2.0])
     B = np.array([[1.0], [0.0]])
-    u = ControlSignal(A, B, np.array([3.0, -1.0]), 0.0, 1.0)
+    u = lambda t: np.array([3.0 * math.exp(0.5 * (1.0 - t))])
     tr = rk4_integrate(A, B, u, np.array([1.0, 1.0]), 0.0, 1.0, 1e-3)
     assert abs(tr.states[-1, 1] - math.exp(-2.0)) < 1e-8
 
@@ -268,6 +260,17 @@ def test_export_trajectory_empty(tmp_path):
     assert path.read_text() == "t\n"
 
 
+def _smooth_input(B, eta, t0=-math.inf, te=math.inf):
+    """t -> B^T (eta cos(k (1 - t)))_k on [t0, te], zero outside it."""
+    freqs = np.arange(len(eta))
+
+    def u(t):
+        if t < t0 or t > te:
+            return np.zeros(B.shape[1])
+        return B.T @ (eta * np.cos(freqs * (1.0 - t)))
+    return u
+
+
 def _rk4_reference(A, B, u, z, t0, te, step):
     """The per-stage RK4 loop: u is called at every stage of every step."""
     def f(t, z):
@@ -293,7 +296,7 @@ def _rk4_reference(A, B, u, z, t0, te, step):
                                        ((0.0, 0.9995), 0.9995),
                                        ((0.25, 0.7), 1.0)])
 def test_rk4_matches_per_stage_reference(p, q, window, te):
-    # a sampled ControlSignal against u(t) (one expm per stage time)
+    # an input that switches on and off inside the run
     from dimvar import build_transient_model
     rng = random.Random(1000 * p + q)
     model = build_transient_model(rand_system(rng, p), rand_system(rng, q),
@@ -302,10 +305,9 @@ def test_rk4_matches_per_stage_reference(p, q, window, te):
     nrng = np.random.default_rng(p * q)
     eta = nrng.uniform(-1, 1, model.dim)
     z0 = nrng.uniform(-1, 1, model.dim)
-    tr = rk4_integrate(A, B, ControlSignal(A, B, eta, *window), z0, 0.0, te,
-                       1e-3)
-    times, states = _rk4_reference(A, B, ControlSignal(A, B, eta, *window),
-                                   z0, 0.0, te, 1e-3)
+    u = _smooth_input(B, eta, *window)
+    tr = rk4_integrate(A, B, u, z0, 0.0, te, 1e-3)
+    times, states = _rk4_reference(A, B, u, z0, 0.0, te, 1e-3)
     assert np.array_equal(tr.times, times)
     scale = np.max(np.abs(states))
     assert np.max(np.abs(tr.states - states)) <= 1e-9 * scale
@@ -334,6 +336,31 @@ def test_rk4_times_and_stage_calls(t0, te, step):
     assert np.max(np.abs(tr.states - states)) <= 1e-12
     mids = [t + min(step, te - t) / 2 for t in times[:-1]]
     assert calls == sorted(list(times) + mids)
+
+
+def test_rk4_takes_stage_inputs_as_one_array():
+    # the inputs at the stage times, as one array, give the run of the
+    # callable bit for bit, here with t0 != 0 and a shortened last step;
+    # an array of another shape is refused
+    calls = []
+
+    def u(t):
+        calls.append(t)
+        return np.array([math.sin(3 * t), math.cos(t)])
+
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, -0.1, 0.5], [0.2, 0.0, -0.3]])
+    B = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]])
+    z0 = np.array([1.0, 0.0, -1.0])
+    tr = rk4_integrate(A, B, u, z0, 0.3, 1.2345, 0.01)
+    assert tr.times[-1] - tr.times[-2] < 0.01
+    U = np.array([u(t) for t in list(calls)])
+    assert U.shape == (2 * len(tr.times) - 1, 2)
+    by_array = rk4_integrate(A, B, U, z0, 0.3, 1.2345, 0.01)
+    assert np.array_equal(by_array.times, tr.times)
+    assert np.array_equal(by_array.states, tr.states)
+    for bad in (U[:-1], U[:, :1], U.ravel(), U[None]):
+        with pytest.raises(ValueError, match="^input array of shape"):
+            rk4_integrate(A, B, bad, z0, 0.3, 1.2345, 0.01)
 
 
 def _loop_times(t0, te, step):
@@ -410,9 +437,7 @@ def _rk4_per_step(A, B, u, z, t0, te, step):
     stages = np.empty(2 * m + 1)
     stages[0::2] = times
     stages[1::2] = np.array(times[:-1]) + np.array(hs) / 2
-    even = 2 * full + 1
-    U = np.vstack([u.sample(stages[:even], step / 2),
-                   *[u(s) for s in stages[even:]]])
+    U = np.array([u(s) for s in stages])
     X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])
     states = np.empty((m + 1, z.size))
     states[0] = z
@@ -443,26 +468,12 @@ def test_rk4_scan_matches_per_step_loop(p, q, steps, shortened, shift):
     B = to_float(model.base.B)
     nrng = np.random.default_rng(n + steps)
     te = (steps - 0.5 * shortened) * 1e-3
-    u = ControlSignal(A, B, nrng.uniform(-1, 1, n), 0.0, te)
+    u = _smooth_input(B, nrng.uniform(-1, 1, n))
     z0 = nrng.uniform(-1, 1, n)
     tr = rk4_integrate(A, B, u, z0, 0.0, te, 1e-3)
     times, states = _rk4_per_step(A, B, u, z0, 0.0, te, 1e-3)
     assert np.array_equal(tr.times, times)
     assert np.max(np.abs(tr.states - states)) <= 1e-12 * np.max(np.abs(states))
-
-
-def test_control_signal_sample_matches_call():
-    A = np.array([[0.0, 1.0], [-2.0, -0.5]])
-    B = np.array([[0.0], [1.0]])
-    u = ControlSignal(A, B, np.array([1.0, -2.0]), 0.1, 0.9)
-    ts = np.arange(101) * 0.01
-    U = u.sample(ts, 0.01)
-    ref = np.array([u(t) for t in ts])
-    assert np.max(np.abs(U - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(U[ts < 0.1], np.zeros((10, 1)))
-    assert np.array_equal(U[ts > 0.9], np.zeros((10, 1)))
-    assert np.array_equal(ControlSignal.zero(A, B, 0.0, 1.0).sample(ts, 0.01),
-                          np.zeros((101, 1)))
 
 
 def _export_per_value(tr, path):
@@ -488,8 +499,7 @@ def test_export_trajectory_matches_per_value_writer(tmp_path):
 
 @pytest.mark.parametrize("t0,te", [(0.5, 1.5), (-1.0, 0.0), (2.0, 2.7)])
 def test_min_energy_shifted_horizon(t0, te):
-    # u(t) = B^T e^{A^T (te - t)} eta over [t0, te] reaches W(0, te - t0) eta,
-    # so a horizon that does not start at 0 must still hit the target
+    # a horizon that does not start at 0 must still hit the target
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 2))
@@ -572,28 +582,12 @@ def test_unsteered_segment_run_matches_n_dimensional_rk4(p, q, te):
                                        steer=False)
     n = out.model.dim
     A, B = to_float(out.model.base.A), to_float(out.model.base.B)
-    zero = ControlSignal.zero(A, B, 0.0, te)
-    ref = rk4_integrate(A, B, zero, np.kron(sc.x_start, np.ones(n // p)),
-                        0.0, te, sc.step)
+    ref = rk4_integrate(A, B, lambda t: np.zeros(B.shape[1]),
+                        np.kron(sc.x_start, np.ones(n // p)), 0.0, te, sc.step)
     assert np.array_equal(traj.times, ref.times)
     assert np.array_equal(traj.states[0], ref.states[0])
     assert (np.max(np.abs(traj.states - ref.states))
             <= 1e-12 * np.max(np.abs(ref.states)))
-
-
-def test_steering_needs_no_matrix_exponential(monkeypatch, ex1_s1, ex1_s2):
-    import scipy.linalg
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("expm called")
-
-    monkeypatch.setattr(scipy.linalg, "expm", refuse)
-    sc = Scenario(0.0, 1.0, vec([0, 1]), vec([1, 1, 1]))
-    traj, _ = run_transient_scenario(ex1_s1, ex1_s2, sc, alpha="3/2",
-                                     beta="1/2")
-    assert traj.target_class_error < 1e-5
-    traj, _ = run_transient_scenario(*_seeded_case(0, 4, 6, 0), masses=(1, 1))
-    assert traj.target_class_error < 1e-5
 
 
 def _weighted_map(groups, hs, left, right):
@@ -738,21 +732,6 @@ def test_state_arrays_of_other_shapes_are_refused(monkeypatch, shape):
     assert traj.states.shape == (11, n)
 
 
-def test_control_signal_takes_eta_as_one_column():
-    # u(t) is 1-D whichever way eta comes, and sample works on a column
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    B = np.array([0.0, 1.0])
-    eta = np.array([1.0, -2.0])
-    row = ControlSignal(A, B, eta, 0.0, 1.0)
-    col = ControlSignal(A, B, eta[:, None], 0.0, 1.0)
-    assert col(0.5).shape == (1,)
-    assert np.array_equal(col(0.5), row(0.5))
-    ts = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(col.sample(ts, 0.1), row.sample(ts, 0.1))
-    with pytest.raises(ValueError, match="one column"):
-        ControlSignal(A, B, np.ones((2, 2)), 0.0, 1.0)
-
-
 def test_time_grid_refuses_a_drifted_grid():
     # at t0 = 2^40 a step of 3e-4 rounds to one ulp, 2^-12, so the loop
     # needs about 1.17e6 steps for a horizon of 0.95e6 nominal steps
@@ -774,13 +753,10 @@ _GOOD, _LONG = np.zeros(2), np.ones(3)
     (lambda: min_energy_control(_A2, _B2, _LONG, _GOOD, 0.0, 1.0), "A and z0"),
     (lambda: min_energy_control(_A2, _B2, _GOOD, _LONG, 0.0, 1.0),
      "A and z_target"),
-    (lambda: ControlSignal(_A2, _B2, _LONG, 0.0, 1.0), "A and eta"),
-], ids=["rk4_integrate", "min_energy_z0", "min_energy_z_target",
-        "control_signal_eta"])
+], ids=["rk4_integrate", "min_energy_z0", "min_energy_z_target"])
 def test_continuous_design_refuses_a_state_of_another_length(call, mismatch):
     # a 3-entry state for a 2-state A is refused by the call itself,
     # with a message naming both, not by numpy's matmul or broadcast
-    # (nor, for a ControlSignal, when it is first evaluated)
     with pytest.raises(ValueError, match=f"^dimension mismatch between {mismatch}$"):
         call()
 
