@@ -253,7 +253,7 @@ def cmd_reduce(args) -> int:
     index: dict[str, int] = {}      # a token's entries share one object
     pos = [index.setdefault(t, len(index)) for t in args.vector.split(",")]
     try:
-        x = vec([parse_scalar(tok) for tok in index], args.exact)[pos]
+        x = vec([parse_scalar(tok.strip()) for tok in index], args.exact)[pos]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse vector: {exc}")
     except OverflowError:

@@ -1,7 +1,7 @@
 """Controllability machinery.
 
 Kalman controllability matrix and subspace, the quotient-space version
-(class representatives of the basis columns), and the controllability
+(the class representative of each basis column), and the controllability
 decomposition into controllable/uncontrollable blocks.  Minimum-energy
 steering needs no Gramian: `simulation` solves for the inputs of its
 RK4 run directly.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixdim import MixVector, _largest_factor, _reps_equal, reduce_vector
+from .mixdim import MixVector, _largest_factor, reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, _input_matrix,
                        _krylov_product, common_backend, complete_basis,
                        equality_key, krylov_pivots)
@@ -21,8 +21,8 @@ from .systems import LinSys
 
 
 def ctrb_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Horizontal concatenation [B, AB, ..., A^{n-1}B], multiplied out
-    by `numerics._krylov_product` (in integers on exact inputs)."""
+    """[B, AB, ..., A^{n-1}B] by `numerics._krylov_product`: in integers
+    on exact inputs; a float product that overflows raises LinAlgError."""
     return _krylov_product(A, _input_matrix(A, B))
 
 
@@ -53,43 +53,30 @@ def ctrb_subspace(A: np.ndarray, B: np.ndarray,
 
 @dataclass(frozen=True)
 class QuotientCtrb:
-    """Controllable subspace on the quotient space.
-
-    ``reps`` are pairwise non-equivalent irreducible representatives of
-    a basis of the controllable subspace.
-    """
+    """Controllable subspace on the quotient space: ``reps`` holds the
+    irreducible representative of each column of a basis of it."""
 
     reps: list[MixVector]
     ambient_class_dim: int
 
 
 def quotient_ctrb_subspace(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientCtrb:
-    """Class representatives of the controllable-subspace basis.
-
-    Each pivot-basis column is reduced to its irreducible member and
-    duplicates (equivalent classes) are dropped.
-    """
+    """One class representative per pivot column: each column of the
+    controllable subspace's pivot basis reduced to its irreducible member."""
     W = krylov_pivots(s.A, s.B, tol)[1]
     return QuotientCtrb(reps=_class_reps(SubspaceBasis(s.dim, W), tol),
                         ambient_class_dim=s.dim)
 
 
 def _class_reps(S: SubspaceBasis, tol: Tolerance) -> list[MixVector]:
-    """Irreducible members of S's basis columns, equivalent ones dropped;
-    exact columns strip and compare on their slices of one key of S."""
+    """Each basis column of S with its irreducible member; exact columns
+    strip on their slices of one key of S."""
     K = equality_key(S.basis)
-    reps: list[MixVector] = []
-    seen = []                       # float representatives, or keys
-    for j in range(S.dim):
-        x = S.basis[:, j]
-        s = 0 if K is None else _largest_factor([(K[:, j:j + 1], False)])
-        y = x[::s] if s else reduce_vector(x, tol).irreducible
-        t = K[::s, j] if s else y
-        if not any(_reps_equal(t, u, tol) if K is None else
-                   np.array_equal(t, u) for u in seen):
-            seen.append(t)
-            reps.append(MixVector(value=x, irreducible=y))
-    return reps
+    cuts = [0 if K is None else _largest_factor([(K[:, j:j + 1], False)])
+            for j in range(S.dim)]
+    return [MixVector(value=x, irreducible=x[::s] if s else
+                      reduce_vector(x, tol).irreducible)
+            for x, s in zip(S.basis.T, cuts)]
 
 
 @dataclass(frozen=True)

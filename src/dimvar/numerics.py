@@ -33,6 +33,7 @@ differ by backend (`_krylov_integers`, `_bareiss`, `solve`) live here.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,26 +69,30 @@ def is_exact(M: np.ndarray) -> bool:
     return M.dtype == object
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse "3", "3/2" or "0.75" into an exact Fraction.
-
-    Decimal strings are converted exactly (finite decimal expansion).
-    """
-    return Fraction(text.strip())
+def parse_scalar(x) -> Fraction:
+    """"3", "3/2", "0.75" or a number as an exact Fraction, a float from
+    its text; a decimal exponent beyond 4300 in magnitude (Python's
+    default int-to-string digit limit) raises ValueError."""
+    if not isinstance(x, (str, float, bool)):
+        return Fraction(x)
+    x = str(x)
+    e = ("e" in x or "E" in x) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*\Z", x)
+    if e and abs(int(e[1])) > 4300:
+        raise ValueError(f"decimal exponent beyond 4300 in {x!r}")
+    return Fraction(x)
 
 
 def mat(rows, exact: bool = True) -> np.ndarray:
     """Build a 2-D matrix from nested scalars or strings.
 
-    Each entry is parsed as a Fraction ("3/2", "0.75", 3); the float
+    Each entry is parsed by `parse_scalar` ("3/2", "0.75", 3); the float
     backend rounds that Fraction once; a bool or a string row is refused.
     """
     rows = list(rows)
     for row in rows:
         if isinstance(row, str):
             raise ValueError(f"{row!r} is a string, not a list of scalars")
-    data = [[Fraction(str(e)) if isinstance(e, (str, float, bool))
-             else Fraction(e) for e in row] for row in rows]
+    data = [[parse_scalar(e) for e in row] for row in rows]
     for i, row in enumerate(data):
         if len(row) != len(data[0]):
             raise ValueError(f"row {i} has {len(row)} entries, "
@@ -195,8 +200,11 @@ def _divide_back(Z: np.ndarray, L: int, j) -> np.ndarray:
 
 def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
-    return np.hstack([Z if L is None else _divide_back(Z, L, j)
-                      for j, (Z, L) in enumerate(_krylov_integers(A, B), 1)])
+    K = np.hstack([Z if L is None else _divide_back(Z, L, j)
+                   for j, (Z, L) in enumerate(_krylov_integers(A, B), 1)])
+    if not is_exact(K) and not np.isfinite(K).all():
+        raise np.linalg.LinAlgError("Krylov matrix overflows")
+    return K
 
 
 def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:

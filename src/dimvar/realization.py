@@ -22,7 +22,7 @@ import numpy as np
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
                        _certify_full_krylov, _one_column, as_backend,
                        common_backend, in_span_columns, krylov_pivots,
-                       pivot_columns, rank, unit_columns)
+                       parse_scalar, pivot_columns, rank, unit_columns)
 from .systems import LinSys
 
 
@@ -201,7 +201,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     product's operand order, and kept on the segments (`TransientModel`).
     """
     if masses is not None:
-        m1, m2 = (Fraction(str(m)) for m in masses)
+        m1, m2 = map(parse_scalar, masses)
         if m1 <= 0 or m2 <= 0:
             raise ValueError("masses must be strictly positive")
         alpha = m1 / (m1 + m2)
@@ -209,8 +209,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     else:
         if alpha is None or beta is None:
             raise ValueError("provide either masses or both alpha and beta")
-        alpha = Fraction(str(alpha)) if not isinstance(alpha, Fraction) else alpha
-        beta = Fraction(str(beta)) if not isinstance(beta, Fraction) else beta
+        alpha, beta = parse_scalar(alpha), parse_scalar(beta)
         if alpha <= 0 or beta <= 0:
             raise ValueError("weights must be strictly positive")
     p, q = s1.dim, s2.dim

@@ -443,6 +443,8 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
                 f"{report.realizable}, dim_C1={report.dim_C1}, "
                 f"dim_C2={report.dim_C2}", residual=exc.residual) from exc
     zetas = _run_steps(groups, U, zeta0)
+    if not np.isfinite(zetas).all():
+        raise np.linalg.LinAlgError("trajectory overflows")
     traj = Trajectory(times=times,
                       states=np.repeat(zetas, model.lengths, axis=1))
     traj.endpoint_error = float(np.max(np.abs(zetas[-1] - zeta_star)))

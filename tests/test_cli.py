@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -533,7 +534,7 @@ def test_ctrb_blend_large_coprime(capsys, tmp_path):
     assert rank(basis) == payload["rank"]
     first = np.hstack([K[:, :24], K[:, 143:167]])
     assert all(in_span_columns(SubspaceBasis(143, basis), first))
-    assert len(payload["class_reps"]) <= payload["rank"]
+    assert len(payload["class_reps"]) == payload["rank"]
 
 
 _FILE_COMMANDS = {"check": ["check"], "ctrb": ["ctrb"],
@@ -735,6 +736,25 @@ def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
                              "--steer", "--out", str(tmp_path / "t.csv"))
     assert code == 3
     assert err == "numerical failure: free response overflows\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "{case}", "--out", "{dir}/t.csv"], "trajectory overflows"),
+    (["ctrb", "{case}", "--blend", "--backend", "float", "--json"],
+     "Krylov matrix overflows")])
+def test_overflowing_float_run_exits_3(capsys, tmp_path, argv, message):
+    # with sigma1's A[0][1] = -1e300 the unsteered run and the blend's
+    # float Krylov matrix overflow: a numerical failure, and no output
+    doc = base_doc()
+    doc["sigma1"]["A"][0][1] = "-1e300"
+    case = write_case(tmp_path, doc)
+    argv = [a.replace("{case}", case).replace("{dir}", str(tmp_path))
+            for a in argv]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
@@ -1009,6 +1029,23 @@ _INPUT_ERRORS = [
     ("tol-not-a-number", None, ["check", CASE, "--tol", "abc"],
      "dimvar check: error: argument --tol: must be a positive, finite "
      "number, got 'abc'"),
+    # a decimal exponent beyond 4300 is refused before 10**exponent is built
+    ("huge-exponent-sigma1", _with("sigma1", "A", 0, 0, "1e999999999"),
+     ["check", "{case}"],
+     "error: {case}: 'sigma1' has an unparseable entry: decimal exponent "
+     "beyond 4300 in '1e999999999'"),
+    ("huge-exponent-weight", _with("transient", "beta", "1e-999999999"),
+     ["blend", "{case}"],
+     "error: {case}: 'transient' has an unparseable entry: decimal "
+     "exponent beyond 4300 in '1e-999999999'"),
+    ("huge-exponent-scenario",
+     _with("scenario", "x_start", ["0", "1E+999999999"]),
+     ["simulate", "{case}", "--out", "{dir}/t.csv"],
+     "error: {case}: bad scenario: 'x_start': decimal exponent beyond 4300 "
+     "in '1E+999999999'"),
+    ("huge-exponent-vector", None, ["reduce", "--vector", "1,1e999999999"],
+     "error: cannot parse vector: decimal exponent beyond 4300 in "
+     "'1e999999999'"),
 ]
 
 
@@ -1025,10 +1062,12 @@ def test_input_error_messages(capsys, tmp_path, edit, argv, line):
     def fill(text):
         return text.replace("{case}", str(case)).replace("{dir}", str(tmp_path))
 
+    start = time.perf_counter()
     code, out, err = run(capsys, *map(fill, argv))
     assert (code, out) == (2, "")
     assert err == fill(line) + "\n" or (
         err.startswith("usage: ") and err.endswith("\n" + fill(line) + "\n"))
+    assert time.perf_counter() - start < 1.0
 
 
 # where example1 is mutated, and what a field may become

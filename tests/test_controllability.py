@@ -11,7 +11,7 @@ from dimvar import (LinSys, build_transient_model, check_modeling_condition,
                     vec_equivalent)
 from dimvar import SubspaceBasis, realization
 from dimvar.controllability import _class_reps
-from dimvar.mixdim import _reps_equal, reduce_vector
+from dimvar.mixdim import reduce_vector
 from dimvar.numerics import (DEFAULT_TOL, krylov_pivots, pivot_columns,
                              to_float, zeros)
 
@@ -98,6 +98,15 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     C = ctrb_matrix(ints, np.array([[1], [1]], dtype=object))
     assert C.tolist() == [[1, 3], [1, -3]]
     assert all(isinstance(x, Fraction) for x in C.flat)
+
+
+def test_float_ctrb_matrix_refuses_overflow():
+    # A B = (1e400, 1e200) overflows double precision, not rationals
+    A, B = mat([["1e200", "0"], ["1", "0"]]), mat([["1e200"], ["0"]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="overflows"):
+            ctrb_matrix(to_float(A), to_float(B))
+    assert ctrb_matrix(A, B)[0, 1] == Fraction(10**400)
 
 
 def _rational_system(rng, n, m, uncontrollable, dens):
@@ -240,14 +249,8 @@ def test_quotient_ctrb_input_free():
 
 
 def _class_reps_reference(S, tol):
-    """One `reduce_vector` per column and one `_reps_equal` per pair."""
-    reps = []
-    for j in range(S.dim):
-        mv = reduce_vector(S.basis[:, j], tol)
-        if not any(_reps_equal(mv.irreducible, r.irreducible, tol)
-                   for r in reps):
-            reps.append(mv)
-    return reps
+    """One `reduce_vector` per column."""
+    return [reduce_vector(S.basis[:, j], tol) for j in range(S.dim)]
 
 
 def test_class_reps_match_per_column_reduction():
@@ -273,7 +276,7 @@ def test_class_reps_match_per_column_reduction():
             S = SubspaceBasis(n, B)
             got = _class_reps(S, DEFAULT_TOL)
             ref = _class_reps_reference(S, DEFAULT_TOL)
-            assert len(got) == len(ref)
+            assert len(got) == len(ref) == S.dim  # equivalent ones kept
             for g, r in zip(got, ref):
                 assert g.value.tolist() == r.value.tolist()
                 assert g.irreducible.tolist() == r.irreducible.tolist()
@@ -291,6 +294,22 @@ def test_quotient_rank_equals_representative_rank():
         rep = project_system(lifted).sys
         n_classes = len(quotient_ctrb_subspace(lifted).reps)
         assert n_classes == ctrb_subspace(rep.A, rep.B).rank
+
+
+def test_scaled_float_reps_match_rank():
+    # integer systems times 10^e, e in -12..-4, half of them lifted: at
+    # these scales distinct representatives are within Tolerance.abs of
+    # each other, and each pivot column still keeps its own
+    rng = np.random.default_rng(73)
+    for i in range(90):
+        p, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        scale = 10.0 ** (-12 + i % 9)
+        s = LinSys("s", rng.integers(-3, 4, (p, p)) * scale,
+                   rng.integers(-3, 4, (p, m)) * scale)
+        if i % 2:
+            s = lift_system(s, p * int(rng.integers(2, 4)))
+        assert len(quotient_ctrb_subspace(s).reps) == \
+            len(krylov_pivots(s.A, s.B)[0])
 
 
 def test_kalman_decomposition_controllable(ex1_s1):

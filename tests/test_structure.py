@@ -198,3 +198,13 @@ def test_one_reading_rule_for_case_files():
     visit(ast.parse((SRC / "cli.py").read_text()), None)
     assert catches["KeyError"] == {"_section"}
     assert catches["OverflowError"] == {"_section", "cmd_reduce", "main"}
+
+
+def test_one_class_representative_per_basis_column():
+    # `ctrb` and `quotient_ctrb_subspace` report the class of each pivot
+    # column: `_class_reps` strips every column and compares none of
+    # them with another, and controllability imports no class comparison
+    path = SRC / "controllability.py"
+    assert [_calls_by_function(path, name)["_class_reps"]
+            for name in ("_reps_equal", "array_equal")] == [0, 0]
+    assert "_reps_equal" not in path.read_text()
