@@ -233,22 +233,17 @@ def _identity_tokens(M: np.ndarray):
 
 def equality_key(M: np.ndarray):
     """An integer array equal exactly where the exact array M is equal
-    (None when M is float): the integer-scaled copy L * M, int64 where
-    every entry fits, else Python ints in an object array, computed
-    once per distinct object of M (found from its `_identity_tokens`).
+    (None when M is float): the integer-scaled copy L * M in one pass,
+    int64 where every entry fits, else Python ints in an object array;
+    callers key small slices (`_strip_factors` strips on tokens first).
     Meant for ``==`` only: no tolerance or float conversion may touch it."""
-    tokens = _identity_tokens(M)
-    if tokens is None:
+    if not is_exact(M):
         return None
-    flat = M.ravel()
-    _, first, inv = np.unique(tokens.ravel(), return_index=True,
-                              return_inverse=True)
-    Z, _ = _integer_scaled(flat[first])
+    Z, _ = _integer_scaled(M)
     try:
-        Z = Z.astype(np.int64)
+        return Z.astype(np.int64)
     except OverflowError:
-        pass                                    # Python ints, object dtype
-    return Z[inv].reshape(M.shape)
+        return Z                                # Python ints, object dtype
 
 
 def _bareiss(M: np.ndarray, ncols: int | None = None):
@@ -299,19 +294,23 @@ def _staircase(Q: np.ndarray, k: int, vectors, thresh: float) -> list[int]:
     Each vector is orthogonalised twice against the columns accepted so
     far (Gram-Schmidt with reorthogonalisation) and accepted, normalised,
     when its residual norm exceeds `thresh`; none is tested once Q is
-    full.  Returns the indices of the accepted vectors.
+    full.  Returns the indices of the accepted vectors.  A residual norm
+    or threshold that is not finite (inf or NaN data) raises LinAlgError.
     """
     accepted = []
-    for i, v in enumerate(vectors):
-        if k == Q.shape[1]:
-            break
-        for _ in range(2):
-            v = v - Q[:, :k] @ (Q[:, :k].T @ v)
-        r = float(np.linalg.norm(v))
-        if r > thresh:
-            Q[:, k] = v / r
-            accepted.append(i)
-            k += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, v in enumerate(vectors):
+            if k == Q.shape[1]:
+                break
+            for _ in range(2):
+                v = v - Q[:, :k] @ (Q[:, :k].T @ v)
+            r = float(np.linalg.norm(v))
+            if not (math.isfinite(r) and math.isfinite(thresh)):
+                raise np.linalg.LinAlgError("rank test overflows")
+            if r > thresh:
+                Q[:, k] = v / r
+                accepted.append(i)
+                k += 1
     return accepted
 
 

@@ -741,10 +741,14 @@ def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "{case}", "--out", "{dir}/t.csv"], "trajectory overflows"),
     (["ctrb", "{case}", "--blend", "--backend", "float", "--json"],
-     "Krylov matrix overflows")])
+     "Krylov matrix overflows"),
+    (["check", "{case}", "--backend", "float"], "rank test overflows"),
+    (["ctrb", "{case}", "--system", "sigma1", "--backend", "float"],
+     "rank test overflows")])
 def test_overflowing_float_run_exits_3(capsys, tmp_path, argv, message):
-    # with sigma1's A[0][1] = -1e300 the unsteered run and the blend's
-    # float Krylov matrix overflow: a numerical failure, and no output
+    # with sigma1's A[0][1] = -1e300 the unsteered run, the blend's float
+    # Krylov matrix and the staircase's residual norms overflow: a
+    # numerical failure, and no output
     doc = base_doc()
     doc["sigma1"]["A"][0][1] = "-1e300"
     case = write_case(tmp_path, doc)

@@ -479,6 +479,33 @@ def test_equality_key_keeps_near_equal_large_values_apart():
     assert equality_key(x).tolist() == [10**12] * 3 + [10**12 + 1] * 3
 
 
+def test_equality_key_of_few_shared_objects_without_runs():
+    # a few objects repeated everywhere, no two neighbours alike
+    rng = random.Random(38)
+    pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)]
+    M = np.array([[pool[(3 * i + 5 * j) % 7] for j in range(100)]
+                  for i in range(100)], dtype=object)
+    assert len({id(e) for e in M.ravel()}) == 7
+    _assert_key_matches_reference(M)
+    for b, dtype in ((Fraction(-5, 7), np.int64),
+                     (Fraction(10**30, 7), object)):
+        x = np.array([Fraction(2, 3), b] * 500, dtype=object)
+        _assert_key_matches_reference(x)
+        assert equality_key(x).dtype == dtype
+
+
+def test_float_rank_refuses_non_finite_data():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.array([[bad, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="overflows"):
+            rank(M)
+        with pytest.raises(np.linalg.LinAlgError, match="overflows"):
+            pivot_columns(M.T)
+    # finite data whose residual norm overflows
+    with pytest.raises(np.linalg.LinAlgError, match="rank test overflows"):
+        pivot_columns(np.array([[1e300, 0.0], [1e300, 1.0]]))
+
+
 def _krylov_corpus():
     """Seeded exact (A, B): 1-3 inputs, entries k/d with d in 2, 3, 7,
     general, block-triangular (uncontrollable), with B = [b, Ab, ...]

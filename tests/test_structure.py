@@ -54,6 +54,13 @@ def test_identity_tokens_are_read_only_in_numerics():
     assert calls == {("numerics.py", "_identity_tokens"): 1}
 
 
+def test_equality_key_is_one_integer_pass():
+    # the key scales M itself; distinct objects are not looked for first
+    numerics = SRC / "numerics.py"
+    for name in ("unique", "_identity_tokens"):
+        assert "equality_key" not in _calls_by_function(numerics, name)
+
+
 def test_no_tolerance_is_rescaled():
     # float decisions take their thresholds from the Tolerance given;
     # none is rebuilt with dataclasses.replace
