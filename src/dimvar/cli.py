@@ -416,7 +416,9 @@ def main(argv=None) -> int:
                       if args.tol is not None else DEFAULT_TOL)
     args.exact = args.backend == "rational"
     try:
-        return args.func(args)
+        # overflow is decided by the finiteness tests, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         # LinAlgError is a ValueError, but not an input error; input
         # beyond float range is rejected while parsing

@@ -22,7 +22,7 @@ import numpy as np
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
                        _certify_full_krylov, _one_column, as_backend,
                        common_backend, in_span_columns, krylov_pivots,
-                       parse_scalar, pivot_columns, rank, unit_columns)
+                       pivot_columns, rank, unit_columns, vec)
 from .systems import LinSys
 
 
@@ -191,8 +191,9 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     """Blend two systems on n = lcm(p, q), on their `common_backend`.
 
     Weights come either from formal masses (m1, m2), giving the convex
-    pair alpha = m1/(m1+m2), beta = 1 - alpha, or directly as any
-    strictly positive (alpha, beta).
+    pair m1/(m1+m2), m2/(m1+m2), or directly as (alpha, beta), as in a
+    case file: both forms together are refused, and the pair is read by
+    `vec` (a string is refused) and must be strictly positive.
 
     A = alpha A1 (x) J_k + beta A2 (x) J_m (k = n/p, m = n/q) is
     constant on the blocks of the p + q - gcd(p, q) segments of
@@ -200,18 +201,12 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     alpha * (a1 * (1/k)) + beta * (a2 * (1/m)) in the Kronecker
     product's operand order, and kept on the segments (`TransientModel`).
     """
-    if masses is not None:
-        m1, m2 = map(parse_scalar, masses)
-        if m1 <= 0 or m2 <= 0:
-            raise ValueError("masses must be strictly positive")
-        alpha = m1 / (m1 + m2)
-        beta = 1 - alpha
-    else:
-        if alpha is None or beta is None:
-            raise ValueError("provide either masses or both alpha and beta")
-        alpha, beta = parse_scalar(alpha), parse_scalar(beta)
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("weights must be strictly positive")
+    if (masses is None) == (alpha is None) or (alpha is None) != (beta is None):
+        raise ValueError("provide either masses or both alpha and beta")
+    a, b = vec([alpha, beta] if masses is None else masses)
+    if a <= 0 or b <= 0:
+        raise ValueError("weights must be strictly positive")
+    alpha, beta = (a, b) if masses is None else (a / (a + b), b / (a + b))
     p, q = s1.dim, s2.dim
     n = math.lcm(p, q)
     k, m = n // p, n // q

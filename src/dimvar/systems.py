@@ -80,13 +80,14 @@ def project_system(s: LinSys, tol: Tolerance = DEFAULT_TOL) -> QuotientSysRep:
 
 def systems_equivalent(s1: LinSys, s2: LinSys,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff both systems project to the same irreducible (A, B)."""
+    """True iff both systems, promoted to their `common_backend` before
+    either is stripped, project to the same irreducible (A, B)."""
     if s1.n_inputs != s2.n_inputs:
         raise ValueError("input counts differ")
-    r1 = project_system(s1, tol).sys
-    r2 = project_system(s2, tol).sys
-    return (mixdim._reps_equal(r1.A, r2.A, tol) and
-            mixdim._reps_equal(r1.B, r2.B, tol))
+    A1, B1, A2, B2 = common_backend(s1.A, s1.B, s2.A, s2.B)
+    (A1, B1), _ = mixdim._strip_factors([(A1, True), (B1, False)], tol)
+    (A2, B2), _ = mixdim._strip_factors([(A2, True), (B2, False)], tol)
+    return mixdim._reps_equal(A1, A2, tol) and mixdim._reps_equal(B1, B2, tol)
 
 
 def apply_pseudo_transform(s: LinSys, T: np.ndarray) -> LinSys:

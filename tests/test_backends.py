@@ -17,7 +17,8 @@ from dimvar import (LinSys, Scenario, SubspaceBasis, build_transient_model,
                     direct_sum_check, j_matrix, kalman_decomposition,
                     lift_system, ones_vector, project_system,
                     run_transient_scenario, second_stp, stp_action,
-                    stp_action_matrix, stp_identity_action, vec_add)
+                    stp_action_matrix, stp_identity_action,
+                    systems_equivalent, vec_add)
 from dimvar.numerics import (as_backend, common_backend, eye, inverse, rank,
                              solve, zeros)
 
@@ -232,6 +233,33 @@ def test_mixed_kalman_decomposition_matches_floats():
             assert got.ctrb_dim == want.ctrb_dim
             for name in ("T", "A11", "A12", "A22", "B_top"):
                 _same_floats(getattr(got, name), getattr(want, name))
+
+
+def test_mixed_systems_equivalent_matches_floats():
+    # both systems are promoted before either is stripped, so an exact
+    # system meets a float one as the all-float pair does; a lift whose
+    # A is off by 1e-13 is equivalent in floats only
+    rng = random.Random(83)
+    for p, k in ((2, 3), (3, 2), (1, 4), (2, 1)):
+        s = rand_system(rng, p, 2)
+        lifted = lift_system(s, p * k)
+        near = lifted.A.copy()
+        near[0, -1] += Fraction(1, 10**13)
+        pairs = [(s, lifted), (lifted, s), (s, rand_system(rng, p, 2)),
+                 (LinSys(s.name, near, lifted.B), s)]
+        for e1, e2 in pairs:
+            want = systems_equivalent(_floats(e1), _floats(e2))
+            assert systems_equivalent(e1, _floats(e2)) == want
+            assert systems_equivalent(_floats(e1), e2) == want
+        assert want and not systems_equivalent(*pairs[-1])
+    A = np.array([[Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**13)],
+                  [Fraction(1, 2), Fraction(1, 2)]], dtype=object)
+    exact = LinSys("exact", A, np.array([[Fraction(1)], [Fraction(1)]],
+                                        dtype=object))
+    floats = LinSys("float", np.array([[1.0]]), np.array([[1.0]]))
+    assert systems_equivalent(exact, floats)
+    assert systems_equivalent(floats, exact)
+    assert systems_equivalent(_floats(exact), floats)
 
 
 def test_mixed_project_system_returns_float_representatives():

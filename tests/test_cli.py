@@ -88,16 +88,20 @@ def test_exact_json_golden(capsys, argv, name):
     assert out == (GOLDEN / f"{name}_example1.json").read_text()
 
 
-@pytest.mark.parametrize("system", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("system", ["sigma1", "sigma2",
+                                    pytest.param(None, id="default")])
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_ctrb_system_golden(capsys, system, backend, fmt):
-    code, out, _ = run(capsys, "ctrb", CASE, "--system", system,
+    # without --system, ctrb analyses sigma1
+    code, out, _ = run(capsys, "ctrb", CASE,
+                       *(["--system", system] if system else []),
                        "--backend", backend,
                        *(["--json"] if fmt == "json" else []))
     assert code == 0
     suffix = "_float" if backend == "float" else ""
-    assert out == (GOLDEN / f"ctrb_{system}_example1{suffix}.{fmt}").read_text()
+    name = f"ctrb_{system or 'sigma1'}_example1{suffix}.{fmt}"
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_outputs_deterministic(capsys):
@@ -727,13 +731,13 @@ def test_unreachable_simulate_names_the_realization_check(capsys, tmp_path,
     assert "realizable=" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
     # e^800 overflows double precision: a numerical failure, not a miss
     doc = base_doc()
     doc["sigma1"]["A"] = [["800", "1"], ["0", "0"]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
-                             "--steer", "--out", str(tmp_path / "t.csv"))
+    code, out, err = run(capsys, "simulate", write_case(tmp_path, doc),
+                         "--steer", "--out", str(tmp_path / "t.csv"))
     assert code == 3
     assert err == "numerical failure: free response overflows\n"
 
@@ -744,18 +748,27 @@ def test_simulate_overflowing_free_response_exits_3(capsys, tmp_path):
      "Krylov matrix overflows"),
     (["check", "{case}", "--backend", "float"], "rank test overflows"),
     (["ctrb", "{case}", "--system", "sigma1", "--backend", "float"],
+     "rank test overflows"),
+    (["check", "{big_B}", "--backend", "float"], "rank test overflows"),
+    (["ctrb", "{big_B}", "--backend", "float"], "rank test overflows"),
+    (["ctrb", "{big_B}", "--blend", "--backend", "float"],
      "rank test overflows")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_float_run_exits_3(capsys, tmp_path, argv, message):
-    # with sigma1's A[0][1] = -1e300 the unsteered run, the blend's float
-    # Krylov matrix and the staircase's residual norms overflow: a
-    # numerical failure, and no output
+    # with sigma1's A[0][1] = -1e300 ({case}) the unsteered run, the
+    # blend's float Krylov matrix and the staircase's residual norms
+    # overflow, and with its B[0][0] = 1e300 ({big_B}) the residual
+    # norms do: a numerical failure, with numpy's overflow warnings as
+    # errors too, and no output
     doc = base_doc()
     doc["sigma1"]["A"][0][1] = "-1e300"
     case = write_case(tmp_path, doc)
-    argv = [a.replace("{case}", case).replace("{dir}", str(tmp_path))
-            for a in argv]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, *argv)
+    doc = base_doc()
+    doc["sigma1"]["B"][0][0] = "1e300"
+    big_B = write_case(tmp_path, doc, "big_B.json")
+    argv = [a.replace("{case}", case).replace("{big_B}", big_B)
+            .replace("{dir}", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"numerical failure: {message}\n"
     assert not (tmp_path / "t.csv").exists()
@@ -1074,6 +1087,33 @@ def test_input_error_messages(capsys, tmp_path, edit, argv, line):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("transient", [
+    pytest.param({"alpha": "3/2", "beta": "1/2"}, id="alpha-beta"),
+    pytest.param({"masses": ["1", "2"]}, id="masses"),
+    pytest.param({"masses": ["1", "1"], "alpha": "1", "beta": "1"},
+                 id="both-forms"),
+    pytest.param({"masses": "12"}, id="string-masses"),
+    pytest.param({"masses": ["1", "1", "1"]}, id="three-masses"),
+    pytest.param({"masses": ["1", "0"]}, id="zero-weight"),
+    pytest.param({"alpha": "1"}, id="missing-beta"),
+    pytest.param({"alpha": True, "beta": "1"}, id="boolean")])
+def test_case_file_and_api_read_weights_alike(ex1_s1, ex1_s2, transient):
+    # a 'transient' section is refused exactly when build_transient_model
+    # refuses its fields as keyword arguments, and otherwise both give
+    # the same weights
+    from dimvar import build_transient_model, cli
+    try:
+        weights = cli._section({"transient": transient}, "transient",
+                               "case.json", cli._weights)
+    except cli.InputError:
+        with pytest.raises(ValueError):
+            build_transient_model(ex1_s1, ex1_s2, **transient)
+    else:
+        model = build_transient_model(ex1_s1, ex1_s2, **transient)
+        assert model.weights == (weights["alpha"], weights["beta"])
+        assert all(isinstance(w, Fraction) for w in model.weights)
+
+
 # where example1 is mutated, and what a field may become
 _MUTABLE = [(), ("sigma1",), ("sigma1", "A"), ("sigma1", "A", 0),
             ("sigma1", "A", 0, 1), ("sigma1", "B"), ("sigma1", "B", 1, 0),
@@ -1113,13 +1153,13 @@ def _mutated(rng):
     return doc, done
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mutated_inputs_never_escape_main(capsys, tmp_path):
     # seeded mutations of example1's fields, through every subcommand on
     # both backends: a usage or input error exits 2 with "error: ...",
-    # a numerical failure exits 3, and no exception escapes main.
-    # Entries near 1e300 overflow float products; as in
-    # test_simulate_overflowing_free_response_exits_3, numpy's overflow
-    # warnings are silenced so that only main's own handling is tested.
+    # a numerical failure exits 3, and no exception escapes main, also
+    # where entries near 1e300 overflow float products with numpy's
+    # overflow warnings as errors
     import random
     rng = random.Random(6)
     out_path = str(tmp_path / "t.csv")
@@ -1139,8 +1179,7 @@ def test_mutated_inputs_never_escape_main(capsys, tmp_path):
         if command[0] == "simulate":
             argv += ["--out", out_path]
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                code = main(argv)
+            code = main(argv)
         except Exception as exc:
             pytest.fail(f"case {case}: {argv} on {done} raised {exc!r}")
         err = capsys.readouterr().err

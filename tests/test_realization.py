@@ -153,6 +153,12 @@ def test_build_transient_model_weight_validation(ex1_s1, ex1_s2):
         build_transient_model(ex1_s1, ex1_s2, masses=(1, 0))
     with pytest.raises(ValueError):
         build_transient_model(ex1_s1, ex1_s2, alpha=1)
+    # a string is refused as a row of masses, not read digit by digit,
+    # and masses given with alpha or beta are refused, not preferred
+    for weights in ({"masses": "12"}, {"masses": (1, 1), "alpha": 1},
+                    {"masses": (1, 1), "beta": 1}):
+        with pytest.raises(ValueError):
+            build_transient_model(ex1_s1, ex1_s2, **weights)
     small = build_transient_model(ex1_s1, ex1_s2, alpha=1,
                                   beta=Fraction(1, 1000))
     assert small.weights[1] == Fraction(1, 1000)

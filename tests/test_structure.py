@@ -135,7 +135,8 @@ def test_operands_meet_on_one_backend():
     meeting = {"mixdim.py": ["_strip_factors"],
                "realization.py": ["build_transient_model", "_subsystem_ctrb",
                                   "direct_sum_check"],
-               "controllability.py": ["kalman_decomposition"]}
+               "controllability.py": ["kalman_decomposition"],
+               "systems.py": ["systems_equivalent", "apply_pseudo_transform"]}
     for name, functions in meeting.items():
         calls = _calls_by_function(SRC / name, "common_backend")
         assert {f: calls[f] for f in functions} == dict.fromkeys(functions, 1)
