@@ -69,6 +69,12 @@ def is_exact(M: np.ndarray) -> bool:
     return M.dtype == object
 
 
+def _finite(*arrays) -> bool:
+    """False when a float array holds a NaN or an infinity; exact arrays
+    are finite."""
+    return all(is_exact(M) or np.isfinite(M).all() for M in arrays)
+
+
 def parse_scalar(x) -> Fraction:
     """"3", "3/2", "0.75" or a number as an exact Fraction, a float from
     its text; a decimal exponent beyond 4300 in magnitude (Python's

@@ -13,9 +13,10 @@ lower numerical rank than that subspace raises numpy's LinAlgError.
 
 One RK4 step of dz/dt = A z + B u(t) is one precomputed linear map,
 z+ = P z + (forcing from the step's three stage inputs).  The time grid
-is one cumulative sum, and the m steps are applied together by a
-doubling scan, about 2 log2(m) matmuls with the powers P, P^2, P^4,
-..., not one Python step at a time.
+is uniform: m steps of one length h <= step, so a run has one step map,
+and its m steps are applied together by a doubling scan, about
+2 log2(m) matmuls with the powers P, P^2, P^4, ..., not one Python step
+at a time.
 
 `min_energy_control` is the same design for any (A, B): the stage
 inputs of its RK4 run, which `rk4_integrate` takes in place of an input
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixdim import reduce_vector, vec_sub
-from .numerics import (Tolerance, _input_matrix, _one_column, krylov_pivots,
-                       to_float)
+from .numerics import (Tolerance, _finite, _input_matrix, _one_column,
+                       krylov_pivots, to_float)
 from .realization import (RealizationReport, TransientModel,
                           build_transient_model, check_realization)
 from .systems import LinSys
@@ -85,9 +86,12 @@ def _check_times(t0: float, te: float, step: float) -> None:
 
 
 def _state(z, n: int, name: str, of: str = "A") -> np.ndarray:
-    """z as a float vector of `of`'s n states, else ValueError naming z."""
+    """z as a finite float vector of `of`'s n states, else ValueError
+    naming z."""
     if len(z := _one_column(np.asarray(z, dtype=float))) != n:
         raise ValueError(f"dimension mismatch between {of} and {name}")
+    if not _finite(z):
+        raise ValueError(f"{name} must be finite")
     return z
 
 
@@ -115,38 +119,14 @@ def _rk4_step_map(A: np.ndarray, Bfull: np.ndarray, h: float):
 
 
 def _time_grid(t0: float, te: float, step: float):
-    """(times, full, short) of the accumulation loop
-    ``while t < te - 1e-15 max(1, |te|): t = t + min(step, te - t)``, bit
-    for bit: the first ``full`` steps are whole, the lengths of the
-    shortened ones that follow are the list ``short``.
-
-    The whole steps are cumulative sums of [t, step, step, ...], which
-    add in order as the loop does.  A sum is extended until it passes
-    the loop's end test, since (te - t0) / step can undercount: with a
-    large t0, t + step rounds and the grid drifts from t0 + k step.
-    Raises ValueError past MAX_STEPS whole steps.
-    """
-    end = te - 1e-15 * max(1.0, abs(te))
-    parts, t, full = [[t0]], t0, 0
-    size = min(MAX_STEPS, max(0, int((te - t0) / step))) + 1
-    while True:
-        grid = np.cumsum(np.r_[t, np.full(size, step)])
-        # the loop's test for a whole step holds up to some time, then fails
-        k = np.count_nonzero((grid[:-1] < end) & (te - grid[:-1] >= step))
-        parts.append(grid[1:k + 1])
-        t, full = grid[k], full + k
-        if full > MAX_STEPS:
-            raise ValueError(f"horizon longer than {MAX_STEPS} steps")
-        if k < size:
-            break
-        size *= 2
-    short = []
-    while t < end:
-        h = min(step, te - t)
-        t = t + h
-        parts.append([t])
-        short.append(h)
-    return np.concatenate(parts), full, short
+    """(times, h): m steps of one length h = (te - t0) / m, at the times
+    t0 + k h with the last one te (numpy's linspace), where
+    m = ceil((te - t0 - tol) / step) and tol = 1e-15 max(1, |te|), so
+    h <= step + tol / m.  A horizon of at most tol, or a reversed one,
+    has no step: times is [t0] alone."""
+    span = te - t0 - 1e-15 * max(1.0, abs(te))
+    m = math.ceil(span / step) if span > 0 else 0
+    return np.linspace(t0, te, m + 1), (te - t0) / max(m, 1)
 
 
 def _scan(P: np.ndarray, Z: np.ndarray) -> None:
@@ -174,29 +154,16 @@ def _scan(P: np.ndarray, Z: np.ndarray) -> None:
         rows += Z[2 * d - 1::2 * d][:len(rows)] @ power
 
 
-def _step_groups(A: np.ndarray, Bfull: np.ndarray, step: float, full: int,
-                 short: list):
-    """(hs, groups) for the steps of `_time_grid`'s ``full`` and
-    ``short``: hs holds the m step lengths, and each group (P, R, lo, hi)
-    says that steps lo..hi-1 share the step map (P, R) of
-    `_rk4_step_map`.  The first group holds the whole steps."""
-    spans = [(step, 0, full)] + [(h, j, j + 1) for j, h in enumerate(short, full)]
-    return (np.r_[np.full(full, step), short],
-            [(*_rk4_step_map(A, Bfull, h), lo, hi)
-             for h, lo, hi in spans if lo < hi])
-
-
-def _run_steps(groups, U: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """States z_0, ..., z_m of the steps ``groups`` (see `_step_groups`)
-    from z_0 = z, with stage inputs U: one row per distinct stage time
-    t_0, t_0 + h_0/2, t_1, ..., t_m.  Each group's forcings are formed
-    at once and applied by `_scan`."""
-    X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])   # row j: step j's inputs
-    states = np.empty((len(X) + 1, z.size))
+def _run_steps(P: np.ndarray, R: np.ndarray, U: np.ndarray,
+               z: np.ndarray) -> np.ndarray:
+    """States z_0, ..., z_m of the steps z+ = P z + R [three stage
+    inputs] from z_0 = z, with stage inputs U: one row per distinct stage
+    time t_0, t_0 + h/2, t_1, ..., t_m.  The forcings are formed at once
+    and applied by `_scan`."""
+    states = np.empty((len(U) // 2 + 1, z.size))
     states[0] = z
-    for P, R, lo, hi in groups:
-        states[lo + 1:hi + 1] = X[lo:hi] @ R.T  # forcing of each step
-        _scan(P, states[lo:hi + 1])
+    states[1:] = np.hstack([U[0:-1:2], U[1::2], U[2::2]]) @ R.T
+    _scan(P, states)
     return states
 
 
@@ -204,36 +171,38 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
                   t0: float, te: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 for dz/dt = A z + B u(t).
 
-    The final step is shortened to land exactly on te; the times are
-    those of the loop t = t + min(step, te - t), bit for bit (see
-    _time_grid).  ``u`` is either a callable t -> input vector, called
-    once per distinct stage time t_0, t_0 + h_0/2, t_1, ..., t_m, or the
-    inputs there as one array of 2m + 1 rows and one column per input,
-    as `min_energy_control` returns them.  Each step is its exact linear
-    map (see _rk4_step_map), and the steps are applied together by a
-    doubling scan over the powers of P (see _scan).  Non-finite times, a
-    step that is not positive and a horizon of more than MAX_STEPS steps
+    ``step`` is the largest step: the m steps share one length h, at
+    most step up to the end test's tolerance (see _time_grid), and the
+    last lands on te; a horizon of at most 1e-15 max(1, |te|), or a
+    reversed one, gives the single sample t0.  ``u`` is either a
+    callable t -> input vector, called once per distinct stage time
+    t_0, t_0 + h/2, t_1, ..., t_m, or the inputs there as one array of
+    2m + 1 rows and one column per input, as `min_energy_control`
+    returns them.  Each step is its exact linear map (see
+    _rk4_step_map), and the steps are applied together by a doubling
+    scan over the powers of P (see _scan).  Non-finite times, a step
+    that is not positive and a horizon of more than MAX_STEPS steps
     raise ValueError, as do a Bfull without A's rows (a 1-D Bfull is
-    one input), a z0 that is not a vector or one column of A's size and
-    an input array of another shape.
+    one input), a z0 that is not a finite vector or one column of A's
+    size and an input array of another shape.
     """
     _check_times(t0, te, step)
     A = np.asarray(A, dtype=float)
     Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
     z = _state(z0, len(A), "z0")
 
-    times, full, short = _time_grid(t0, te, step)
-    hs, groups = _step_groups(A, Bfull, step, full, short)
-    # distinct stage times t_0, t_0 + h_0/2, t_1, ..., t_m
-    stages = np.empty(2 * hs.size + 1)
+    times, h = _time_grid(t0, te, step)
+    # distinct stage times t_0, t_0 + h/2, t_1, ..., t_m
+    stages = np.empty(2 * times.size - 1)
     stages[0::2] = times
-    stages[1::2] = times[:-1] + hs / 2
+    stages[1::2] = times[:-1] + h / 2
     shape = (stages.size, Bfull.shape[1])
     if callable(u):
         U = np.reshape([np.asarray(u(s), dtype=float) for s in stages], shape)
     elif (U := np.asarray(u, dtype=float)).shape != shape:
         raise ValueError(f"input array of shape {U.shape}, expected {shape}")
-    return Trajectory(times=times, states=_run_steps(groups, U, z))
+    P, R = _rk4_step_map(A, Bfull, h)
+    return Trajectory(times=times, states=_run_steps(P, R, U, z))
 
 
 def _reachable_part(d, left, right, lengths):
@@ -267,92 +236,84 @@ def _power_blocks(P: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
     return Z
 
 
-def _least_norm_inputs(groups, hs: np.ndarray, left: np.ndarray,
-                       right: np.ndarray, dc: np.ndarray) -> np.ndarray:
+def _least_norm_inputs(P: np.ndarray, R: np.ndarray, m: int, h: float,
+                       left: np.ndarray, right: np.ndarray,
+                       dc: np.ndarray) -> np.ndarray:
     """Stage inputs U (rows as in `_run_steps`) of least Simpson-weighted
-    norm  sum_j h_j/6 (|u_2j|^2 + 4 |u_2j+1|^2 + |u_2j+2|^2)  whose RK4
-    run from 0 ends at ``right @ dc``.
+    norm  h/6 sum_j (|u_2j|^2 + 4 |u_2j+1|^2 + |u_2j+2|^2)  whose run of
+    m steps (P, R) of length h from 0 ends at ``right @ dc``.
 
-    The columns of ``right`` span an invariant subspace of every step
-    map that holds the range of every R, and left^T right = I; there a
-    step is x+ = Pc x + Rc [three stage inputs] with Pc = left^T P right
-    and Rc = left^T R.  The end state is G u, where step j's block of G
-    is (the later steps' Pc) Rc, built per group by `_power_blocks`, and
-    the blocks of two steps that share a stage time add.  With the
-    weights W, the minimum-norm v of (G W^-1/2) v = dc is Q [y; 0] with
-    R^T y = dc, from numpy's raw (Householder) QR of (G W^-1/2)^T: R is
-    its upper triangle, and its r reflectors are applied to [y; 0], so
-    neither Q nor G G^T is formed; u = W^-1/2 v.  Raises LinAlgError
-    when G overflows or R's smallest singular value is at most
-    max(shape) eps sigma_1: G has a lower numerical rank than dim right,
-    so no input reliably reaches that subspace.
+    The columns of ``right`` span an invariant subspace of P that holds
+    the range of R, and left^T right = I; there a step is
+    x+ = Pc x + Rc [three stage inputs] with Pc = left^T P right and
+    Rc = left^T R.  The end state is G u, where step j's block of G is
+    Pc^(m-1-j) Rc, built by `_power_blocks`, and the blocks of two steps
+    that share a stage time add.  With the weights W, the minimum-norm v
+    of (G W^-1/2) v = dc is Q [y; 0] with R^T y = dc, from numpy's raw
+    (Householder) QR of (G W^-1/2)^T: R is its upper triangle, and its r
+    reflectors are applied to [y; 0], so neither Q nor G G^T is formed;
+    u = W^-1/2 v.  Raises LinAlgError when G overflows or R's smallest
+    singular value is at most max(shape) eps sigma_1: G has a lower
+    numerical rank than dim right, so no input reliably reaches that
+    subspace.
     """
-    r, m, c = right.shape[1], hs.size, groups[0][1].shape[1] // 3
+    r, c = right.shape[1], R.shape[1] // 3
+    Z = _power_blocks(left.T @ P @ right, left.T @ R, m)
+    Z = Z.reshape(m, 3, c, r)[::-1]      # step 0's block first
     Gt = np.zeros((2 * m + 1, c, r))     # G^T, one row block per stage
-    after = np.eye(r)                    # the later groups' map
-    for P, R, lo, hi in reversed(groups):
-        Pc = left.T @ P @ right
-        Z = _power_blocks(Pc, after @ (left.T @ R), hi - lo)
-        Z = Z.reshape(hi - lo, 3, c, r)[::-1]   # step lo's block first
-        Gt[2 * lo:2 * hi:2] += Z[:, 0]
-        Gt[2 * lo + 1:2 * hi:2] = Z[:, 1]
-        Gt[2 * lo + 2:2 * hi + 1:2] += Z[:, 2]
-        if lo:                           # an earlier group follows
-            after = after @ np.linalg.matrix_power(Pc, hi - lo)
+    Gt[0:-1:2] = Z[:, 0]
+    Gt[1::2] = Z[:, 1]
+    Gt[2::2] += Z[:, 2]
     del Z                                # QR reuses its pages: fewer faults
-    w = np.zeros(2 * m + 1)              # composite Simpson weights
-    w[0:-1:2] += hs / 6
-    w[1::2] += 4 * hs / 6
-    w[2::2] += hs / 6
-    scale = 1 / np.sqrt(w)
+    w = np.full(2 * m + 1, 2.0)          # composite Simpson weights
+    w[1::2], w[[0, -1]] = 4.0, 1.0
+    scale = 1 / np.sqrt(w * h / 6)
     Gt *= scale[:, None, None]
     if not np.isfinite(Gt).all():
         raise np.linalg.LinAlgError("steering map overflows")
-    h, tau = np.linalg.qr(Gt.reshape(-1, r), mode="raw")
-    Rt = np.triu(h[:, :r].T)
+    house, tau = np.linalg.qr(Gt.reshape(-1, r), mode="raw")
+    Rt = np.triu(house[:, :r].T)
     sv = np.linalg.svd(Rt, compute_uv=False)
-    cut = max(h.shape) * np.finfo(float).eps * sv[0]
+    cut = max(house.shape) * np.finfo(float).eps * sv[0]
     if sv[-1] <= cut:
         raise np.linalg.LinAlgError(
             f"steering map has numerical rank "
             f"{np.count_nonzero(sv > cut)} below dim C = {r} "
             f"(sigma_1/sigma_r = {sv[0] / sv[-1]:.3e})")
-    v = np.zeros(h.shape[1])
+    v = np.zeros(house.shape[1])
     for k in range(r):                   # R^T y = dc, y in v[:r]
         v[k] = (dc[k] - Rt[:k, k] @ v[:k]) / Rt[k, k]
-    h = np.ascontiguousarray(h)          # reflector k is row h[k, k:],
-    np.fill_diagonal(h, 1)               # contiguous, with its leading 1
+    house = np.ascontiguousarray(house)  # reflector k is row house[k, k:],
+    np.fill_diagonal(house, 1)           # contiguous, with its leading 1
     for k in reversed(range(r)):         # v = Q [y; 0]
-        v[k:] -= tau[k] * (h[k, k:] @ v[k:]) * h[k, k:]
+        v[k:] -= tau[k] * (house[k, k:] @ v[k:]) * house[k, k:]
     return v.reshape(2 * m + 1, c) * scale[:, None]
 
 
 def _segment_steering(As: np.ndarray, Bs: np.ndarray, lengths: np.ndarray,
-                      hs: np.ndarray, groups, zeta0: np.ndarray,
-                      zeta_star: np.ndarray) -> np.ndarray:
-    """Stage inputs that steer the RK4 run (``hs``, ``groups``) of the
-    segment system (As, Bs) from zeta0 to zeta_star.
+                      P: np.ndarray, R: np.ndarray, m: int, h: float,
+                      zeta0: np.ndarray, zeta_star: np.ndarray) -> np.ndarray:
+    """Stage inputs that steer the RK4 run of m steps (P, R) of length h
+    (see `_rk4_step_map`) of the segment system (As, Bs) from zeta0 to
+    zeta_star.
 
     The controllable subspace is decided in the isometric coordinates
     D zeta, D = diag(sqrt(lengths)), where norms equal those on R^n:
     Q is the orthonormal `krylov_pivots` span of (D As D^-1, D Bs), so
     right = D^-1 Q spans it in segment values and left = D Q is dual to
-    it.  The displacement d = zeta_star - Phi zeta0, Phi the run's free
-    map, must lie in it (`_reachable_part`).  A d that overflows raises
-    LinAlgError.
+    it.  The displacement d = zeta_star - P^m zeta0, from the run's free
+    response, must lie in it (`_reachable_part`).  A d that overflows
+    raises LinAlgError.
     """
     sq = np.sqrt(lengths)[:, None]
     Q = krylov_pivots(As * sq / sq.T, Bs * sq)[2].basis
-    free = zeta0
-    for P, _, lo, hi in groups:
-        free = np.linalg.matrix_power(P, hi - lo) @ free
-    d = zeta_star - free
+    d = zeta_star - np.linalg.matrix_power(P, m) @ zeta0
     if not np.isfinite(d).all():
         raise np.linalg.LinAlgError("free response overflows")
     dc = _reachable_part(d, sq * Q, Q / sq, lengths)
     if Q.shape[1] == 0:
-        return np.zeros((2 * hs.size + 1, Bs.shape[1]))
-    return _least_norm_inputs(groups, hs, sq * Q, Q / sq, dc)
+        return np.zeros((2 * m + 1, Bs.shape[1]))
+    return _least_norm_inputs(P, R, m, h, sq * Q, Q / sq, dc)
 
 
 def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
@@ -365,19 +326,20 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     are the inputs at `rk4_integrate`'s distinct stage times, so
     ``rk4_integrate(A, Bfull, u, z0, t0, te, step)`` with the returned
     u ends at z_target up to round-off.  Times, Bfull and the states are
-    checked as by `rk4_integrate`, and an empty horizon raises
+    checked as by `rk4_integrate`, and a horizon of no step raises
     ValueError.  A displacement outside the controllable subspace raises
     UnreachableTargetError with its residual; a steering map of lower
     numerical rank than that subspace raises LinAlgError.
     """
     _check_times(t0, te, step)
-    if te <= t0:
-        raise ValueError(f"empty horizon: te={te} <= t0={t0}")
+    times, h = _time_grid(t0, te, step)
+    if times.size == 1:
+        raise ValueError(f"empty horizon: no step from t0={t0} to te={te}")
     A = np.asarray(A, dtype=float)
     Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
     z0, z_target = _state(z0, len(A), "z0"), _state(z_target, len(A), "z_target")
-    hs, groups = _step_groups(A, Bfull, step, *_time_grid(t0, te, step)[1:])
-    return _segment_steering(A, Bfull, np.ones(len(A), dtype=int), hs, groups,
+    return _segment_steering(A, Bfull, np.ones(len(A), dtype=int),
+                             *_rk4_step_map(A, Bfull, h), times.size - 1, h,
                              z0, z_target)
 
 
@@ -417,9 +379,9 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     the sigma2 ``rows``.  Returns (Trajectory, RealizationOutcome).
 
     Raises ValueError, before the blend is built, unless x_start and
-    y_target are vectors (or columns) of sigma1's and sigma2's sizes;
-    UnreachableTargetError, with the realization check in its message,
-    when the target leaves the controllable subspace; and
+    y_target are finite vectors (or columns) of sigma1's and sigma2's
+    sizes; UnreachableTargetError, with the realization check in its
+    message, when the target leaves the controllable subspace; and
     LinAlgError when the steering map's numerical rank is below that
     subspace's dimension.
     """
@@ -430,19 +392,20 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     report = check_realization(s1, s2)
     As, Bs = to_float(model.A * model.lengths), to_float(model.B)
     zeta0, zeta_star = x_start[model.rows[0]], y_target[model.rows[1]]
-    times, full, short = _time_grid(sc.t0, sc.te, sc.step)
-    hs, groups = _step_groups(As, Bs, sc.step, full, short)
-    U = np.zeros((2 * hs.size + 1, Bs.shape[1]))
+    times, h = _time_grid(sc.t0, sc.te, sc.step)
+    m = times.size - 1
+    P, R = _rk4_step_map(As, Bs, h)
+    U = np.zeros((2 * m + 1, Bs.shape[1]))
     if steer:
         try:
-            U = _segment_steering(As, Bs, model.lengths, hs, groups, zeta0,
+            U = _segment_steering(As, Bs, model.lengths, P, R, m, h, zeta0,
                                   zeta_star)
         except UnreachableTargetError as exc:
             raise UnreachableTargetError(
                 f"{exc} -- realization check: realizable="
                 f"{report.realizable}, dim_C1={report.dim_C1}, "
                 f"dim_C2={report.dim_C2}", residual=exc.residual) from exc
-    zetas = _run_steps(groups, U, zeta0)
+    zetas = _run_steps(P, R, U, zeta0)
     if not np.isfinite(zetas).all():
         raise np.linalg.LinAlgError("trajectory overflows")
     traj = Trajectory(times=times,

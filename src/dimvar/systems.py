@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixdim
-from .numerics import (DEFAULT_TOL, Tolerance, _columns, as_backend,
-                       common_backend, inverse, rank)
+from .numerics import (DEFAULT_TOL, Tolerance, _columns, _finite,
+                       as_backend, common_backend, inverse, rank)
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,8 @@ class LinSys:
     """A linear control system dx/dt = A x + B u.
 
     B must have A's rows; a 1-D B is stored as one input column, and B
-    may have zero columns for input-free augmentation blocks.
+    may have zero columns for input-free augmentation blocks.  A float A
+    or B with a NaN or an infinity raises ValueError.
     """
 
     name: str
@@ -36,6 +37,8 @@ class LinSys:
         B = _columns(self.B)
         if B.shape[0] != n:
             raise ValueError(f"{self.name}: B has {B.shape[0]} rows, A has {n}")
+        if not _finite(self.A, B):
+            raise ValueError(f"{self.name}: A and B must be finite")
         object.__setattr__(self, "B", B)
 
     @property

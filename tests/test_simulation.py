@@ -53,12 +53,16 @@ def test_rk4_nilpotent_with_input():
     assert abs(tr.states[-1, 1] - 2.0) < 1e-12   # t
 
 
-def test_rk4_final_step_shortened():
+def test_rk4_steps_share_one_length():
+    # step is the largest step: 10.5 steps of 1e-3 become 11 of 0.0105/11
     tr = rk4_integrate(np.zeros((1, 1)), np.zeros((1, 1)),
                        lambda t: np.zeros(1), np.array([3.0]),
                        0.0, 0.0105, 1e-3)
     assert abs(tr.times[-1] - 0.0105) < 1e-15
-    assert len(tr.times) == 12  # 10 full steps + 1 short step + start
+    assert len(tr.times) == 12  # 11 steps + start
+    h = 0.0105 / 11
+    assert h <= 1e-3
+    assert np.max(np.abs(np.diff(tr.times) - h)) < 1e-15
 
 
 def test_rk4_is_fourth_order():
@@ -138,18 +142,18 @@ def test_min_energy_without_inputs(t0):
 def test_segment_steering_without_inputs():
     # Bs = 0: the zero input when the target is the run's free response,
     # else UnreachableTargetError with the residual repeated onto R^n
-    from dimvar.simulation import (_run_steps, _segment_steering,
-                                   _step_groups, _time_grid)
+    from dimvar.simulation import _run_steps, _segment_steering
     As, Bs = np.diag([-1.0, 0.5, 2.0]), np.zeros((3, 2))
     lengths = np.array([1, 2, 3])
-    hs, groups = _step_groups(As, Bs, 0.01, *_time_grid(0.0, 1.0, 0.01)[1:])
+    m, h = 100, 0.01
+    P, R = _rk4_step_map(As, Bs, h)
     zeta0 = np.array([1.0, -1.0, 0.5])
-    stages = np.zeros((2 * hs.size + 1, 2))
-    free = _run_steps(groups, stages, zeta0)[-1]
-    U = _segment_steering(As, Bs, lengths, hs, groups, zeta0, free)
+    stages = np.zeros((2 * m + 1, 2))
+    free = _run_steps(P, R, stages, zeta0)[-1]
+    U = _segment_steering(As, Bs, lengths, P, R, m, h, zeta0, free)
     assert U.shape == stages.shape and not U.any()
     with pytest.raises(UnreachableTargetError) as exc:
-        _segment_steering(As, Bs, lengths, hs, groups, zeta0,
+        _segment_steering(As, Bs, lengths, P, R, m, h, zeta0,
                           free + [0.0, 0.1, 0.0])
     assert np.max(np.abs(exc.value.residual
                          - [0, 0.1, 0.1, 0, 0, 0])) < 1e-12
@@ -271,24 +275,33 @@ def _smooth_input(B, eta, t0=-math.inf, te=math.inf):
     return u
 
 
+def _grid(t0, te, step):
+    """(times, h) of the uniform grid, one step at a time: the fewest m
+    steps of ``step`` that pass te - t0 - 1e-15 max(1, |te|), then m
+    steps of one length h = (te - t0) / m, at t0 + k h, the last one te."""
+    span, m = te - t0 - 1e-15 * max(1.0, abs(te)), 0
+    while m * step < span:
+        m += 1
+    h = (te - t0) / max(m, 1)
+    times = [t0 + k * h for k in range(m)] + [te if m else t0]
+    return np.array(times), h
+
+
 def _rk4_reference(A, B, u, z, t0, te, step):
     """The per-stage RK4 loop: u is called at every stage of every step."""
     def f(t, z):
         return A @ z + B @ np.asarray(u(t), dtype=float)
 
-    times, states = [t0], [z.copy()]
-    t = t0
-    while t < te - 1e-15 * max(1.0, abs(te)):
-        h = min(step, te - t)
+    times, h = _grid(t0, te, step)
+    states = [z.copy()]
+    for t in times[:-1]:
         k1 = f(t, z)
         k2 = f(t + h / 2, z + (h / 2) * k1)
         k3 = f(t + h / 2, z + (h / 2) * k2)
         k4 = f(t + h, z + h * k3)
         z = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        times.append(t)
         states.append(z.copy())
-    return np.array(times), np.array(states)
+    return times, np.array(states)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (4, 6)])
@@ -319,8 +332,8 @@ def test_rk4_matches_per_stage_reference(p, q, window, te):
                                         (-1.0, 1.0, 1 / 3),
                                         (0.0, 0.0105, 1e-3)])
 def test_rk4_times_and_stage_calls(t0, te, step):
-    # times are the accumulated t + min(step, te - t); a plain callable
-    # is called once at each distinct stage time
+    # times are those of the uniform grid; a plain callable is called
+    # once at each distinct stage time
     calls = []
 
     def u(t):
@@ -334,13 +347,14 @@ def test_rk4_times_and_stage_calls(t0, te, step):
                                    np.array([1.0, 0.0]), t0, te, step)
     assert np.array_equal(tr.times, times)
     assert np.max(np.abs(tr.states - states)) <= 1e-12
-    mids = [t + min(step, te - t) / 2 for t in times[:-1]]
+    h = _grid(t0, te, step)[1]
+    mids = [t + h / 2 for t in times[:-1]]
     assert calls == sorted(list(times) + mids)
 
 
 def test_rk4_takes_stage_inputs_as_one_array():
     # the inputs at the stage times, as one array, give the run of the
-    # callable bit for bit, here with t0 != 0 and a shortened last step;
+    # callable bit for bit, here with t0 != 0 and steps shorter than step;
     # an array of another shape is refused
     calls = []
 
@@ -363,22 +377,14 @@ def test_rk4_takes_stage_inputs_as_one_array():
             rk4_integrate(A, B, bad, z0, 0.3, 1.2345, 0.01)
 
 
-def _loop_times(t0, te, step):
-    """The accumulation loop t = t + min(step, te - t) of the grid."""
-    times, t = [t0], t0
-    while t < te - 1e-15 * max(1.0, abs(te)):
-        t = t + min(step, te - t)
-        times.append(t)
-    return np.array(times)
-
-
 def _near_grid_point(delta):
-    # te = the 10th accumulated time of step 0.1 from 0, moved by delta
-    return 0.0, _loop_times(0.0, 1.05, 0.1)[10] + delta, 0.1
+    # te = ten accumulated steps of 0.1 from 0, one ulp below 1, moved
+    # by delta
+    return 0.0, sum([0.1] * 10) + delta, 0.1
 
 
 @pytest.mark.parametrize("t0,te,step", [
-    (1e9, 1e9 + 1e-3, 1e-6),        # t + step rounds: 1048 steps, not 1000
+    (1e9, 1e9 + 1e-3, 1e-6),        # t + step would round: 1000 steps
     (1e6, 1e6 + 1.0, 1e-3),
     (0.0, 1.0, 0.125),              # te a multiple of step, exactly
     (2.0, 2.0 + 64 * 2.0**-10, 2.0**-10),
@@ -392,10 +398,12 @@ def _near_grid_point(delta):
     (0.0, 32.5e-3, 1e-3),
 ])
 def test_rk4_times_are_the_accumulated_grid(t0, te, step):
+    # the grid of m accumulated steps of one length h, t0 + k h, which
+    # `_grid` builds one time at a time
     tr = rk4_integrate(np.array([[-1.0]]), np.ones((1, 1)),
                        lambda t: np.array([math.cos(t)]), np.array([1.0]),
                        t0, te, step)
-    times = _loop_times(t0, te, step)
+    times = _grid(t0, te, step)[0]
     assert np.array_equal(tr.times, times)
     assert tr.states.shape == (len(times), 1)
 
@@ -425,31 +433,21 @@ def test_rk4_refuses_more_than_max_steps(t0, te, step):
 
 def _rk4_per_step(A, B, u, z, t0, te, step):
     """The RK4 run with its steps applied one at a time, P z + forcing."""
-    times, hs = [t0], []
-    t = t0
-    while t < te - 1e-15 * max(1.0, abs(te)):
-        h = min(step, te - t)
-        t = t + h
-        times.append(t)
-        hs.append(h)
-    m = len(hs)
-    full = m if not hs or hs[-1] == step else m - 1
+    times, h = _grid(t0, te, step)
+    m = len(times) - 1
     stages = np.empty(2 * m + 1)
     stages[0::2] = times
-    stages[1::2] = np.array(times[:-1]) + np.array(hs) / 2
+    stages[1::2] = times[:-1] + h / 2
     U = np.array([u(s) for s in stages])
     X = np.hstack([U[0:-1:2], U[1::2], U[2::2]])
+    P, R = _rk4_step_map(A, B, h)
     states = np.empty((m + 1, z.size))
     states[0] = z
+    states[1:] = X @ R.T
     rows = list(states)
-    for h, lo, hi in ((step, 0, full), (hs[-1] if hs else step, full, m)):
-        if lo == hi:
-            continue
-        P, R = _rk4_step_map(A, B, h)
-        states[lo + 1:hi + 1] = X[lo:hi] @ R.T
-        for prev, nxt in zip(rows[lo:hi], rows[lo + 1:hi + 1]):
-            nxt += P.dot(prev)
-    return np.array(times), states
+    for prev, nxt in zip(rows[:-1], rows[1:]):
+        nxt += P.dot(prev)
+    return times, states
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (5, 7)])
@@ -590,49 +588,43 @@ def test_unsteered_segment_run_matches_n_dimensional_rk4(p, q, te):
             <= 1e-12 * np.max(np.abs(ref.states)))
 
 
-def _weighted_map(groups, hs, left, right):
+def _weighted_map(P, R, m, h, left, right):
     """G W^-1/2, built one step at a time, later steps first, and the
     scaling W^-1/2 of the stage inputs it acts on."""
-    r, m = right.shape[1], len(hs)
-    c = groups[0][1].shape[1] // 3
-    maps = [None] * m
-    for P, R, lo, hi in groups:
-        for j in range(lo, hi):
-            maps[j] = (left.T @ P @ right, left.T @ R)
+    r, c = right.shape[1], R.shape[1] // 3
+    Pc, Rc = left.T @ P @ right, left.T @ R
     G = np.zeros((r, 2 * m + 1, c))
     w = np.zeros(2 * m + 1)
     later = np.eye(r)
     for j in reversed(range(m)):
-        Pc, Rc = maps[j]
         block = later @ Rc
         for slot in range(3):
             G[:, 2 * j + slot] += block[:, slot * c:(slot + 1) * c]
-            w[2 * j + slot] += hs[j] / 6 * (4 if slot == 1 else 1)
+            w[2 * j + slot] += h / 6 * (4 if slot == 1 else 1)
         later = later @ Pc
     scale = np.repeat(1 / np.sqrt(w), c)
     return G.reshape(r, -1) * scale, scale
 
 
-def _dense_least_norm(groups, hs, left, right, dc):
+def _dense_least_norm(P, R, m, h, left, right, dc):
     """The least Simpson-weighted-norm stage inputs from the per-step G,
     solved with a pseudo-inverse."""
-    Gw, scale = _weighted_map(groups, hs, left, right)
-    c = groups[0][1].shape[1] // 3
-    return (np.linalg.pinv(Gw) @ dc * scale).reshape(-1, c)
+    Gw, scale = _weighted_map(P, R, m, h, left, right)
+    return (np.linalg.pinv(Gw) @ dc * scale).reshape(-1, R.shape[1] // 3)
 
 
 def _steering_design(s1, s2, te, step):
-    """The run's step groups and the dual pair (left, right) of its
-    controllable subspace, as `_segment_steering` builds them."""
+    """The run's step map, step count and step length (P, R, m, h), and
+    the dual pair (left, right) of its controllable subspace, as
+    `_segment_steering` builds them."""
     from dimvar import build_transient_model
-    from dimvar.simulation import _step_groups, _time_grid
     model = build_transient_model(s1, s2, masses=(1, 1))
     lengths, As, Bs = model.lengths, model.A * model.lengths, model.B
     As, Bs = to_float(As), to_float(Bs)
-    hs, groups = _step_groups(As, Bs, step, *_time_grid(0.0, te, step)[1:])
+    times, h = _grid(0.0, te, step)
     sq = np.sqrt(lengths)[:, None]
     Q = ctrb_subspace(As * sq / sq.T, Bs * sq).span.basis
-    return groups, hs, sq * Q, Q / sq
+    return (*_rk4_step_map(As, Bs, h), len(times) - 1, h), sq * Q, Q / sq
 
 
 @pytest.mark.parametrize("p,q,i", [(2, 3, 0), (2, 5, 1), (4, 6, 2),
@@ -640,21 +632,21 @@ def _steering_design(s1, s2, te, step):
 @pytest.mark.parametrize("te,step", [(1.0, 1e-3), (0.9995, 1e-3),
                                      (0.0333, 1e-3), (2.0, 0.125)])
 def test_least_norm_inputs_match_dense_reference(p, q, i, te, step):
-    # pins the doubling: G's blocks P^k R, the stage sums and the
-    # shortened last step against a per-step loop, at n <= 12; (2, 2)
+    # pins the doubling: G's blocks P^k R, the stage sums and a step
+    # that does not divide te against a per-step loop, at n <= 12; (2, 2)
     # has one uncontrollable mode, so G acts on a proper subspace
     from dimvar.simulation import _least_norm_inputs, _run_steps
     if i is None:
         s1 = s2 = LinSys("d", np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     else:
         s1, s2, _ = _seeded_case(0, p, q, i)
-    groups, hs, left, right = _steering_design(s1, s2, te, step)
+    design, left, right = _steering_design(s1, s2, te, step)
     assert right.shape[1] == (1 if i is None else len(right))
     dc = np.random.default_rng(p * q).uniform(-1, 1, right.shape[1])
-    U = _least_norm_inputs(groups, hs, left, right, dc)
-    ref = _dense_least_norm(groups, hs, left, right, dc)
+    U = _least_norm_inputs(*design, left, right, dc)
+    ref = _dense_least_norm(*design, left, right, dc)
     assert np.linalg.norm(U - ref) <= 1e-8 * np.linalg.norm(ref)
-    end = _run_steps(groups, U, np.zeros(len(right)))[-1]
+    end = _run_steps(*design[:2], U, np.zeros(len(right)))[-1]
     assert np.max(np.abs(end - right @ dc)) <= 1e-8 * np.max(np.abs(dc))
 
 
@@ -664,10 +656,10 @@ def test_least_norm_inputs_match_lstsq(p, q):
     # of the Simpson-weighted G u = dc that lstsq finds on the same G
     from dimvar.simulation import _least_norm_inputs
     s1, s2, _ = _seeded_case(0, p, q, 0)
-    groups, hs, left, right = _steering_design(s1, s2, 1.0, 1e-3)
+    design, left, right = _steering_design(s1, s2, 1.0, 1e-3)
     dc = np.random.default_rng(p * q).uniform(-1, 1, right.shape[1])
-    U = _least_norm_inputs(groups, hs, left, right, dc)
-    Gw, scale = _weighted_map(groups, hs, left, right)
+    U = _least_norm_inputs(*design, left, right, dc)
+    Gw, scale = _weighted_map(*design, left, right)
     ref = (np.linalg.lstsq(Gw, dc, rcond=None)[0] * scale).reshape(U.shape)
     assert np.linalg.norm(U - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -677,11 +669,11 @@ def test_least_norm_inputs_refuse_a_rank_deficient_map():
     # numerical rank 1, so the design refuses instead of dividing by it
     from dimvar.simulation import _least_norm_inputs
     s = LinSys("d", np.diag([-1.0, -2.0]), np.array([[1.0], [1e-20]]))
-    groups, hs, _, _ = _steering_design(s, s, 1.0, 1e-3)
+    design, _, _ = _steering_design(s, s, 1.0, 1e-3)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"numerical rank 1 below dim C = 2 "
                              r"\(sigma_1/sigma_r = "):
-        _least_norm_inputs(groups, hs, np.eye(2), np.eye(2), np.ones(2))
+        _least_norm_inputs(*design, np.eye(2), np.eye(2), np.ones(2))
 
 
 # passes of seeds 0-15 x 8 cases at the 1e-5 class-error bound: (2, 3)
@@ -732,15 +724,57 @@ def test_state_arrays_of_other_shapes_are_refused(monkeypatch, shape):
     assert traj.states.shape == (11, n)
 
 
-def test_time_grid_refuses_a_drifted_grid():
-    # at t0 = 2^40 a step of 3e-4 rounds to one ulp, 2^-12, so the loop
-    # needs about 1.17e6 steps for a horizon of 0.95e6 nominal steps
+def test_time_grid_does_not_drift_at_large_t0():
+    # at t0 = 2^40 a step of 3e-4 rounds to one ulp, 2^-12, so adding
+    # step to t would take about 1.17e6 steps for a horizon of 0.95e6
+    # nominal steps; the uniform grid ends on te after the steps that
+    # the end test's tolerance 1e-15 te, 3.7 steps here, leaves:
+    # ceil((285 - 1.0995e-3) / 3e-4) = 949997
     from dimvar.simulation import _time_grid
     t0, step = 2.0**40, 3e-4
     te = t0 + 0.95e6 * step
     assert te - t0 <= MAX_STEPS * step       # passes _check_times
-    with pytest.raises(ValueError, match=f"longer than {MAX_STEPS} steps"):
-        _time_grid(t0, te, step)
+    times, h = _time_grid(t0, te, step)
+    assert len(times) == 949997 + 1
+    assert times[0] == t0 and times[-1] == te and h == 285 / 949997
+    assert np.all(np.diff(times) > 0)
+
+
+@pytest.mark.parametrize("t0,te", [(0.0, 0.0), (0.0, 1e-17), (0.0, -1e-3),
+                                   (1.0, 1.0 + 2 * 2.0**-52)])
+def test_rk4_without_a_step_returns_the_start(t0, te):
+    # a horizon within the end test's tolerance, or a reversed one, has
+    # no step: the start alone, and no input design
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    tr = rk4_integrate(A, B, lambda t: np.ones(1), np.array([1.0, 2.0]),
+                       t0, te, 1e-3)
+    assert np.array_equal(tr.times, [t0])
+    assert np.array_equal(tr.states, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="empty horizon"):
+        min_energy_control(A, B, np.zeros(2), np.ones(2), t0, te)
+
+
+def test_each_run_builds_one_step_map(monkeypatch, ex1_s1, ex1_s2):
+    # step 1e-3 does not divide te = 0.9995, and still every step of a
+    # run shares one RK4 map
+    from dimvar import simulation
+    lengths = []
+    step_map = simulation._rk4_step_map
+
+    def spy(A, B, h):
+        lengths.append(h)
+        return step_map(A, B, h)
+
+    monkeypatch.setattr(simulation, "_rk4_step_map", spy)
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    rk4_integrate(A, B, lambda t: np.ones(1), np.zeros(2), 0.0, 0.9995, 1e-3)
+    assert lengths == [0.9995 / 1000]
+    run_transient_scenario(ex1_s1, ex1_s2,
+                           Scenario(0.0, 0.9995, vec([0, 1]), vec([1, 1, 1])),
+                           alpha="3/2", beta="1/2")
+    assert lengths == [0.9995 / 1000] * 2
+    min_energy_control(A, B, np.zeros(2), np.ones(2), 0.0, 0.9995)
+    assert lengths == [0.9995 / 1000] * 3
 
 
 _A2, _B2 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0])
@@ -767,6 +801,28 @@ def test_scenario_states_of_another_length_name_their_system(ex1_s1, ex1_s2):
                                     (vec([0, 1]), vec([1, 1]),
                                      "sigma2 and y_target")):
         with pytest.raises(ValueError, match=f"^dimension mismatch between {mismatch}$"):
+            run_transient_scenario(ex1_s1, ex1_s2,
+                                   Scenario(0.0, 1.0, start, target),
+                                   alpha=1, beta=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_states_are_refused(ex1_s1, ex1_s2, bad):
+    # a NaN or inf state is refused by name, not carried through the run
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="^z0 must be finite$"):
+        rk4_integrate(A, B, lambda t: np.zeros(1), np.array([bad, 0.0]),
+                      0.0, 0.1, 0.01)
+    for z0, z_target, name in ((np.array([bad, 0.0]), np.zeros(2), "z0"),
+                               (np.zeros(2), np.array([0.0, bad]),
+                                "z_target")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            min_energy_control(A, B, z0, z_target, 0.0, 1.0)
+    for start, target, name in ((np.array([0.0, bad]), vec([1, 1, 1]),
+                                 "x_start"),
+                                (vec([0, 1]), np.array([1.0, bad, 1.0]),
+                                 "y_target")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             run_transient_scenario(ex1_s1, ex1_s2,
                                    Scenario(0.0, 1.0, start, target),
                                    alpha=1, beta=1)

@@ -22,6 +22,19 @@ def test_linsys_validation():
     assert s.B.shape == (1, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_linsys_refuses_non_finite_floats(bad):
+    # a NaN or inf in A or B is refused where the system is built, so a
+    # float decision such as check_transient never runs on it
+    A, B = np.zeros((2, 2)), np.ones((2, 1))
+    for name, args in (("A", (np.array([[bad]]), np.ones((1, 1)))),
+                       ("A", (np.diag([1.0, bad]), B)),
+                       ("B", (A, np.array([1.0, bad])))):
+        with pytest.raises(ValueError, match="^s: A and B must be finite$"):
+            LinSys("s", *args)
+    LinSys("s", mat([[1, 2], [3, 4]]), vec([1, 2]))  # exact: always finite
+
+
 def test_lift_example1(ex1_s1, ex1_s2):
     l1 = lift_system(ex1_s1, 6)
     assert l1.A.shape == (6, 6)
