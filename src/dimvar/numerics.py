@@ -26,8 +26,9 @@ modules build arrays on an operand's backend with `as_backend`, promote
 operands with one `common_backend` where they meet (the `mixdim`
 products, `_strip_factors`, `build_transient_model`, `_subsystem_ctrb`,
 `direct_sum_check`, `kalman_decomposition`), compare exact entries on
-integer `equality_key`s, and never read `is_exact`: algorithms that
-differ by backend (`_krylov_integers`, `_bareiss`, `solve`) live here.
+integer `equality_key`s or `_integer_scaled` (L None on floats), and
+never read `is_exact`: algorithms that differ by backend
+(`_krylov_integers`, `_bareiss`, `solve`) live here.
 """
 
 from __future__ import annotations
@@ -172,7 +173,10 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _integer_scaled(M: np.ndarray):
     """(Z, L): the exact M (Fractions or plain ints) scaled by the lcm L
-    of its entries' denominators, Z = L * M in Python ints."""
+    of its entries' denominators, Z = L * M in Python ints; L None on
+    floats."""
+    if not is_exact(M):
+        return M, None
     flat = M.ravel()
     dens = [x.denominator for x in flat]
     L = math.lcm(*dens)
@@ -228,6 +232,16 @@ def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
     return _bareiss(np.hstack(K))[0] == n
 
 
+def _integer_pivots(Z: np.ndarray) -> list[int]:
+    """The `_bareiss` pivots of the Python ints Z; its first m = rows(Z)
+    columns if of rank m modulo `_PRIME`, as over Q a prefix has at least
+    that rank (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5)."""
+    m = Z.shape[0]
+    if m <= Z.shape[1] and _bareiss((Z[:, :m] % _PRIME).astype(np.int64))[0] == m:
+        return list(range(m))
+    return _bareiss(Z, scaled=True)[1]
+
+
 def _identity_tokens(M: np.ndarray):
     """The object references of the exact array M as intp, shaped like
     M (None when M is float): equal tokens are one object while M holds
@@ -252,30 +266,30 @@ def equality_key(M: np.ndarray):
         return Z                                # Python ints, object dtype
 
 
-def _bareiss(M: np.ndarray, ncols: int | None = None):
+def _bareiss(M: np.ndarray, ncols: int | None = None, scaled: bool = False):
     """Row-reduce M; return (rank, pivot column indices, copy).
 
     Fraction-free: Bareiss elimination ("Sylvester's identity and
     multistep integer-preserving Gaussian elimination", 1968), with the
     first nonzero entry of a column as its pivot.  An exact M is scaled
-    to integers: every entry below a pivot row is then a minor of the
-    scaled matrix, i.e. the Gaussian elimination entry times a nonzero
-    product of pivots, so the pivot columns, the rank and the zero
-    pattern of the reduced rows are those of Gaussian elimination over
-    the rationals; the copy holds those integers.  An int64 M holds
-    residues modulo `_PRIME` (below 2^26, so products stay below 2^52),
-    and each step is taken modulo it instead of divided by the previous
-    pivot.  Only the first `ncols` columns (default all) may pivot; the
-    row operations still reach every column.
+    to integers, unless ``scaled``: every entry below a pivot row is then
+    a minor of the scaled matrix, i.e. the Gaussian elimination entry
+    times a nonzero product of pivots, so the pivot columns, the rank and
+    the zero pattern of the reduced rows are those of Gaussian
+    elimination over the rationals; the copy holds those integers.  An
+    int64 M holds residues modulo `_PRIME` (below 2^26, so products stay
+    below 2^52), and each step is taken modulo it instead of divided by
+    the previous pivot.  Only the first `ncols` columns (default all) may
+    pivot; the row operations still reach every column.
     """
     exact = is_exact(M)
-    A = _integer_scaled(M)[0] if exact else M.copy()
+    A = _integer_scaled(M)[0] if exact and not scaled else M.copy()
     m, n = A.shape
     piv_row, prev, pivots = 0, 1, []
     for c in range(n if ncols is None else ncols):
         if piv_row >= m:
             break
-        nonzero = np.flatnonzero(A[piv_row:, c])
+        nonzero = A[piv_row:, c].nonzero()[0]
         if not nonzero.size:
             continue
         sel = piv_row + int(nonzero[0])
@@ -327,12 +341,12 @@ def rank(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def pivot_columns(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     """The columns of M independent of those before them: the pivots of
-    `_bareiss` (exact) or the columns `_staircase` accepts at M's rank
-    threshold (float)."""
+    `_bareiss` (exact: `_integer_pivots`) or the columns `_staircase`
+    accepts at M's rank threshold (float)."""
     if M.size == 0:
         return []
     if is_exact(M):
-        return _bareiss(M)[1]
+        return _integer_pivots(_integer_scaled(M)[0])
     m, n = M.shape
     thresh = tol.rank_threshold(m, n, float(np.max(np.abs(M))))
     return _staircase(np.empty((m, min(m, n))), 0,
@@ -375,7 +389,7 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     of A and a 2-D B, as (pivots, K's columns at them, SubspaceBasis of
     their span).
 
-    Exact: the `_bareiss` pivots of `_krylov_integers` (its columns are
+    Exact: the `_integer_pivots` of `_krylov_integers` (its columns are
     K's times nonzero integers, so the pivots are K's), and only those
     columns divided back; they are also the span.  Pivots come in chains
     (if A^j b_i depends on the columns before it, so does A^(j+1) b_i), so
@@ -398,10 +412,10 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     if L is not None:
         Z = np.hstack([Z] + [next(blocks)[0]
                              for _ in range(-(-n // m) - 1 if m else 0)])
-        r, piv, _ = _bareiss(Z)
-        if r < n and piv and piv[-1] >= Z.shape[1] - m:
+        piv = _integer_pivots(Z)
+        if len(piv) < n and piv and piv[-1] >= Z.shape[1] - m:
             Z = np.hstack([Z] + [X for X, _ in blocks])
-            piv = _bareiss(Z)[1]
+            piv = _bareiss(Z, scaled=True)[1]
         W = _divide_back(Z[:, piv], L, [c // m + 1 for c in piv])
         return piv, W, SubspaceBasis(n, W)
     A = np.asarray(A, dtype=float)

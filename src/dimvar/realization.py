@@ -13,16 +13,17 @@ modulo a prime or decided on its segment system as for ``dimvar ctrb
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       _certify_full_krylov, _one_column, as_backend,
-                       common_backend, in_span_columns, krylov_pivots,
-                       pivot_columns, rank, unit_columns, vec)
+                       _certify_full_krylov, _divide_back, _integer_scaled,
+                       _one_column, as_backend, common_backend,
+                       in_span_columns, krylov_pivots, pivot_columns, rank,
+                       unit_columns, vec)
 from .systems import LinSys
 
 
@@ -146,6 +147,7 @@ class TransientModel:
     range E is the segment system (As, B), As = A diag(lengths).  The
     blend's Krylov matrix is E ctrb(As, B), E is injective and blocks
     past s never pivot: both pivot alike, and C_z = E span ctrb(As, B).
+    ``_integers``: (N_A, N_B, D), A = N_A / D; (A, B, None) on floats.
     """
 
     A: np.ndarray
@@ -156,6 +158,7 @@ class TransientModel:
     weights: tuple
     source_dims: tuple[int, int]
     input_split: tuple[int, int]
+    _integers: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -197,9 +200,12 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
 
     A = alpha A1 (x) J_k + beta A2 (x) J_m (k = n/p, m = n/q) is
     constant on the blocks of the p + q - gcd(p, q) segments of
-    `_segments`.  Each segment pair is summed once, as
-    alpha * (a1 * (1/k)) + beta * (a2 * (1/m)) in the Kronecker
-    product's operand order, and kept on the segments (`TransientModel`).
+    `_segments`.  Each segment pair is summed once and kept on the
+    segments (`TransientModel`): on floats as alpha * (a1 * (1/k)) +
+    beta * (a2 * (1/m)), the Kronecker product's operand order; exact
+    [Ai | Bi] = Zi / Li, alpha = a/a_d and beta = b/b_d give N / D, one
+    Fraction each, with D = a_d b_d k m L1 L2, N_A = w1 Z1_A + w2 Z2_A,
+    N_B = [k w1 Z1_B | m w2 Z2_B], w1 = a b_d m L2 and w2 = b a_d k L1.
     """
     if (masses is None) == (alpha is None) or (alpha is None) != (beta is None):
         raise ValueError("provide either masses or both alpha and beta")
@@ -214,14 +220,23 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     alpha, beta = as_backend(alpha, A1), as_backend(beta, A2)
     starts, lengths = _segments(p, q)
     i, j = starts // k, starts // m
-    A1 = alpha * (A1 * as_backend(Fraction(1, k), A1))
-    A2 = beta * (A2 * as_backend(Fraction(1, m), A2))
-    A = A1.take(i, 0).take(i, 1) + A2.take(j, 0).take(j, 1)
-    B = np.hstack([(alpha * B1).take(i, 0), (beta * B2).take(j, 0)])
+    (Z1, L1), (Z2, L2) = (_integer_scaled(np.hstack(M))
+                          for M in ((A1, B1), (A2, B2)))
+    # (weight, A scale, B scale): alpha (a1 (1/k)) and alpha b1 on floats
+    w1, w2, D = ((alpha, 1 / k, 1), (beta, 1 / m, 1), None) if L1 is None else (
+        (alpha.numerator * beta.denominator * m * L2, 1, k),
+        (beta.numerator * alpha.denominator * k * L1, 1, m),
+        alpha.denominator * beta.denominator * k * m * L1 * L2)
+    X1, X2 = (w * np.hstack([Z[:, :d] * a, Z[:, d:] * b])
+              for (w, a, b), Z, d in ((w1, Z1, p), (w2, Z2, q)))
+    N_A = X1[:, :p].take(i, 0).take(i, 1) + X2[:, :q].take(j, 0).take(j, 1)
+    N_B = np.hstack([X1[:, p:].take(i, 0), X2[:, q:].take(j, 0)])
+    A, B = (_divide_back(X, D, 1) for X in (N_A, N_B)) if D else (N_A, N_B)
     return TransientModel(A=A, B=B, lengths=lengths, rows=(i, j),
                           name=f"blend({s1.name},{s2.name})",
                           weights=(alpha, beta), source_dims=(p, q),
-                          input_split=(s1.n_inputs, s2.n_inputs))
+                          input_split=(s1.n_inputs, s2.n_inputs),
+                          _integers=(N_A, N_B, D))
 
 
 @dataclass(frozen=True)
@@ -229,13 +244,17 @@ class ModelingReport:
     """Outcome of the necessary modeling condition.
 
     Every lifted basis vector of the two subsystems' controllable
-    subspaces must lie in the blend's controllable subspace.
+    subspaces must lie in the blend's (``tested_vectors``: on first read).
     """
 
     holds: bool
     n: int
-    tested_vectors: list
     dim_Cz: int
+    _tested: object = field(repr=False, compare=False)
+
+    @cached_property
+    def tested_vectors(self) -> list:
+        return self._tested()
 
 
 def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
@@ -246,29 +265,35 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
     sigma2 rows).  C_z = R^s, proved by `_certify_full_krylov` (exact
-    input) or found by `krylov_pivots` of (As, B), holds all lifted
-    vectors; a smaller C_z tests them by one `in_span_columns`, each
-    column scaled to largest |entry| 1 by `unit_columns`.
+    input, leaving C1 and C2 to ``tested_vectors``) or found by
+    `krylov_pivots` of (As, B), holds all lifted vectors; a smaller C_z
+    tests them by one `in_span_columns`, each column scaled to largest
+    |entry| 1 by `unit_columns`.
     """
-    return _modeling(s1, s2, model, _subsystem_ctrb(s1, s2, tol), tol)
+    return _modeling(s1, s2, model, None, tol)
 
 
-def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb: tuple,
+def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb,
               tol: Tolerance) -> ModelingReport:
-    """`check_modeling_condition` on the subsystems' `_subsystem_ctrb`."""
+    """`check_modeling_condition` on `_subsystem_ctrb` (None: when needed)."""
     if model.source_dims != (s1.dim, s2.dim):
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    full = _certify_full_krylov(model.A, model.B, model.lengths)
+    full = _certify_full_krylov(*model._integers[:2], model.lengths)
+    if full and ctrb is None:
+        s1, s2 = (LinSys(s.name, s.A.copy(), s.B.copy()) for s in (s1, s2))
     S = None if full else krylov_pivots(model.A * model.lengths, model.B, tol)[2]
-    columns = np.hstack([W[rows] for (_, W, _), rows in zip(ctrb, model.rows)])
-    inside = ([True] * columns.shape[1] if full or S.dim == S.ambient_dim
-              else in_span_columns(S, unit_columns(columns), tol))
-    lifted = np.repeat(columns, model.lengths, axis=0).T
-    return ModelingReport(holds=all(inside), n=model.dim,
-                          tested_vectors=list(zip(lifted, inside)),
-                          dim_Cz=len(model.lengths) if full else S.dim)
+    def tested():
+        columns = np.hstack([W[rows] for (_, W, _), rows in zip(
+            ctrb or _subsystem_ctrb(s1, s2, tol), model.rows)])
+        inside = ([True] * columns.shape[1] if full or S.dim == S.ambient_dim
+                  else in_span_columns(S, unit_columns(columns), tol))
+        return list(zip(np.repeat(columns, model.lengths, axis=0).T, inside))
+    if full:
+        return ModelingReport(True, model.dim, len(model.lengths), tested)
+    v = tested()
+    return ModelingReport(all(ok for _, ok in v), model.dim, S.dim, lambda: v)
 
 
 def check_transient(s1: LinSys, s2: LinSys, model: TransientModel,

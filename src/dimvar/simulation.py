@@ -85,14 +85,19 @@ def _check_times(t0: float, te: float, step: float) -> None:
         raise ValueError(f"horizon longer than {MAX_STEPS} steps")
 
 
+def _finite_input(M: np.ndarray, name: str) -> np.ndarray:
+    """M, else ValueError naming it when it is not finite."""
+    if not _finite(M):
+        raise ValueError(f"{name} must be finite")
+    return M
+
+
 def _state(z, n: int, name: str, of: str = "A") -> np.ndarray:
     """z as a finite float vector of `of`'s n states, else ValueError
     naming z."""
     if len(z := _one_column(np.asarray(z, dtype=float))) != n:
         raise ValueError(f"dimension mismatch between {of} and {name}")
-    if not _finite(z):
-        raise ValueError(f"{name} must be finite")
-    return z
+    return _finite_input(z, name)
 
 
 @dataclass
@@ -119,13 +124,14 @@ def _rk4_step_map(A: np.ndarray, Bfull: np.ndarray, h: float):
 
 
 def _time_grid(t0: float, te: float, step: float):
-    """(times, h): m steps of one length h = (te - t0) / m, at the times
-    t0 + k h with the last one te (numpy's linspace), where
-    m = ceil((te - t0 - tol) / step) and tol = 1e-15 max(1, |te|), so
-    h <= step + tol / m.  A horizon of at most tol, or a reversed one,
-    has no step: times is [t0] alone."""
+    """(times, h): the fewest m >= ceil((te - t0 - tol) / step) steps of
+    one length h = (te - t0) / m <= step, tol = 1e-15 max(1, |te|), at
+    the times t0 + k h with the last one te (numpy's linspace).  A
+    horizon of at most tol, or a reversed one, has no step: [t0] alone."""
     span = te - t0 - 1e-15 * max(1.0, abs(te))
     m = math.ceil(span / step) if span > 0 else 0
+    while m and (te - t0) / m > step:     # tol is not small beside step
+        m += 1
     return np.linspace(t0, te, m + 1), (te - t0) / max(m, 1)
 
 
@@ -172,9 +178,9 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     """Classical fixed-step RK4 for dz/dt = A z + B u(t).
 
     ``step`` is the largest step: the m steps share one length h, at
-    most step up to the end test's tolerance (see _time_grid), and the
-    last lands on te; a horizon of at most 1e-15 max(1, |te|), or a
-    reversed one, gives the single sample t0.  ``u`` is either a
+    most step (see _time_grid), and the last lands on te; a horizon of
+    at most 1e-15 max(1, |te|), or a reversed one, gives the single
+    sample t0.  ``u`` is either a
     callable t -> input vector, called once per distinct stage time
     t_0, t_0 + h/2, t_1, ..., t_m, or the inputs there as one array of
     2m + 1 rows and one column per input, as `min_energy_control`
@@ -183,12 +189,12 @@ def rk4_integrate(A: np.ndarray, Bfull: np.ndarray, u, z0: np.ndarray,
     scan over the powers of P (see _scan).  Non-finite times, a step
     that is not positive and a horizon of more than MAX_STEPS steps
     raise ValueError, as do a Bfull without A's rows (a 1-D Bfull is
-    one input), a z0 that is not a finite vector or one column of A's
-    size and an input array of another shape.
+    one input), a non-finite A or Bfull, a z0 that is not a finite
+    vector or one column of A's size and an input array of another shape.
     """
     _check_times(t0, te, step)
-    A = np.asarray(A, dtype=float)
-    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
+    A = _finite_input(np.asarray(A, dtype=float), "A")
+    Bfull = _finite_input(_input_matrix(A, np.asarray(Bfull, dtype=float)), "Bfull")
     z = _state(z0, len(A), "z0")
 
     times, h = _time_grid(t0, te, step)
@@ -325,8 +331,8 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     The steering of `run_transient_scenario` for any (A, B): the rows
     are the inputs at `rk4_integrate`'s distinct stage times, so
     ``rk4_integrate(A, Bfull, u, z0, t0, te, step)`` with the returned
-    u ends at z_target up to round-off.  Times, Bfull and the states are
-    checked as by `rk4_integrate`, and a horizon of no step raises
+    u ends at z_target up to round-off.  Times, A, Bfull and the states
+    are checked as by `rk4_integrate`, and a horizon of no step raises
     ValueError.  A displacement outside the controllable subspace raises
     UnreachableTargetError with its residual; a steering map of lower
     numerical rank than that subspace raises LinAlgError.
@@ -335,8 +341,8 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
     times, h = _time_grid(t0, te, step)
     if times.size == 1:
         raise ValueError(f"empty horizon: no step from t0={t0} to te={te}")
-    A = np.asarray(A, dtype=float)
-    Bfull = _input_matrix(A, np.asarray(Bfull, dtype=float))
+    A = _finite_input(np.asarray(A, dtype=float), "A")
+    Bfull = _finite_input(_input_matrix(A, np.asarray(Bfull, dtype=float)), "Bfull")
     z0, z_target = _state(z0, len(A), "z0"), _state(z_target, len(A), "z_target")
     return _segment_steering(A, Bfull, np.ones(len(A), dtype=int),
                              *_rk4_step_map(A, Bfull, h), times.size - 1, h,

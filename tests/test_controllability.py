@@ -63,9 +63,10 @@ def _fraction_krylov(A, B):
 
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
-    # forms for a (5,7) pair with weights 3/2 and 1/3, caught on its
-    # way into the modular certificate after the two subsystems'
-    # krylov_pivots, as (A diag(lengths), B)
+    # forms for a (5,7) pair with weights 3/2 and 1/3, (A diag(lengths),
+    # B); the modular certificate, which proves it full, reads its
+    # integer numerators D A diag(lengths) and D B, and no subsystem's
+    # krylov_pivots runs
     seen = []
     certify = realization._certify_full_krylov
 
@@ -84,8 +85,11 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
                                   beta=Fraction(1, 3))
     check_modeling_condition(s1, s2, model)
-    assert [len(A) for A, _ in seen] == [5, 7, 11]
-    At, Bt = seen[2]
+    assert [len(A) for A, _ in seen] == [11]
+    At, Bt = model.A * model.lengths, model.B
+    D = model._integers[2]
+    assert all(x == D * y for x, y in zip(seen[0][0].flat, At.flat))
+    assert all(x == D * y for x, y in zip(seen[0][1].flat, Bt.flat))
     assert At.shape == (11, 11) and Bt.shape == (11, 3)
     assert max(x.denominator for x in At.flat) > 1
     for A, B in ((At, Bt), (At, Bt[:, :1]), (model.base.A, model.base.B)):

@@ -688,6 +688,85 @@ def test_bareiss_on_residues_matches_the_modular_reference():
         assert r == _bareiss(M)[0] - 1 == M.shape[1] - 1
 
 
+def _prefix_corpus():
+    """Seeded exact matrices, as many columns as rows or more (the shape
+    of the prefix test) and fewer, Fractions and plain ints: general,
+    deficient (a column combining the ones before it) and dependent
+    only modulo the prime (a column holding the prime, or such a
+    combination plus the prime in one entry)."""
+    rng = random.Random(46)
+    for trial in range(240):
+        m = rng.randint(1, 7)
+        k = rng.randint(max(1, m - 2), 2 * m + 1)
+        M = (_mixed(rng, m, k) if trial % 2 else
+             np.array([[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)],
+                      dtype=object))
+        c = rng.randrange(min(m, k))
+        kind = trial % 8 // 2
+        if kind == 1 and c:
+            M[:, c] = M[:, :c] @ [rng.randint(-3, 3) for _ in range(c)]
+        if kind == 2:
+            M[:, c] = 0
+            M[rng.randrange(m), c] = _PRIME
+        if kind == 3 and c:
+            M[:, c] = M[:, :c] @ [rng.randint(-3, 3) for _ in range(c)]
+            M[rng.randrange(m), c] += _PRIME
+        yield M
+
+
+def _prefix_krylov_corpus():
+    """Seeded exact (A, B) with one and two inputs: general, with an
+    uncontrollable block, and with B's first column multiplied by the
+    prime, so that its chain vanishes modulo the prime only."""
+    rng = random.Random(47)
+    for n in range(1, 8):
+        for m in (1, 2):
+            for kind in ("general", "split", "prime"):
+                A, B = _mixed(rng, n, n), _mixed(rng, n, m)
+                if kind == "split" and n > 1:
+                    k = rng.randint(1, n - 1)
+                    A[k:, :k] = Fraction(0)
+                    B[k:] = Fraction(0)
+                if kind == "prime":
+                    B[:, 0] *= _PRIME
+                yield A, B
+
+
+def test_full_pivot_sets_proved_modulo_the_prime_match_elimination():
+    # pivot_columns and krylov_pivots take the first rows(M) columns as
+    # the pivots when they have rank rows(M) modulo the prime, and
+    # eliminate over Q otherwise: both equal one `_bareiss` of the whole
+    # matrix, also where columns are dependent only modulo the prime
+    def prefix_full(K):
+        m = K.shape[0]
+        return m <= K.shape[1] and _modular_reference(
+            _residues(_reference_key(K[:, :m])))[0] == m
+
+    seen = set()
+    for M in _prefix_corpus():
+        piv = pivot_columns(M)
+        assert piv == _bareiss(M)[1]
+        full = piv == list(range(M.shape[0]))
+        assert full or not prefix_full(M)      # the prime never overstates
+        seen.add(("matrix", full, prefix_full(M)))
+    for A, B in _prefix_krylov_corpus():
+        K = np.hstack([Z for Z, _ in _krylov_integers(A, B)])
+        piv_ref = _bareiss(K)[1]
+        piv, W, S = krylov_pivots(A, B)
+        assert piv == piv_ref
+        W_ref = _krylov_product(A, B)[:, piv_ref]
+        assert all(type(x) is Fraction and x == y for x, y in zip(W.flat, W_ref.flat))
+        assert W.shape == S.basis.shape == W_ref.shape
+        full = piv == list(range(len(A)))
+        assert full or not prefix_full(K)
+        seen.add(("krylov", full, prefix_full(K)))
+    # full sets proved by the prime, full sets that only elimination
+    # finds, and deficient sets, for both routines
+    assert seen == {(kind, full, proved) for kind in ("matrix", "krylov")
+                    for full, proved in ((True, True), (True, False),
+                                         (False, False))}
+
+
 def test_input_matrices_take_one_rule():
     # B is one 1-D input column or a matrix with A's rows, wherever it is
     # taken: a 3-D B is refused, a B with other rows is "incompatible

@@ -476,7 +476,9 @@ def _plain(x):
     """A report as nested lists and values: arrays by dtype, shape and
     entries, so that two reports compare with ==."""
     if dataclasses.is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        names = [f.name for f in dataclasses.fields(x) if f.name[0] != "_"]
+        names += ["tested_vectors"] * hasattr(x, "tested_vectors")
+        return {name: _plain(getattr(x, name)) for name in names}
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tolist()
     if isinstance(x, (list, tuple)):
@@ -499,7 +501,9 @@ def test_check_transient_decides_each_subsystem_subspace_once(monkeypatch,
     # one krylov_pivots each for the 2- and 3-dimensional subsystems,
     # and one question to the certificate for the 4-dimensional segment
     # system, which proves C_z = R^4 on exact input; floats decide it by
-    # krylov_pivots.  The two separate checks find C1 and C2 twice.
+    # krylov_pivots.  The two separate checks find C1 and C2 twice on
+    # floats; on exact input the certified modeling check finds them
+    # only when its tested vectors are read.
     from dimvar import realization
     s1, s2, model = _case(exact)
     calls, inner = [], realization.krylov_pivots
@@ -512,8 +516,72 @@ def test_check_transient_decides_each_subsystem_subspace_once(monkeypatch,
     assert answers == [exact]
     calls.clear()
     check_realization(s1, s2)
-    check_modeling_condition(s1, s2, model)
+    modeling = check_modeling_condition(s1, s2, model)
+    assert sorted(calls) == ([2, 3] if exact else [2, 2, 3, 3, 4])
+    modeling.tested_vectors
     assert sorted(calls) == ([2, 2, 3, 3] if exact else [2, 2, 3, 3, 4])
+
+
+def _full_rank_pairs():
+    """Seeded exact pairs whose blends are certified full, example1
+    among them, with one and two inputs and non-unit weights."""
+    yield _case(True)[:2] + ({"alpha": Fraction(3, 2), "beta": Fraction(1, 2)},)
+    for p, q, inputs, weights in [(2, 3, (1, 1), {"masses": (1, 1)}),
+                                  (4, 6, (1, 2), {"masses": (1, 3)}),
+                                  (5, 7, (2, 1), {"alpha": Fraction(2),
+                                                  "beta": Fraction(1, 3)})]:
+        rng = np.random.default_rng([46, p, q, *inputs])
+        yield (_int_system(rng, "s1", p, inputs[0]),
+               _int_system(rng, "s2", q, inputs[1]), weights)
+
+
+def test_certified_modeling_check_defers_the_subsystem_subspaces(monkeypatch):
+    # C_z = R^s proved by the certificate decides the exact modeling
+    # check without C1 or C2: no krylov_pivots runs until tested_vectors
+    # is read, and then it equals the eager list of the n-dimensional
+    # computation, built from the systems as they were at the call
+    from dimvar import realization
+    calls, inner = [], realization.krylov_pivots
+    monkeypatch.setattr(realization, "krylov_pivots",
+                        lambda A, B, tol: calls.append(A.shape[0]) or inner(A, B, tol))
+    answers = _certificate_spy(monkeypatch)
+    for s1, s2, weights in _full_rank_pairs():
+        model = build_transient_model(s1, s2, **weights)
+        dim_Cz, tested = _direct_modeling(s1, s2, model)
+        A1, B2 = s1.A.copy(), s2.B.copy()
+        calls.clear()
+        rep = check_modeling_condition(s1, s2, model)
+        assert rep.holds and rep.dim_Cz == dim_Cz == len(model.lengths) and calls == []
+        s1.A[...], s2.B[...] = Fraction(7), Fraction(0)   # after the call
+        assert calls == []
+        for (v, ok), (v_ref, ok_ref) in zip(rep.tested_vectors, tested, strict=True):
+            assert np.array_equal(v, v_ref) and ok is ok_ref is True
+        assert rep.tested_vectors is rep.tested_vectors     # built once
+        assert sorted(calls) == sorted((s1.dim, s2.dim))
+        s1.A[...], s2.B[...] = A1, B2
+    assert answers and all(answers)
+
+
+def test_check_transient_scales_each_exact_array_once(monkeypatch):
+    # one integer scaling each for [A1 | B1] and [A2 | B2] (the Krylov
+    # products), for the realization matrix [embed(C1) | W] and for the
+    # blend's integer numerators [N_A | N_B] (the certificate): the
+    # prefix test and the elimination share the scaled copy, and no
+    # integer array is scaled again
+    from dimvar import numerics
+    for s1, s2, weights in _full_rank_pairs():
+        model = build_transient_model(s1, s2, **weights)
+        shapes, inner = [], numerics._integer_scaled
+        monkeypatch.setattr(numerics, "_integer_scaled",
+                            lambda M: shapes.append(M.shape) or inner(M))
+        real, modeling = check_transient(s1, s2, model)
+        modeling.tested_vectors
+        monkeypatch.setattr(numerics, "_integer_scaled", inner)
+        (p, m1), (q, m2) = s1.B.shape, s2.B.shape
+        assert real.realizable and modeling.holds
+        assert shapes == [(p, p + m1), (q, q + m2),
+                          (q, real.dim_C1 + real.dim_C2),
+                          (len(model.lengths), len(model.lengths) + m1 + m2)]
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -277,10 +277,11 @@ def _smooth_input(B, eta, t0=-math.inf, te=math.inf):
 
 def _grid(t0, te, step):
     """(times, h) of the uniform grid, one step at a time: the fewest m
-    steps of ``step`` that pass te - t0 - 1e-15 max(1, |te|), then m
-    steps of one length h = (te - t0) / m, at t0 + k h, the last one te."""
+    steps of ``step`` that pass te - t0 - 1e-15 max(1, |te|), and more
+    while h = (te - t0) / m exceeds step; then m steps of length h, at
+    t0 + k h, the last one te."""
     span, m = te - t0 - 1e-15 * max(1.0, abs(te)), 0
-    while m * step < span:
+    while m * step < span or (m and (te - t0) / m > step):
         m += 1
     h = (te - t0) / max(m, 1)
     times = [t0 + k * h for k in range(m)] + [te if m else t0]
@@ -384,7 +385,7 @@ def _near_grid_point(delta):
 
 
 @pytest.mark.parametrize("t0,te,step", [
-    (1e9, 1e9 + 1e-3, 1e-6),        # t + step would round: 1000 steps
+    (1e9, 1e9 + 1e-3, 1e-6),        # t + step would round: 1001 steps
     (1e6, 1e6 + 1.0, 1e-3),
     (0.0, 1.0, 0.125),              # te a multiple of step, exactly
     (2.0, 2.0 + 64 * 2.0**-10, 2.0**-10),
@@ -727,17 +728,55 @@ def test_state_arrays_of_other_shapes_are_refused(monkeypatch, shape):
 def test_time_grid_does_not_drift_at_large_t0():
     # at t0 = 2^40 a step of 3e-4 rounds to one ulp, 2^-12, so adding
     # step to t would take about 1.17e6 steps for a horizon of 0.95e6
-    # nominal steps; the uniform grid ends on te after the steps that
-    # the end test's tolerance 1e-15 te, 3.7 steps here, leaves:
+    # nominal steps; the uniform grid ends on te after the fewest steps
+    # of at most step: 950000, although the end test's tolerance
+    # 1e-15 te, 3.7 steps here, would stop at
     # ceil((285 - 1.0995e-3) / 3e-4) = 949997
     from dimvar.simulation import _time_grid
     t0, step = 2.0**40, 3e-4
     te = t0 + 0.95e6 * step
     assert te - t0 <= MAX_STEPS * step       # passes _check_times
     times, h = _time_grid(t0, te, step)
-    assert len(times) == 949997 + 1
-    assert times[0] == t0 and times[-1] == te and h == 285 / 949997
+    assert len(times) == 950000 + 1
+    assert times[0] == t0 and times[-1] == te and h == 285 / 950000
     assert np.all(np.diff(times) > 0)
+
+
+def test_time_grid_steps_never_exceed_step():
+    # step is the largest step, also where the end test's tolerance
+    # 1e-15 max(1, |te|) is not small beside it; a grid whose steps
+    # were at most step already keeps every time
+    from dimvar.simulation import _time_grid
+    rng = np.random.default_rng(46)
+    grids = [(1e9, 1e9 + 1e-3, 1e-6), (2.0**40, 2.0**40 + 0.95e6 * 3e-4, 3e-4)]
+    for _ in range(300):
+        t0 = float(rng.choice([0.0, -1.0, 1.0])) * 10.0 ** rng.uniform(-3, 12)
+        step = 10.0 ** rng.uniform(-7, 0)
+        grids.append((t0, t0 + step * float(rng.choice(
+            [rng.integers(1, 5000), rng.uniform(0.5, 5000)])), step))
+    for t0, te, step in grids:
+        times, h = _time_grid(t0, te, step)
+        assert times.size > 1 and h <= step and times[-1] == te
+        ref, h_ref = _grid(t0, te, step)
+        assert np.array_equal(times, ref) and h == h_ref
+    assert len(_time_grid(*grids[0])[0]) == 1001 + 1    # 1000 steps before
+    times, h = _time_grid(0.0, 1.0, 1e-3)
+    assert h == 1e-3 and np.array_equal(times, np.linspace(0.0, 1.0, 1001))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_systems_are_refused_by_name(bad):
+    # rk4_integrate and min_energy_control take A and Bfull without a
+    # LinSys: a NaN or infinity is an input error naming its argument,
+    # not a NaN trajectory or a numerical failure
+    A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+    for name, args in (("A", (np.array([[0.0, bad], [0.0, 0.0]]), B)),
+                       ("Bfull", (A, np.array([[bad], [1.0]])))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            rk4_integrate(*args, lambda t: np.zeros(1), np.zeros(2),
+                          0.0, 0.1, 0.01)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            min_energy_control(*args, np.zeros(2), np.ones(2), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("t0,te", [(0.0, 0.0), (0.0, 1e-17), (0.0, -1e-3),

@@ -216,6 +216,35 @@ def test_blend_on_segments_matches_kronecker_reference(exact):
                 assert all(type(x) is Fraction for x in model.base.A.flat)
 
 
+def test_exact_blend_is_built_from_integer_numerators():
+    # the segment values equal the Fraction formula alpha a1 / k +
+    # beta a2 / m and [alpha b1 | beta b2], entry for entry and as
+    # Fractions, for Fraction entries, two inputs and non-unit weights;
+    # the model keeps them as integer numerators over one denominator
+    rng = random.Random(46)
+    for p, q in ((2, 3), (4, 6), (5, 7), (3, 9), (6, 4)):
+        for kw in (dict(alpha=Fraction(2), beta=Fraction(1, 3)),
+                   dict(masses=(1, 2)), dict(alpha="0.7", beta=5)):
+            s1, s2 = (LinSys(f"s{d}", rand_rational_matrix(rng, d, d, -9, 9)
+                             / rng.randint(1, 7),
+                             rand_rational_matrix(rng, d, 2) / rng.randint(1, 5))
+                      for d in (p, q))
+            model = build_transient_model(s1, s2, **kw)
+            n = math.lcm(p, q)
+            alpha, beta = model.weights
+            rows = list(zip(*model.rows))
+            A = np.array([[alpha * s1.A[a, b] / (n // p) + beta * s2.A[c, d] / (n // q)
+                           for b, d in rows] for a, c in rows], dtype=object)
+            B = np.array([[alpha * x for x in s1.B[a]] + [beta * x for x in s2.B[c]]
+                          for a, c in rows], dtype=object)
+            _identical(model.A, A)
+            _identical(model.B, B)
+            assert all(type(x) is Fraction for x in [*model.A.flat, *model.B.flat])
+            N_A, N_B, D = model._integers
+            assert all(type(x) is int for x in [*N_A.flat, *N_B.flat, D])
+            assert [Fraction(x, D) for x in [*N_A.flat, *N_B.flat]] == [*A.flat, *B.flat]
+
+
 def test_systems_equivalent_needs_equal_input_counts():
     s1 = LinSys("a", eye(2), mat([[1], [0]]))
     s2 = LinSys("b", eye(2), eye(2))
