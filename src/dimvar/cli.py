@@ -20,7 +20,9 @@ System files are JSON: matrices are grids of scalar strings ("3",
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .controllability import _class_reps, ctrb_matrix, ctrb_subspace
+from .controllability import _class_reps, ctrb_matrix
 from .mixdim import reduce_vector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance, krylov_pivots,
                        mat, parse_scalar, vec)
@@ -202,29 +204,27 @@ def cmd_check(args) -> int:
 
 
 def cmd_ctrb(args) -> int:
-    tol = args.tolerance
     if args.blend:
         doc, s1, s2, weights = _parse_case(args)
         model = build_transient_model(s1, s2, **weights)
-        sys_ = model.base
-        matrix = ctrb_matrix(sys_.A, sys_.B)
-        piv = krylov_pivots(model.A * model.lengths, model.B, tol)[0]
-        basis = SubspaceBasis(sys_.dim, matrix[:, piv])  # see TransientModel
-        # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
-        # column j m + i of the Krylov matrix is A^j times input column i
-        cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)
-        split = model.input_split[0]
-        matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
-                                           cols[:, split:].ravel()])]
+        sys_, split = model.base, s1.n_inputs
+        decided = model.A * model.lengths, model.B     # see TransientModel
     else:
         doc = _load_file(args.file)
         if args.system not in ("sigma1", "sigma2"):
             raise InputError(f"unknown system name: {args.system!r} "
                              "(expected sigma1 or sigma2)")
         sys_ = _parse_system(doc, args.system, args.file, args.exact)
-        res = ctrb_subspace(sys_.A, sys_.B, tol)
-        matrix, basis = res.matrix, res.basis
-    reps = _class_reps(basis, tol)
+        decided, split = (sys_.A, sys_.B), sys_.n_inputs     # one group
+    matrix = ctrb_matrix(sys_.A, sys_.B)
+    basis = SubspaceBasis(sys_.dim, matrix[:, krylov_pivots(
+        *decided, args.tolerance)[0]])
+    # group columns by input channel: [B1, A B1, ... | B2, A B2, ...];
+    # column j m + i of the Krylov matrix is A^j times input column i
+    cols = np.arange(matrix.shape[1]).reshape(sys_.dim, sys_.n_inputs)
+    matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
+                                       cols[:, split:].ravel()])]
+    reps = _class_reps(basis, args.tolerance)
     if args.json:
         payload = {
             "system": sys_.name,
@@ -416,9 +416,11 @@ def main(argv=None) -> int:
                       if args.tol is not None else DEFAULT_TOL)
     args.exact = args.backend == "rational"
     try:
-        # overflow is decided by the finiteness tests, not numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        # overflow is decided by the finiteness tests, not numpy's warnings;
+        # stdout gets the report whole, once the command has returned
+        with np.errstate(over="ignore", invalid="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            code = args.func(args)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         # LinAlgError is a ValueError, but not an input error; input
         # beyond float range is rejected while parsing
@@ -427,6 +429,8 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -97,14 +97,14 @@ def check_realization(s1: LinSys, s2: LinSys,
                       tol: Tolerance = DEFAULT_TOL) -> RealizationReport:
     """Decide the sufficient realization condition with a witness.
 
-    Realizable iff rank([embed(C1) | C2 basis]) = q, where C1 and C2 are
-    the controllable subspaces and q the larger dimension, decided by
-    one `pivot_columns` (on floats, the staircase's residual test).  C1
-    enters as its `span` (orthonormal on floats) and C2 as its
-    pivot-basis columns, on floats each scaled to largest |entry| 1
-    (`unit_columns`).  The witness is the C2 columns
-    at the pivots past dim C1, so embed(C1) (+) witness = R^q; on the
-    exact backend these are the lowest-index columns that extend C1.
+    Realizable iff rank([embed(C1) | C2]) = q, where C1 and C2 are the
+    controllable subspaces and q the larger dimension, decided by one
+    `pivot_columns` on the spans `krylov_pivots` returns: the pivot
+    columns on the exact backend, the staircase's orthonormal Q on
+    floats.  Q's first k columns span K's first k pivot columns W for
+    every k, so the witness is W at the pivots past dim C1 and embed(C1)
+    (+) witness = R^q; on the exact backend these are the lowest-index
+    columns that extend C1.  dim C2 = q is realizable on both backends.
     When dim(s1) > dim(s2) the roles are swapped and noted.
     """
     return _realization(s1, s2, _subsystem_ctrb(s1, s2, tol), tol)
@@ -124,10 +124,9 @@ def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
     if s1.dim > s2.dim:
         ctrb = ctrb[::-1]
         notes = f"roles swapped: {s1.name} has larger dimension; " + notes
-    (piv1, _, C1), (piv2, W, _) = ctrb
+    (piv1, _, C1), (piv2, W, C2) = ctrb
     q, r = max(s1.dim, s2.dim), len(piv1)
-    piv = pivot_columns(np.hstack([embed_subspace(C1, q).basis,
-                                   unit_columns(W)]), tol)
+    piv = pivot_columns(np.hstack([embed_subspace(C1, q).basis, C2.basis]), tol)
     realizable = len(piv) == q
     witness = W[:, [p - r for p in piv if p >= r and realizable]]
     return RealizationReport(realizable=realizable, q=q, dim_C1=r,
@@ -265,10 +264,10 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
     sigma2 rows).  C_z = R^s, proved by `_certify_full_krylov` (exact
-    input, leaving C1 and C2 to ``tested_vectors``) or found by
-    `krylov_pivots` of (As, B), holds all lifted vectors; a smaller C_z
-    tests them by one `in_span_columns`, each column scaled to largest
-    |entry| 1 by `unit_columns`.
+    input) or found by `krylov_pivots` of (As, B), holds all lifted
+    vectors, and C1 and C2 are found when ``tested_vectors`` is first
+    read; a smaller C_z tests them at once by one `in_span_columns`,
+    each column scaled to largest |entry| 1 by `unit_columns`.
     """
     return _modeling(s1, s2, model, None, tol)
 
@@ -280,14 +279,15 @@ def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb,
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    full = _certify_full_krylov(*model._integers[:2], model.lengths)
+    S = (None if _certify_full_krylov(*model._integers[:2], model.lengths)
+         else krylov_pivots(model.A * model.lengths, model.B, tol)[2])
+    full = S is None or S.dim == S.ambient_dim
     if full and ctrb is None:
         s1, s2 = (LinSys(s.name, s.A.copy(), s.B.copy()) for s in (s1, s2))
-    S = None if full else krylov_pivots(model.A * model.lengths, model.B, tol)[2]
     def tested():
         columns = np.hstack([W[rows] for (_, W, _), rows in zip(
             ctrb or _subsystem_ctrb(s1, s2, tol), model.rows)])
-        inside = ([True] * columns.shape[1] if full or S.dim == S.ambient_dim
+        inside = ([True] * columns.shape[1] if full
                   else in_span_columns(S, unit_columns(columns), tol))
         return list(zip(np.repeat(columns, model.lengths, axis=0).T, inside))
     if full:

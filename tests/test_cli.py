@@ -468,6 +468,41 @@ def test_exit_code_numerical_failure(capsys, tmp_path, monkeypatch):
     assert err == "numerical failure: Singular matrix\n"
 
 
+@pytest.mark.parametrize("argv", [["check"], ["blend"], ["ctrb", "--json"]])
+def test_report_failing_while_printed_leaves_stdout_empty(capsys, tmp_path,
+                                                          argv):
+    # 1e4300 parses to 10^4300, whose 4301 digits exceed Python's
+    # int-to-string limit only when the report prints them; check and
+    # blend had printed 316 and 61 characters of their reports by then
+    doc = base_doc()
+    doc["sigma1"]["A"][0][1] = "1e4300"
+    code, out, err = run(capsys, argv[0], write_case(tmp_path, doc), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reduce", "--vector", "1,1,2,2"], id="reduce"),
+    pytest.param(["simulate", CASE, "--steer", "--json", "--out", "t.csv"],
+                 id="simulate-json")])
+def test_failure_after_the_report_leaves_stdout_empty(capsys, tmp_path,
+                                                      monkeypatch, argv):
+    # a command that fails once its report is printed writes none of it
+    import builtins
+
+    import dimvar.cli as cli
+
+    def print_then_fail(*args, **kwargs):
+        builtins.print(*args, **kwargs)
+        if kwargs.get("file") is None:
+            raise OverflowError("after the report")
+
+    monkeypatch.setattr(cli, "print", print_then_fail, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "numerical failure: after the report\n")
+
+
 def test_check_large_coprime_blend(capsys, tmp_path):
     # (11, 13) blends on n = 143; the modeling check runs in the
     # 23 segment coordinates of the blend's invariant subspace

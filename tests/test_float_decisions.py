@@ -16,18 +16,23 @@ import pytest
 from dimvar import (LinSys, Scenario, build_transient_model,
                     check_modeling_condition, check_realization,
                     ctrb_matrix, kalman_decomposition, run_transient_scenario)
-from dimvar.numerics import (complete_basis, krylov_pivots, pivot_columns,
-                             rank, unit_columns)
+from dimvar.numerics import (SubspaceBasis, complete_basis, in_span_columns,
+                             krylov_pivots, pivot_columns, rank, unit_columns)
+from test_invariance import _corpus
 
 _to_fraction = np.vectorize(Fraction, otypes=[object])
 
 
-def _int_pair(rng, name, dim, n_inputs):
-    """The same random integer system as (exact, float)."""
-    A = rng.integers(-3, 4, size=(dim, dim))
-    B = rng.integers(-3, 4, size=(dim, n_inputs))
+def _both(name, A, B):
+    """The integer system (A, B) as (exact, float)."""
     return (LinSys(name, _to_fraction(A), _to_fraction(B)),
             LinSys(name, A.astype(float), B.astype(float)))
+
+
+def _int_pair(rng, name, dim, n_inputs):
+    """The same random integer system as (exact, float)."""
+    return _both(name, rng.integers(-3, 4, size=(dim, dim)),
+                 rng.integers(-3, 4, size=(dim, n_inputs)))
 
 
 def _ill_scaled(rng, rows, cols):
@@ -52,6 +57,52 @@ def test_krylov_basis_float_pivots_match_exact():
         assert np.allclose(Q.basis.T @ Q.basis, np.eye(len(piv)), atol=1e-12)
         cols = unit_columns(K[:, piv])
         assert np.allclose(Q.basis @ (Q.basis.T @ cols), cols, atol=1e-9)
+
+
+def _fed_back(gains=(0, 20, 100)):
+    """The invariance oracle's integer pairs, one and two inputs, up to
+    (7,11), each under a seeded state feedback of every gain bound."""
+    for rng, pair in _corpus():
+        for g in gains:
+            yield [(A + B @ rng.integers(-g, g + 1, (B.shape[1], len(A))), B)
+                   for A, B in pair]
+
+
+def test_staircase_prefixes_span_the_exact_pivot_columns():
+    # the float realization check ranks the staircase's orthonormal Q in
+    # place of K's pivot columns W and takes its witness from W at the
+    # same indices, which is sound because span Q[:, :k] = span W[:, :k]
+    # for every k (Van Dooren 1981): here W[:, :k] exact, as floats,
+    # lies in span Q[:, :k] on every prefix
+    prefixes = 0
+    for pair in _fed_back():
+        for A, B in pair:
+            piv, W, _ = krylov_pivots(_to_fraction(A), _to_fraction(B))
+            fpiv, _, Q = krylov_pivots(A.astype(float), B.astype(float))
+            assert fpiv == piv
+            W = unit_columns(W.astype(float))
+            for k in range(1, len(piv) + 1):
+                S = SubspaceBasis(len(A), Q.basis[:, :k])
+                assert all(in_span_columns(S, W[:, :k]))
+            prefixes += len(piv)
+    assert prefixes == 1275
+
+
+def test_float_realization_matches_exact_under_feedback():
+    # with dim C2 = q the check is realizable on both backends; a rank
+    # of [embed(C1) | unit_columns(W)] read 3 such (7,11) pairs at gain
+    # 20 as not realizable on floats
+    full = 0
+    for pair in _fed_back():
+        (e1, f1), (e2, f2) = (_both("s", A, B) for A, B in pair)
+        exact, floats = check_realization(e1, e2), check_realization(f1, f2)
+        assert ((floats.realizable, floats.dim_C1, floats.dim_C2,
+                 floats.witness.dim) == (exact.realizable, exact.dim_C1,
+                                         exact.dim_C2, exact.witness.dim))
+        if exact.dim_C2 == exact.q:
+            assert exact.realizable and floats.realizable
+            full += 1
+    assert full > 0
 
 
 def test_krylov_basis_thresholds_later_blocks_on_norm_A():

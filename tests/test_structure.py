@@ -97,19 +97,30 @@ def test_one_membership_rule():
 
 
 def test_one_krylov_routine():
-    # every controllable subspace comes from krylov_pivots(A, B): only
-    # `ctrb --system` still builds the whole CtrbResult, and the integer
-    # Krylov product is multiplied out for those two callers only
+    # every controllable subspace comes from krylov_pivots(A, B): both
+    # forms of `ctrb` print one ctrb_matrix and take one krylov_pivots,
+    # CtrbResult is public API only, and the integer Krylov product is
+    # multiplied out for those two callers only
     def callers(name):
         return {(p.name, fn): k for p in sorted(SRC.glob("*.py"))
                 for fn, k in _calls_by_function(p, name).items()}
 
-    assert callers("ctrb_subspace") == {("cli.py", "cmd_ctrb"): 1}
+    assert callers("ctrb_subspace") == {}
+    cli = SRC / "cli.py"
+    assert [_calls_by_function(cli, name)["cmd_ctrb"]
+            for name in ("ctrb_matrix", "krylov_pivots")] == [1, 1]
     assert callers("_krylov_integers") == {
         ("numerics.py", "_krylov_product"): 1,
         ("numerics.py", "krylov_pivots"): 1}
     for p in SRC.glob("*.py"):
         assert "krylov_basis" not in p.read_text(), p.name
+
+
+def test_realization_is_decided_on_the_spans():
+    # the realization rank is taken on the spans krylov_pivots returns;
+    # only the modeling membership test rescales its candidate columns
+    calls = _calls_by_function(SRC / "realization.py", "unit_columns")
+    assert "_realization" not in calls and sum(calls.values()) == 1
 
 
 def test_no_module_imports_scipy():
