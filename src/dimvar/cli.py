@@ -150,9 +150,9 @@ def _parse_case(args) -> tuple[dict, LinSys, LinSys, dict]:
     return doc, s1, s2, weights
 
 
-def _print_notes(doc: dict, out) -> None:
+def _print_notes(doc: dict) -> None:
     for note in doc.get("notes", []):
-        print(f"note: {note}", file=out)
+        print(f"note: {note}")
 
 
 def cmd_check(args) -> int:
@@ -195,7 +195,7 @@ def cmd_check(args) -> int:
         print(f"  holds: {'yes' if modeling.holds else 'no'}")
         for v, b in modeling.tested_vectors:
             print(f"  {_fmt_vector(v)} in Cz: {'yes' if b else 'no'}")
-        _print_notes(doc, sys.stdout)
+        _print_notes(doc)
         if not real.realizable:
             print("reason: realization condition not met")
         if not modeling.holds:
@@ -245,7 +245,7 @@ def cmd_ctrb(args) -> int:
         print("  quotient class representatives:")
         for r in reps:
             print("    " + _fmt_vector(r.irreducible))
-        _print_notes(doc, sys.stdout)
+        _print_notes(doc)
     return 0
 
 
@@ -290,7 +290,7 @@ def cmd_blend(args) -> int:
         print(_fmt_matrix(model.B1_star))
         print("B2 =")
         print(_fmt_matrix(model.B2_star))
-        _print_notes(doc, sys.stdout)
+        _print_notes(doc)
     return 0
 
 

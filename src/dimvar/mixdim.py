@@ -37,6 +37,14 @@ def _kron_j(A: np.ndarray, s: int) -> np.ndarray:
     return _replicate(A * as_backend(Fraction(1, s), A), s, True)
 
 
+def _lcm_factors(a: int, b: int) -> tuple[int, int]:
+    """(t/a, t/b) for the lcm t of two operand dimensions; a 0 is refused."""
+    if not (a and b):
+        raise ValueError(f"empty operand: dimensions {a} and {b}")
+    t = math.lcm(a, b)
+    return t // a, t // b
+
+
 def _reps_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
     """Class representatives are equal: same shape, equal entries."""
     X, Y = common_backend(X, Y)
@@ -143,9 +151,8 @@ def vec_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cross-dimensional addition on the lcm dimension of two vectors,
     each 1-D or one column (ValueError otherwise); the sum is 1-D."""
     x, y = common_backend(_one_column(x), _one_column(y))
-    t = math.lcm(x.shape[0], y.shape[0])
-    return (_replicate(x, t // x.shape[0], False) +
-            _replicate(y, t // y.shape[0], False))
+    k, m = _lcm_factors(x.shape[0], y.shape[0])
+    return _replicate(x, k, False) + _replicate(y, m, False)
 
 
 def vec_sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -198,9 +205,8 @@ def mat_vec_equivalent(B: np.ndarray, D: np.ndarray,
 def second_stp(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A (x) J_{t/n}) (B (x) J_{t/p}) with t = lcm(cols A, rows B)."""
     A, B = common_backend(A, B)
-    n, p = A.shape[1], B.shape[0]
-    t = math.lcm(n, p)
-    return _kron_j(A, t // n) @ _kron_j(B, t // p)
+    k, m = _lcm_factors(A.shape[1], B.shape[0])
+    return _kron_j(A, k) @ _kron_j(B, m)
 
 
 def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,9 +218,8 @@ def stp_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def stp_action_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-wise class action: (A (x) J_{t/n}) (B (x) 1_{t/r})."""
     A, B = common_backend(A, _columns(B))
-    n, r = A.shape[1], B.shape[0]
-    t = math.lcm(n, r)
-    return _kron_j(A, t // n) @ _replicate(B, t // r, False)
+    k, m = _lcm_factors(A.shape[1], B.shape[0])
+    return _kron_j(A, k) @ _replicate(B, m, False)
 
 
 def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -224,7 +229,5 @@ def stp_identity_action(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     transformation on classes.
     """
     A, x = common_backend(A, _one_column(x))
-    n, r = A.shape[1], x.shape[0]
-    t = math.lcm(n, r)
-    return (np.kron(A, as_backend(np.eye(t // n), A)) @
-            _replicate(x, t // r, False))
+    k, m = _lcm_factors(A.shape[1], x.shape[0])
+    return np.kron(A, as_backend(np.eye(k), A)) @ _replicate(x, m, False)

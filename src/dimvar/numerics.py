@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -212,7 +212,7 @@ def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
     K = np.hstack([Z if L is None else _divide_back(Z, L, j)
                    for j, (Z, L) in enumerate(_krylov_integers(A, B), 1)])
-    if not is_exact(K) and not np.isfinite(K).all():
+    if not _finite(K):
         raise np.linalg.LinAlgError("Krylov matrix overflows")
     return K
 
@@ -239,7 +239,7 @@ def _integer_pivots(Z: np.ndarray) -> list[int]:
     m = Z.shape[0]
     if m <= Z.shape[1] and _bareiss((Z[:, :m] % _PRIME).astype(np.int64))[0] == m:
         return list(range(m))
-    return _bareiss(Z, scaled=True)[1]
+    return _bareiss(Z)[1]
 
 
 def _identity_tokens(M: np.ndarray):
@@ -266,24 +266,23 @@ def equality_key(M: np.ndarray):
         return Z                                # Python ints, object dtype
 
 
-def _bareiss(M: np.ndarray, ncols: int | None = None, scaled: bool = False):
-    """Row-reduce M; return (rank, pivot column indices, copy).
+def _bareiss(M: np.ndarray, ncols: int | None = None):
+    """Row-reduce the integers M; return (rank, pivot columns, copy).
 
     Fraction-free: Bareiss elimination ("Sylvester's identity and
     multistep integer-preserving Gaussian elimination", 1968), with the
-    first nonzero entry of a column as its pivot.  An exact M is scaled
-    to integers, unless ``scaled``: every entry below a pivot row is then
-    a minor of the scaled matrix, i.e. the Gaussian elimination entry
-    times a nonzero product of pivots, so the pivot columns, the rank and
-    the zero pattern of the reduced rows are those of Gaussian
-    elimination over the rationals; the copy holds those integers.  An
-    int64 M holds residues modulo `_PRIME` (below 2^26, so products stay
-    below 2^52), and each step is taken modulo it instead of divided by
-    the previous pivot.  Only the first `ncols` columns (default all) may
-    pivot; the row operations still reach every column.
+    first nonzero entry of a column as its pivot.  An object M holds
+    Python ints (callers scale exact input by `_integer_scaled`): every
+    entry below a pivot row is then a minor of M, i.e. the Gaussian
+    elimination entry times a nonzero product of pivots, so the pivot
+    columns, the rank and the zero pattern of the reduced rows are those
+    of Gaussian elimination over the rationals; the copy holds those
+    integers.  An int64 M holds residues modulo `_PRIME` (below 2^26, so
+    products stay below 2^52), and each step is taken modulo it instead
+    of divided by the previous pivot.  Only the first `ncols` columns
+    (default all) may pivot; the row operations still reach every column.
     """
-    exact = is_exact(M)
-    A = _integer_scaled(M)[0] if exact and not scaled else M.copy()
+    exact, A = is_exact(M), M.copy()
     m, n = A.shape
     piv_row, prev, pivots = 0, 1, []
     for c in range(n if ncols is None else ncols):
@@ -415,7 +414,7 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         piv = _integer_pivots(Z)
         if len(piv) < n and piv and piv[-1] >= Z.shape[1] - m:
             Z = np.hstack([Z] + [X for X, _ in blocks])
-            piv = _bareiss(Z, scaled=True)[1]
+            piv = _bareiss(Z)[1]
         W = _divide_back(Z[:, piv], L, [c // m + 1 for c in piv])
         return piv, W, SubspaceBasis(n, W)
     A = np.asarray(A, dtype=float)
@@ -509,7 +508,7 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     V, W = common_backend(S.basis, W)
     m, d = V.shape
     if is_exact(V):
-        r, _, R = _bareiss(np.hstack([V, W]), ncols=d)
+        r, _, R = _bareiss(_integer_scaled(np.hstack([V, W]))[0], ncols=d)
         return [not R[r:, d + j].any() for j in range(W.shape[1])]
     s_max = float(np.max(np.abs(V), initial=0.0))
     Q, inside, run = np.empty((m, min(m, d + 1))), [], None
@@ -534,20 +533,22 @@ def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
 def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for square nonsingular A on either backend.
 
-    Exact systems reduce [A | b] with `_bareiss`, pivoting in A's
-    columns, and back-substitute its integer echelon form in Fractions.
+    Exact systems reduce the integer-scaled [A | b] with `_bareiss`,
+    pivoting in A's columns, and back-substitute y = d x in integers (d
+    the last pivot: y is integral by Cramer's rule), then divide by d.
     """
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
     if not is_exact(A):
         return np.linalg.solve(A, b)
-    r, _, R = _bareiss(np.column_stack([A, b]), ncols=n)
+    r, _, R = _bareiss(_integer_scaled(np.column_stack([A, b]))[0], ncols=n)
     if r < n:
         raise ValueError("matrix is singular")
-    x = np.empty((n, R.shape[1] - n), dtype=object)
+    d, y = R[n - 1, n - 1] if n else 1, np.empty((n, R.shape[1] - n), object)
     for i in range(n - 1, -1, -1):
-        x[i] = (R[i, n:] - R[i, i + 1:n] @ x[i + 1:]) / Fraction(R[i, i])
+        y[i] = (d * R[i, n:] - R[i, i + 1:n] @ y[i + 1:]) // R[i, i]
+    x = _divide_back(y, d, 1)
     return x[:, 0] if b.ndim == 1 else x
 
 

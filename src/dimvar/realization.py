@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -146,7 +145,6 @@ class TransientModel:
     range E is the segment system (As, B), As = A diag(lengths).  The
     blend's Krylov matrix is E ctrb(As, B), E is injective and blocks
     past s never pivot: both pivot alike, and C_z = E span ctrb(As, B).
-    ``_integers``: (N_A, N_B, D), A = N_A / D; (A, B, None) on floats.
     """
 
     A: np.ndarray
@@ -157,7 +155,6 @@ class TransientModel:
     weights: tuple
     source_dims: tuple[int, int]
     input_split: tuple[int, int]
-    _integers: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -234,8 +231,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
     return TransientModel(A=A, B=B, lengths=lengths, rows=(i, j),
                           name=f"blend({s1.name},{s2.name})",
                           weights=(alpha, beta), source_dims=(p, q),
-                          input_split=(s1.n_inputs, s2.n_inputs),
-                          _integers=(N_A, N_B, D))
+                          input_split=(s1.n_inputs, s2.n_inputs))
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb,
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    S = (None if _certify_full_krylov(*model._integers[:2], model.lengths)
+    S = (None if _certify_full_krylov(model.A, model.B, model.lengths)
          else krylov_pivots(model.A * model.lengths, model.B, tol)[2])
     full = S is None or S.dim == S.ambient_dim
     if full and ctrb is None:

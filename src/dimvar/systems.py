@@ -61,8 +61,8 @@ class QuotientSysRep:
 def lift_system(s: LinSys, n: int) -> LinSys:
     """Lift (A, B) from dimension p to dimension n = k*p."""
     p = s.dim
-    if n % p != 0:
-        raise ValueError(f"cannot lift dimension {p} to {n}: {p} does not divide {n}")
+    if n < p or n % p:
+        raise ValueError(f"cannot lift dimension {p} to {n}: not a positive multiple")
     if n == p:
         return s
     k = n // p

@@ -19,8 +19,8 @@ from dimvar import (LinSys, Scenario, SubspaceBasis, build_transient_model,
                     run_transient_scenario, second_stp, stp_action,
                     stp_action_matrix, stp_identity_action,
                     systems_equivalent, vec_add)
-from dimvar.numerics import (as_backend, common_backend, eye, inverse, rank,
-                             solve, zeros)
+from dimvar.numerics import (_bareiss, _integer_scaled, as_backend,
+                             common_backend, eye, inverse, rank, solve, zeros)
 
 
 def _rational(rng, rows, cols):
@@ -84,22 +84,43 @@ def test_as_backend_and_common_backend():
     assert a.dtype == b.dtype == float
 
 
+def _solve_inputs(rng):
+    """Seeded (A, b): Fractions for n = 1..24, object arrays of plain
+    ints, and entries near +-2^70, whose Bareiss pivots overflow int64."""
+    for n in [*range(1, 11), 12, 17, 24]:
+        for _ in range(3 if n <= 10 else 1):
+            yield _rational(rng, n, n), _rational(rng, n, 3)
+    for n in (1, 4, 9, 16):
+        ints = np.array([[rng.randint(-9, 9) for _ in range(n + 3)]
+                         for _ in range(n)], dtype=object)
+        yield ints[:, :n], ints[:, n:]
+    for n in (1, 2, 3, 5, 8, 12) * 2:
+        A = np.array([[Fraction(rng.choice([-1, 1]) * 2 ** 70 + rng.randint(-99, 99),
+                                rng.randint(1, 3)) for _ in range(n)]
+                      for _ in range(n)], dtype=object)
+        yield A, _rational(rng, n, 3) * 2 ** 69
+
+
 def test_exact_solve_and_inverse_seeded():
-    rng = random.Random(47)
-    for n in range(1, 11):
-        for _ in range(3):
-            A = _rational(rng, n, n)
-            if rank(A) < n:
-                continue
-            Ainv = inverse(A)
-            assert all(isinstance(x, Fraction) for x in Ainv.flat)
-            assert np.array_equal(A @ Ainv, eye(n))
-            b = _rational(rng, n, 3)
-            X = solve(A, b)
-            assert X.shape == (n, 3) and np.array_equal(A @ X, b)
-            x = solve(A, b[:, 0])
-            assert x.shape == (n,) and np.array_equal(A @ x, b[:, 0])
-            assert all(isinstance(v, Fraction) for v in x)
+    rng, solved, signs = random.Random(47), 0, set()
+    for A, b in _solve_inputs(rng):
+        n = len(A)
+        if rank(A) < n:
+            continue
+        Ainv = inverse(A)
+        assert all(isinstance(x, Fraction) for x in Ainv.flat)
+        assert np.array_equal(A @ Ainv, eye(n))
+        X = solve(A, b)
+        assert X.shape == (n, 3) and np.array_equal(A @ X, b)
+        x = solve(A, b[:, 0])
+        assert x.shape == (n,) and np.array_equal(A @ x, b[:, 0])
+        assert all(isinstance(v, Fraction) for v in x)
+        if abs(A[0, 0]) > 2 ** 63:
+            # the sign of d, the last pivot solve divides back by (its
+            # positive scaling of [A | b] does not change the sign)
+            signs.add(_bareiss(_integer_scaled(A)[0])[2][-1, -1] > 0)
+        solved += 1
+    assert solved >= 40 and signs == {True, False}
 
 
 def test_exact_solve_singular_raises():

@@ -16,6 +16,7 @@ from dimvar.numerics import in_span_columns, rank
 ROOT = Path(__file__).resolve().parent.parent
 CASE = str(ROOT / "cases" / "example1.json")
 MODELING_FAILS = str(ROOT / "cases" / "modeling_fails.json")
+REDUCIBLE = str(ROOT / "cases" / "reducible.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -66,6 +67,23 @@ def test_check_modeling_fails_golden(capsys, backend):
     assert out == (GOLDEN / "check_modeling_fails.txt").read_text()
     assert "dim Cz = 1" in out and "  [1, 0] in Cz: no\n" in out
     assert out.endswith("reason: modeling condition fails\n")
+
+
+@pytest.mark.parametrize("backend, suffix", [("rational", ""),
+                                             ("float", "_float")])
+def test_check_reducible_golden(capsys, backend, suffix):
+    # example1 with sigma2 given as its 2-fold lift: the lift's C2 has
+    # dimension 3 < q - dim C1, so realization fails on this form while
+    # example1 itself is realizable; the modeling condition still holds
+    code, out, _ = run(capsys, "check", REDUCIBLE, "--backend", backend)
+    assert code == 1
+    assert out == (GOLDEN / "check_reducible.txt").read_text()
+    assert "condition met: no\n  dim C1 = 2, dim C2 = 3, q = 6\n" in out
+    assert "dim Cz = 4)\n  holds: yes\n" in out
+    code, out, _ = run(capsys, "check", REDUCIBLE, "--backend", backend, "--json")
+    assert code == 1
+    assert out == (GOLDEN / f"check_reducible{suffix}.json").read_text()
+    assert run(capsys, "check", CASE, "--backend", backend)[0] == 0
 
 
 @pytest.mark.parametrize("argv, name", [(["check"], "check"),

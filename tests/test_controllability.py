@@ -64,18 +64,17 @@ def _fraction_krylov(A, B):
 def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
     # forms for a (5,7) pair with weights 3/2 and 1/3, (A diag(lengths),
-    # B); the modular certificate, which proves it full, reads its
-    # integer numerators D A diag(lengths) and D B, and no subsystem's
-    # krylov_pivots runs
+    # B); the modular certificate, which proves it full, reads the
+    # model's own A, B and lengths, and no subsystem's krylov_pivots runs
     seen = []
     certify = realization._certify_full_krylov
 
     def spy(A, B, tol):
-        seen.append((A, B))
+        seen.append((A, B, None))
         return krylov_pivots(A, B, tol)
 
     def certify_spy(A, B, scale):
-        seen.append((A * scale, B))
+        seen.append((A, B, scale))
         return certify(A, B, scale)
 
     monkeypatch.setattr(realization, "krylov_pivots", spy)
@@ -85,11 +84,10 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     model = build_transient_model(s1, s2, alpha=Fraction(3, 2),
                                   beta=Fraction(1, 3))
     check_modeling_condition(s1, s2, model)
-    assert [len(A) for A, _ in seen] == [11]
+    assert [len(A) for A, *_ in seen] == [11]
     At, Bt = model.A * model.lengths, model.B
-    D = model._integers[2]
-    assert all(x == D * y for x, y in zip(seen[0][0].flat, At.flat))
-    assert all(x == D * y for x, y in zip(seen[0][1].flat, Bt.flat))
+    assert seen[0][0] is model.A and seen[0][1] is model.B
+    assert seen[0][2] is model.lengths
     assert At.shape == (11, 11) and Bt.shape == (11, 3)
     assert max(x.denominator for x in At.flat) > 1
     for A, B in ((At, Bt), (At, Bt[:, :1]), (model.base.A, model.base.B)):

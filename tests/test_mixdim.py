@@ -545,3 +545,22 @@ def test_vec_add_takes_vectors_or_single_columns():
 def test_reduce_vector_refuses_an_empty_vector():
     with pytest.raises(ValueError, match="empty vector"):
         reduce_vector(vec([]))
+
+
+def test_empty_and_non_positive_dimensions_are_refused_by_name():
+    # each refusal names the dimensions instead of dividing by zero
+    s = LinSys("s", mat([[0, 1], [0, 0]]), mat([[0], [1]]))
+    for n in (0, -2, 1, 3):
+        with pytest.raises(ValueError, match=f"cannot lift dimension 2 to {n}"):
+            lift_system(s, n)
+    A, empty = mat([[1, 2], [3, 4]]), vec([])
+    for call in (lambda: vec_add(empty, vec([1])),
+                 lambda: vec_add(vec([1]), empty),
+                 lambda: vec_sub(empty, empty),
+                 lambda: stp_action(A, empty),
+                 lambda: stp_action_matrix(A, zeros((0, 2))),
+                 lambda: stp_identity_action(A, empty),
+                 lambda: second_stp(A, zeros((0, 2))),
+                 lambda: second_stp(zeros((2, 0)), A)):
+        with pytest.raises(ValueError, match=r"empty operand: dimensions \d+ and \d+"):
+            call()

@@ -9,7 +9,8 @@ from conftest import rand_rational_matrix
 from dimvar import (SubspaceBasis, column_space_basis, in_span, j_matrix,
                     kron, mat, ones_vector, parse_scalar, rank, vec)
 from dimvar.numerics import (_PRIME, _bareiss, _certify_full_krylov,
-                             _krylov_integers, _krylov_product, equality_key,
+                             _integer_scaled, _krylov_integers,
+                             _krylov_product, equality_key,
                              eye, in_span_columns, inverse, krylov_pivots,
                              pivot_columns, solve, spans_equal, to_float,
                              zeros)
@@ -363,7 +364,7 @@ def test_exact_elimination_matches_fraction_reference():
         assert S.dim == r and np.array_equal(S.basis, M[:, piv])
         for ncols in range(M.shape[1] + 1):
             ref = _fraction_echelon(M, ncols)
-            got = _bareiss(M, ncols=ncols)
+            got = _bareiss(_integer_scaled(M)[0], ncols=ncols)
             assert got[:2] == ref[:2]
             # same zero pattern of the reduced rows, entry for entry
             assert np.array_equal(got[2] == 0, ref[2] == 0)
@@ -745,7 +746,7 @@ def test_full_pivot_sets_proved_modulo_the_prime_match_elimination():
     seen = set()
     for M in _prefix_corpus():
         piv = pivot_columns(M)
-        assert piv == _bareiss(M)[1]
+        assert piv == _bareiss(_integer_scaled(M)[0])[1]
         full = piv == list(range(M.shape[0]))
         assert full or not prefix_full(M)      # the prime never overstates
         seen.add(("matrix", full, prefix_full(M)))

@@ -564,9 +564,9 @@ def test_certified_modeling_check_defers_the_subsystem_subspaces(monkeypatch):
 def test_check_transient_scales_each_exact_array_once(monkeypatch):
     # one integer scaling each for [A1 | B1] and [A2 | B2] (the Krylov
     # products), for the realization matrix [embed(C1) | W] and for the
-    # blend's integer numerators [N_A | N_B] (the certificate): the
-    # prefix test and the elimination share the scaled copy, and no
-    # integer array is scaled again
+    # blend's segment system [A | B] (the certificate): the prefix test
+    # and the elimination share the scaled copy, and no integer array is
+    # scaled again
     from dimvar import numerics
     for s1, s2, weights in _full_rank_pairs():
         model = build_transient_model(s1, s2, **weights)

@@ -227,3 +227,20 @@ def test_one_class_representative_per_basis_column():
     assert [_calls_by_function(path, name)["_class_reps"]
             for name in ("_reps_equal", "array_equal")] == [0, 0]
     assert "_reps_equal" not in path.read_text()
+
+
+def test_fractions_only_at_the_edges():
+    # the integer kernel takes integers, solve back-substitutes in
+    # integers and divides back once, and the transient model carries
+    # no integer numerators beside its Fractions
+    import dataclasses
+
+    from dimvar.realization import TransientModel
+    numerics = SRC / "numerics.py"
+    defs = {node.name: node for node in ast.parse(numerics.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    assert [a.arg for a in defs["_bareiss"].args.args] == ["M", "ncols"]
+    assert "_bareiss" not in _calls_by_function(numerics, "_integer_scaled")
+    assert not any(isinstance(node, ast.Div) for node in ast.walk(defs["solve"]))
+    assert _calls_by_function(numerics, "_divide_back")["solve"] == 1
+    assert "_integers" not in {f.name for f in dataclasses.fields(TransientModel)}
