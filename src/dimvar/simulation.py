@@ -26,7 +26,8 @@ callable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -351,12 +352,21 @@ def min_energy_control(A: np.ndarray, Bfull: np.ndarray, z0: np.ndarray,
 
 @dataclass(frozen=True)
 class RealizationOutcome:
-    """Scenario-level summary attached to a steered run."""
+    """Scenario-level summary attached to a steered run.
 
-    realization: RealizationReport
+    ``realization`` is `check_realization` of the run's two systems,
+    decided on first read from copies of their arrays taken when the
+    run was made; the run itself never reads it.
+    """
+
+    _realization: object = field(repr=False, compare=False)
     model: TransientModel
     endpoint_error: float
     target_class_error: float
+
+    @cached_property
+    def realization(self) -> RealizationReport:
+        return self._realization()
 
 
 def _class_error(z_end: np.ndarray, y_target: np.ndarray) -> float:
@@ -382,7 +392,9 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     (`_segment_steering`), otherwise the input is zero.  The states are
     repeated onto R^n for the trajectory and the class error; the
     endpoint error compares the end values with the target's entries at
-    the sigma2 ``rows``.  Returns (Trajectory, RealizationOutcome).
+    the sigma2 ``rows``.  Returns (Trajectory, RealizationOutcome); no
+    step reads the realization check, so the outcome decides it only
+    when its ``realization`` is first read.
 
     Raises ValueError, before the blend is built, unless x_start and
     y_target are finite vectors (or columns) of sigma1's and sigma2's
@@ -395,7 +407,6 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
     y_target = _state(sc.y_target, s2.dim, "y_target", s2.name)
     model = build_transient_model(s1, s2, alpha=alpha, beta=beta,
                                   masses=masses)
-    report = check_realization(s1, s2)
     As, Bs = to_float(model.A * model.lengths), to_float(model.B)
     zeta0, zeta_star = x_start[model.rows[0]], y_target[model.rows[1]]
     times, h = _time_grid(sc.t0, sc.te, sc.step)
@@ -407,6 +418,7 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
             U = _segment_steering(As, Bs, model.lengths, P, R, m, h, zeta0,
                                   zeta_star)
         except UnreachableTargetError as exc:
+            report = check_realization(s1, s2)
             raise UnreachableTargetError(
                 f"{exc} -- realization check: realizable="
                 f"{report.realizable}, dim_C1={report.dim_C1}, "
@@ -418,18 +430,27 @@ def run_transient_scenario(s1: LinSys, s2: LinSys, sc: Scenario,
                       states=np.repeat(zetas, model.lengths, axis=1))
     traj.endpoint_error = float(np.max(np.abs(zetas[-1] - zeta_star)))
     traj.target_class_error = _class_error(traj.states[-1], y_target)
-    outcome = RealizationOutcome(realization=report, model=model,
-                                 endpoint_error=traj.endpoint_error,
-                                 target_class_error=traj.target_class_error)
+    s1, s2 = (LinSys(s.name, s.A.copy(), s.B.copy()) for s in (s1, s2))
+    outcome = RealizationOutcome(lambda: check_realization(s1, s2), model,
+                                 traj.endpoint_error, traj.target_class_error)
     return traj, outcome
 
 
 def export_trajectory(tr: Trajectory, path) -> None:
     """Write the trajectory as CSV: header t,z1,...,zn then one row per
-    sample, 17 significant digits (lossless float round trip)."""
+    sample, 17 significant digits (lossless float round trip).
+
+    Each column is formatted once, and a column bit-equal to the one
+    before it (a segment's repeat in a blend run) reuses its strings;
+    bits, not values, since 0.0 and -0.0 print apart and NaN != NaN.
+    """
     n = tr.states.shape[1] if tr.states.ndim == 2 and tr.states.size else 0
-    rows = np.column_stack([tr.times, tr.states.reshape(len(tr.times), n)])
-    row = ",".join(["%.17g"] * (n + 1)) + "\n"
+    cols = np.vstack([tr.times, tr.states.reshape(len(tr.times), n).T],
+                     dtype=float)
+    bits, text = cols.view(np.uint64), []
+    for j, col in enumerate(cols):
+        same = j and np.array_equal(bits[j], bits[j - 1])
+        text.append(text[-1] if same else ["%.17g" % x for x in col.tolist()])
     with open(path, "w") as fh:
         fh.write("t" + "".join(f",z{i + 1}" for i in range(n)) + "\n")
-        fh.write("".join(row % tuple(r) for r in rows.tolist()))
+        fh.write("".join(",".join(r) + "\n" for r in zip(*text)))

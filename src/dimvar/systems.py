@@ -59,9 +59,9 @@ class QuotientSysRep:
 
 
 def lift_system(s: LinSys, n: int) -> LinSys:
-    """Lift (A, B) from dimension p to dimension n = k*p."""
+    """Lift (A, B) from dimension p >= 1 to dimension n = k*p."""
     p = s.dim
-    if n < p or n % p:
+    if not p or n < p or n % p:
         raise ValueError(f"cannot lift dimension {p} to {n}: not a positive multiple")
     if n == p:
         return s

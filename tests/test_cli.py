@@ -897,6 +897,21 @@ def test_cli_never_loads_scipy(tmp_path, argv, code):
     assert r.stdout.split() == [str(code), "False"]
 
 
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    # import cost is gated: importing the CLI in a fresh interpreter
+    # loads no third-party module but numpy (the modules the interpreter
+    # loaded at startup, such as site's .pth hooks, are not counted)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dimvar.cli\n"
+        "top = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(top - set(sys.stdlib_module_names)))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.split() == ["dimvar", "numpy"]
+
+
 def _without(*path):
     """An edit of a case document that deletes the field at ``path``."""
     def edit(doc):

@@ -228,6 +228,73 @@ def test_run_transient_scenario_unreachable():
     assert "realizable" in str(exc.value)
 
 
+def _same_report(got, want):
+    """Two RealizationReports equal in every field, witness included."""
+    assert (got.realizable, got.q, got.dim_C1, got.dim_C2, got.notes) == (
+        want.realizable, want.q, want.dim_C1, want.dim_C2, want.notes)
+    assert got.witness.ambient_dim == want.witness.ambient_dim
+    assert got.witness.basis.dtype == want.witness.basis.dtype
+    assert got.witness.basis.shape == want.witness.basis.shape
+    assert np.array_equal(got.witness.basis, want.witness.basis)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+def test_realization_is_decided_when_first_read(monkeypatch, exact):
+    # a run decides no realization: a steered run's one krylov_pivots is
+    # the segment system's, an unsteered run has none, and the first read
+    # of outcome.realization adds the two subsystems'; a target out of
+    # reach decides it at once, for the error message
+    from dimvar import check_realization, realization, simulation
+    rng = random.Random(13)
+    pairs = [(LinSys("sigma1", mat([[0, 1], [0, 0]]), mat([[0], [1]])),
+              LinSys("sigma2", mat([[0, 0, 1], [0, 0, 0], [0, 1, 0]]),
+                     mat([[0], [1], [0]]))),
+             (LinSys("a", mat([[0, 0], [0, 0]]), mat([[1], [0]])),
+              LinSys("b", mat([[0, 0], [0, 0]]), mat([[1], [0]])))]
+    pairs += [(rand_system(rng, p), rand_system(rng, q))
+              for p, q in ((2, 3), (3, 2), (4, 6), (5, 3))]
+    calls, unreachable = [], []
+    pivots = simulation.krylov_pivots
+
+    def spy(A, B, *args):
+        calls.append(len(A))
+        return pivots(A, B, *args)
+
+    monkeypatch.setattr(simulation, "krylov_pivots", spy)
+    monkeypatch.setattr(realization, "krylov_pivots", spy)
+    for s1, s2 in pairs:
+        if not exact:
+            s1, s2 = (LinSys(s.name, to_float(s.A), to_float(s.B))
+                      for s in (s1, s2))
+        want = check_realization(s1, s2)
+        sc = Scenario(0.0, 1.0, np.zeros(s1.dim), np.ones(s2.dim))
+        for steer in (True, False):
+            calls.clear()
+            try:
+                _, out = run_transient_scenario(s1, s2, sc, masses=(1, 1),
+                                                steer=steer)
+            except UnreachableTargetError as exc:
+                assert steer and calls[1:] == [s1.dim, s2.dim]
+                assert (f"realizable={want.realizable}, dim_C1={want.dim_C1}, "
+                        f"dim_C2={want.dim_C2}") in str(exc)
+                unreachable.append(s1.name)
+                continue
+            assert len(calls) == steer
+            first = out.realization
+            assert calls[steer:] == [s1.dim, s2.dim]
+            _same_report(first, want)
+            assert out.realization is first
+            assert len(calls) == steer + 2
+        # the report reads the systems as they were when the run was made
+        _, out = run_transient_scenario(s1, s2, sc, masses=(1, 1), steer=False)
+        s1.A[...] = 0
+        s1.B[...] = 0
+        after = check_realization(s1, s2)
+        assert (after.dim_C1, after.dim_C2) != (want.dim_C1, want.dim_C2)
+        _same_report(out.realization, want)
+    assert unreachable == ["a"]
+
+
 def test_simulation_class_consistency_under_lift(ex1_s1, ex1_s2):
     # running against the pre-lifted second system lands in the same class
     from dimvar import lift_system
@@ -491,6 +558,21 @@ def test_export_trajectory_matches_per_value_writer(tmp_path):
     states[0] = [0.0, -0.0, math.nan, math.inf]
     states[1] = [-math.inf, 5e-324, -5e-324, 1 / 3]
     tr = Trajectory(times=np.linspace(0.0, 0.049, 50), states=states)
+    export_trajectory(tr, tmp_path / "new.csv")
+    _export_per_value(tr, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_export_trajectory_reuses_repeated_columns_bit_for_bit(tmp_path):
+    # segment values repeated over uneven lengths, as a blend run writes
+    # them, beside adjacent columns equal in value but not in bits
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-20, 20, (40, 5))
+    states = np.repeat(values, [3, 1, 4, 2, 5], axis=1)
+    zero = np.zeros((40, 1))
+    nan = np.full((40, 1), math.nan)
+    states = np.hstack([states, zero, -zero, zero, nan, nan, -nan, states[:, :2]])
+    tr = Trajectory(times=np.linspace(0.0, 0.39, 40), states=states)
     export_trajectory(tr, tmp_path / "new.csv")
     _export_per_value(tr, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

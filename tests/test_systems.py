@@ -51,6 +51,14 @@ def test_lift_example1(ex1_s1, ex1_s2):
         lift_system(ex1_s1, 5)
 
 
+def test_lifting_an_empty_system_is_refused_by_name():
+    # no n is a multiple k*p of p = 0: refused by name, not by n % 0
+    empty = LinSys("z", np.zeros((0, 0)), np.zeros((0, 1)))
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"cannot lift dimension 0 to {n}"):
+            lift_system(empty, n)
+
+
 def test_project_round_trip(ex1_s1):
     for k in (1, 2, 3):
         rep = project_system(lift_system(ex1_s1, 2 * k))
