@@ -45,6 +45,18 @@ class InputError(Exception):
     """Malformed system file or arguments (exit code 2)."""
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's int-to-string digit limit while a report is written."""
+    limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit(0)
+    try:
+        yield
+    finally:
+        limit(old)
+
+
 def _fmt_scalar(x) -> str:
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -160,46 +172,47 @@ def cmd_check(args) -> int:
     model = build_transient_model(s1, s2, **weights)
     real, modeling = check_transient(s1, s2, model, args.tolerance)
     ok = real.realizable and modeling.holds
-    if args.json:
-        payload = {
-            "realization": {
-                "realizable": real.realizable,
-                "q": real.q,
-                "dim_C1": real.dim_C1,
-                "dim_C2": real.dim_C2,
-                "witness": _json(real.witness.basis.T),
-                "notes": real.notes,
-            },
-            "modeling": {
-                "holds": modeling.holds,
-                "n": modeling.n,
-                "dim_Cz": modeling.dim_Cz,
-                "tested": [{"vector": _json(v), "in_Cz": bool(b)}
-                           for v, b in modeling.tested_vectors],
-            },
-            "ok": ok,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"realization check ({s1.name} dim {s1.dim} -> {s2.name} dim {s2.dim})")
-        print(f"  condition met: {'yes' if real.realizable else 'no'}")
-        print(f"  dim C1 = {real.dim_C1}, dim C2 = {real.dim_C2}, q = {real.q}")
-        if real.witness.dim:
-            print("  witness complement:")
-            for j in range(real.witness.dim):
-                print("    " + _fmt_vector(real.witness.basis[:, j]))
+    with _all_digits():          # parsing keeps the limit
+        if args.json:
+            payload = {
+                "realization": {
+                    "realizable": real.realizable,
+                    "q": real.q,
+                    "dim_C1": real.dim_C1,
+                    "dim_C2": real.dim_C2,
+                    "witness": _json(real.witness.basis.T),
+                    "notes": real.notes,
+                },
+                "modeling": {
+                    "holds": modeling.holds,
+                    "n": modeling.n,
+                    "dim_Cz": modeling.dim_Cz,
+                    "tested": [{"vector": _json(v), "in_Cz": bool(b)}
+                               for v, b in modeling.tested_vectors],
+                },
+                "ok": ok,
+            }
+            print(json.dumps(payload, indent=2))
         else:
-            print("  witness complement: {0}")
-        print(f"  {real.notes}")
-        print(f"modeling condition (blend dim {modeling.n}, dim Cz = {modeling.dim_Cz})")
-        print(f"  holds: {'yes' if modeling.holds else 'no'}")
-        for v, b in modeling.tested_vectors:
-            print(f"  {_fmt_vector(v)} in Cz: {'yes' if b else 'no'}")
-        _print_notes(doc)
-        if not real.realizable:
-            print("reason: realization condition not met")
-        if not modeling.holds:
-            print("reason: modeling condition fails")
+            print(f"realization check ({s1.name} dim {s1.dim} -> {s2.name} dim {s2.dim})")
+            print(f"  condition met: {'yes' if real.realizable else 'no'}")
+            print(f"  dim C1 = {real.dim_C1}, dim C2 = {real.dim_C2}, q = {real.q}")
+            if real.witness.dim:
+                print("  witness complement:")
+                for j in range(real.witness.dim):
+                    print("    " + _fmt_vector(real.witness.basis[:, j]))
+            else:
+                print("  witness complement: {0}")
+            print(f"  {real.notes}")
+            print(f"modeling condition (blend dim {modeling.n}, dim Cz = {modeling.dim_Cz})")
+            print(f"  holds: {'yes' if modeling.holds else 'no'}")
+            for v, b in modeling.tested_vectors:
+                print(f"  {_fmt_vector(v)} in Cz: {'yes' if b else 'no'}")
+            _print_notes(doc)
+            if not real.realizable:
+                print("reason: realization condition not met")
+            if not modeling.holds:
+                print("reason: modeling condition fails")
     return 0 if ok else 1
 
 
@@ -208,7 +221,7 @@ def cmd_ctrb(args) -> int:
         doc, s1, s2, weights = _parse_case(args)
         model = build_transient_model(s1, s2, **weights)
         sys_, split = model.base, s1.n_inputs
-        decided = model.A * model.lengths, model.B     # see TransientModel
+        decided = model.N_A * model.lengths, model.N_B     # see TransientModel
     else:
         doc = _load_file(args.file)
         if args.system not in ("sigma1", "sigma2"):
@@ -225,27 +238,28 @@ def cmd_ctrb(args) -> int:
     matrix = matrix[:, np.concatenate([cols[:, :split].ravel(),
                                        cols[:, split:].ravel()])]
     reps = _class_reps(basis, args.tolerance)
-    if args.json:
-        payload = {
-            "system": sys_.name,
-            "rank": basis.dim,
-            "ctrb_matrix": _json(matrix),
-            "basis": _json(basis.basis.T),
-            "class_reps": [_json(r.irreducible) for r in reps],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"controllability of {sys_.name} (dim {sys_.dim})")
-        print("  matrix:")
-        print(_fmt_matrix(matrix, "    "))
-        print(f"  rank: {basis.dim}")
-        print("  basis columns:")
-        for j in range(basis.dim):
-            print("    " + _fmt_vector(basis.basis[:, j]))
-        print("  quotient class representatives:")
-        for r in reps:
-            print("    " + _fmt_vector(r.irreducible))
-        _print_notes(doc)
+    with _all_digits():          # parsing keeps the limit
+        if args.json:
+            payload = {
+                "system": sys_.name,
+                "rank": basis.dim,
+                "ctrb_matrix": _json(matrix),
+                "basis": _json(basis.basis.T),
+                "class_reps": [_json(r.irreducible) for r in reps],
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            print(f"controllability of {sys_.name} (dim {sys_.dim})")
+            print("  matrix:")
+            print(_fmt_matrix(matrix, "    "))
+            print(f"  rank: {basis.dim}")
+            print("  basis columns:")
+            for j in range(basis.dim):
+                print("    " + _fmt_vector(basis.basis[:, j]))
+            print("  quotient class representatives:")
+            for r in reps:
+                print("    " + _fmt_vector(r.irreducible))
+            _print_notes(doc)
     return 0
 
 
@@ -259,11 +273,12 @@ def cmd_reduce(args) -> int:
     except OverflowError:
         raise InputError("vector has an entry beyond float range")
     mv = reduce_vector(x, args.tolerance)
-    if args.json:
-        print(json.dumps({"irreducible": _json(mv.irreducible),
-                          "multiplicity": mv.multiplicity}))
-    else:
-        print(f"{_fmt_vector(mv.irreducible)} (×{mv.multiplicity})")
+    with _all_digits():          # parsing keeps the limit
+        if args.json:
+            print(json.dumps({"irreducible": _json(mv.irreducible),
+                              "multiplicity": mv.multiplicity}))
+        else:
+            print(f"{_fmt_vector(mv.irreducible)} (×{mv.multiplicity})")
     return 0
 
 
@@ -271,26 +286,27 @@ def cmd_blend(args) -> int:
     doc, s1, s2, weights = _parse_case(args)
     model = build_transient_model(s1, s2, **weights)
     a, b = model.weights
-    if args.json:
-        payload = {
-            "n": model.dim,
-            "alpha": _json(a),
-            "beta": _json(b),
-            "A": _json(model.base.A),
-            "B1": _json(model.B1_star),
-            "B2": _json(model.B2_star),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"transient model on dimension {model.dim} "
-              f"(alpha = {_fmt_scalar(a)}, beta = {_fmt_scalar(b)})")
-        print("A =")
-        print(_fmt_matrix(model.base.A))
-        print("B1 =")
-        print(_fmt_matrix(model.B1_star))
-        print("B2 =")
-        print(_fmt_matrix(model.B2_star))
-        _print_notes(doc)
+    with _all_digits():          # parsing keeps the limit
+        if args.json:
+            payload = {
+                "n": model.dim,
+                "alpha": _json(a),
+                "beta": _json(b),
+                "A": _json(model.base.A),
+                "B1": _json(model.B1_star),
+                "B2": _json(model.B2_star),
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            print(f"transient model on dimension {model.dim} "
+                  f"(alpha = {_fmt_scalar(a)}, beta = {_fmt_scalar(b)})")
+            print("A =")
+            print(_fmt_matrix(model.base.A))
+            print("B1 =")
+            print(_fmt_matrix(model.B1_star))
+            print("B2 =")
+            print(_fmt_matrix(model.B2_star))
+            _print_notes(doc)
     return 0
 
 

@@ -9,13 +9,13 @@ Two scalar backends are supported throughout the package:
   copy scaled to Python ints by the lcm of its denominators, which
   gives the pivots and zero patterns of Gaussian elimination over the
   rationals without any Fraction arithmetic.  Every controllable
-  subspace comes from one routine, `krylov_pivots`, which runs it on the
-  integer Krylov product until it saturates; a full one may be proved
-  by the same kernel on int64 residues modulo a prime instead
-  (`_certify_full_krylov`): `_bareiss` reads its mode from the dtype.
+  subspace comes from `_krylov_columns` on the integer Krylov product,
+  run until it saturates, in ints (`krylov_pivots` divides back); a full
+  one may be proved by the same kernel on int64 residues modulo a prime
+  instead (`_certify_full_krylov`): `_bareiss` reads its mode from the dtype.
 * float64: plain numpy float arrays with a tolerance policy.  Every
   float rank decision (rank, pivot columns, span membership and the
-  controllable subspaces of `krylov_pivots`) is one rule, `_staircase`:
+  controllable subspaces of `_krylov_columns`) is one rule, `_staircase`:
   a column counts as independent when its residual after twice
   orthogonalising it against the accepted ones exceeds the rank
   threshold.
@@ -203,14 +203,16 @@ _whole = np.frompyfunc(Fraction, 1, 1)         # Fraction(x): no gcd to take
 _PRIME = 67108859     # < 2^26: a sum of < 2048 products of residues fits int64
 
 
-def _divide_back(Z: np.ndarray, L: int, j) -> np.ndarray:
-    """Z / L^j as Fractions, j one power or one per column."""
-    return _whole(Z) if L == 1 else _fraction(Z, L ** np.asarray(j, object))
+def _divide_back(Z: np.ndarray, d) -> np.ndarray:
+    """Z / d as Fractions, d one integer or one per column (None: floats)."""
+    if d is None:
+        return Z
+    return _whole(Z) if (np.asarray(d) == 1).all() else _fraction(Z, d)
 
 
 def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B]: `_krylov_integers`, divided back."""
-    K = np.hstack([Z if L is None else _divide_back(Z, L, j)
+    K = np.hstack([_divide_back(Z, L and L ** j)
                    for j, (Z, L) in enumerate(_krylov_integers(A, B), 1)])
     if not _finite(K):
         raise np.linalg.LinAlgError("Krylov matrix overflows")
@@ -218,14 +220,14 @@ def _krylov_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _certify_full_krylov(A: np.ndarray, B: np.ndarray, scale) -> bool:
-    """True only when the Krylov matrix of exact (A diag(scale), B) has
-    rank n modulo `_PRIME`, which proves rank n (a minor nonzero mod the
-    prime is nonzero), from int64 residues of the integer-scaled [A | B].
+    """True only when the Krylov matrix of (A diag(scale), B), Python ints
+    over any one denominator, has rank n modulo `_PRIME`, which proves
+    rank n (a minor nonzero mod the prime is nonzero), from int64 residues.
     False on floats, for n >= 2048 or a lower rank mod the prime."""
     n, m = B.shape
     if not (is_exact(A) and is_exact(B)) or n >= 2048:
         return False
-    Z = (_integer_scaled(np.hstack([A, B]))[0] % _PRIME).astype(np.int64)
+    Z = (np.hstack([A, B]) % _PRIME).astype(np.int64)
     As, K = Z[:, :n] * (np.asarray(scale) % _PRIME) % _PRIME, [Z[:, n:]]
     for _ in range(n - 1):
         K.append(As @ K[-1] % _PRIME)
@@ -386,16 +388,22 @@ def column_space_basis(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SubspaceB
 def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """The pivot columns of the Krylov matrix K = [B, AB, ..., A^(n-1) B]
     of A and a 2-D B, as (pivots, K's columns at them, SubspaceBasis of
-    their span).
+    their span): `_krylov_columns`, exact columns divided back."""
+    piv, Z, d, S = _krylov_columns(A, B, tol)
+    W = _divide_back(Z, d)
+    return piv, W, S if d is None else SubspaceBasis(S.ambient_dim, W)
 
-    Exact: the `_integer_pivots` of `_krylov_integers` (its columns are
-    K's times nonzero integers, so the pivots are K's), and only those
-    columns divided back; they are also the span.  Pivots come in chains
+
+def _krylov_columns(A: np.ndarray, B: np.ndarray, tol: Tolerance):
+    """`krylov_pivots` with no Fraction built: (pivots, columns, divisors,
+    span).  Exact: the `_integer_pivots` of `_krylov_integers`, whose
+    columns are K's times their divisors L^(j+1), so the pivots are K's,
+    and those integer columns, which also span.  Pivots come in chains
     (if A^j b_i depends on the columns before it, so does A^(j+1) b_i), so
     the whole product is eliminated only when the first ceil(n/m) blocks
     have rank below n and their last block pivots.  Float: the
     controllability staircase (Van Dooren 1981; Paige 1981), which
-    returns an orthonormal basis Q of the span.  `_staircase` tests the
+    returns K's columns, None and an orthonormal basis Q of the span.  `_staircase` tests the
     candidates block by block: the columns b_i of B, then A q for each q
     accepted in the block before, at the rank threshold of an n x nm
     matrix whose largest entry is max ||b_i|| (first block) or ||A||_2
@@ -415,8 +423,9 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         if len(piv) < n and piv and piv[-1] >= Z.shape[1] - m:
             Z = np.hstack([Z] + [X for X, _ in blocks])
             piv = _bareiss(Z)[1]
-        W = _divide_back(Z[:, piv], L, [c // m + 1 for c in piv])
-        return piv, W, SubspaceBasis(n, W)
+        Z = Z[:, piv]
+        d = L ** np.array([c // m + 1 for c in piv], dtype=object)
+        return piv, Z, d, SubspaceBasis(n, Z)
     A = np.asarray(A, dtype=float)
     thresh = tol.rank_threshold(
         n, n * m, np.max(np.linalg.norm(Z, axis=0), initial=0.0))
@@ -428,7 +437,7 @@ def krylov_pivots(A: np.ndarray, B: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         piv += [j * m + i for i in chains]
         if not chains or len(piv) == n:
             Z = np.hstack([Z] + [next(blocks)[0] for _ in range(j)])
-            return piv, Z[:, piv], SubspaceBasis(n, Q[:, :len(piv)])
+            return piv, Z[:, piv], None, SubspaceBasis(n, Q[:, :len(piv)])
         if not j:
             thresh = tol.rank_threshold(n, n * m, np.linalg.norm(A, 2))
         block, j = [A @ Q[:, c] for c in range(k, len(piv))], j + 1
@@ -521,15 +530,6 @@ def in_span_columns(S: SubspaceBasis, W: np.ndarray,
     return inside
 
 
-def spans_equal(S: SubspaceBasis, T: SubspaceBasis,
-                tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Mutual inclusion of two subspaces (`in_span_columns` both ways)."""
-    if S.ambient_dim != T.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return (all(in_span_columns(S, T.basis, tol)) and
-            all(in_span_columns(T, S.basis, tol)))
-
-
 def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for square nonsingular A on either backend.
 
@@ -548,7 +548,7 @@ def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     d, y = R[n - 1, n - 1] if n else 1, np.empty((n, R.shape[1] - n), object)
     for i in range(n - 1, -1, -1):
         y[i] = (d * R[i, n:] - R[i, i + 1:n] @ y[i + 1:]) // R[i, i]
-    x = _divide_back(y, d, 1)
+    x = _divide_back(y, d)
     return x[:, 0] if b.ndim == 1 else x
 
 

@@ -19,10 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerance,
-                       _certify_full_krylov, _divide_back, _integer_scaled,
-                       _one_column, as_backend, common_backend,
-                       in_span_columns, krylov_pivots, pivot_columns, rank,
-                       unit_columns, vec)
+                       _certify_full_krylov, _divide_back, _integer_pivots,
+                       _integer_scaled, _krylov_columns, _one_column,
+                       as_backend, common_backend, in_span_columns,
+                       pivot_columns, rank, unit_columns, vec)
 from .systems import LinSys
 
 
@@ -98,21 +98,21 @@ def check_realization(s1: LinSys, s2: LinSys,
 
     Realizable iff rank([embed(C1) | C2]) = q, where C1 and C2 are the
     controllable subspaces and q the larger dimension, decided by one
-    `pivot_columns` on the spans `krylov_pivots` returns: the pivot
-    columns on the exact backend, the staircase's orthonormal Q on
-    floats.  Q's first k columns span K's first k pivot columns W for
-    every k, so the witness is W at the pivots past dim C1 and embed(C1)
-    (+) witness = R^q; on the exact backend these are the lowest-index
-    columns that extend C1.  dim C2 = q is realizable on both backends.
-    When dim(s1) > dim(s2) the roles are swapped and noted.
+    pivot search on the `_krylov_columns` spans: `_integer_pivots` of the
+    exact integer columns (only the witness divided back), `pivot_columns`
+    of the staircase's Q on floats.  Q's first k columns span K's first k
+    pivot columns W for every k, so the witness is W at the pivots past
+    dim C1 and embed(C1) (+) witness = R^q; on the exact backend these are
+    the lowest-index columns that extend C1.  dim C2 = q is realizable on
+    both backends.  When dim(s1) > dim(s2) the roles are swapped and noted.
     """
     return _realization(s1, s2, _subsystem_ctrb(s1, s2, tol), tol)
 
 
 def _subsystem_ctrb(s1: LinSys, s2: LinSys, tol: Tolerance):
-    """The `krylov_pivots` of s1 and s2, on their `common_backend`."""
+    """The `_krylov_columns` of s1 and s2, on their `common_backend`."""
     A1, B1, A2, B2 = common_backend(s1.A, s1.B, s2.A, s2.B)
-    return krylov_pivots(A1, B1, tol), krylov_pivots(A2, B2, tol)
+    return _krylov_columns(A1, B1, tol), _krylov_columns(A2, B2, tol)
 
 
 def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
@@ -123,11 +123,14 @@ def _realization(s1: LinSys, s2: LinSys, ctrb: tuple,
     if s1.dim > s2.dim:
         ctrb = ctrb[::-1]
         notes = f"roles swapped: {s1.name} has larger dimension; " + notes
-    (piv1, _, C1), (piv2, W, C2) = ctrb
+    (piv1, _, _, C1), (piv2, Z, d, C2) = ctrb
     q, r = max(s1.dim, s2.dim), len(piv1)
-    piv = pivot_columns(np.hstack([embed_subspace(C1, q).basis, C2.basis]), tol)
+    M = np.zeros((q, r + len(piv2)), C2.basis.dtype)    # [embed(C1) | C2]
+    M[:C1.ambient_dim, :r], M[:, r:] = C1.basis, C2.basis
+    piv = pivot_columns(M, tol) if d is None else _integer_pivots(M)
     realizable = len(piv) == q
-    witness = W[:, [p - r for p in piv if p >= r and realizable]]
+    sel = [p - r for p in piv if p >= r and realizable]
+    witness = _divide_back(Z[:, sel], d if d is None else d[sel])
     return RealizationReport(realizable=realizable, q=q, dim_C1=r,
                              dim_C2=len(piv2), witness=SubspaceBasis(q, witness),
                              notes=notes)
@@ -138,17 +141,21 @@ class TransientModel:
     """The blend alpha (A1 (x) J) + beta (A2 (x) J), with the weighted
     input channels side by side, on its s segments (`_segments`).
 
-    ``A`` (s x s) and ``B`` hold its values there, ``lengths`` the
+    ``A`` (s x s) and ``B`` are its values there, built on first read
+    from the integer numerators ``N_A`` and ``N_B`` over one denominator
+    ``D`` (floats: A and B themselves, D None); ``lengths`` holds the
     segment lengths and ``rows`` the sigma1 and sigma2 row each segment
     reads.  With E the n x s segment indicator, ``base`` = (E A E^T,
     E B) is built on first read, and base.A E = E As: the blend on
     range E is the segment system (As, B), As = A diag(lengths).  The
     blend's Krylov matrix is E ctrb(As, B), E is injective and blocks
-    past s never pivot: both pivot alike, and C_z = E span ctrb(As, B).
+    past s never pivot: both pivot alike, and C_z = E span ctrb(As, B),
+    as decided on (N_A diag(lengths), N_B), block j D^(j+1) times As's.
     """
 
-    A: np.ndarray
-    B: np.ndarray
+    N_A: np.ndarray
+    N_B: np.ndarray
+    D: int | None
     lengths: np.ndarray
     rows: tuple
     name: str
@@ -159,6 +166,9 @@ class TransientModel:
     @property
     def dim(self) -> int:
         return math.lcm(*self.source_dims)
+
+    A = cached_property(lambda self: _divide_back(self.N_A, self.D))
+    B = cached_property(lambda self: _divide_back(self.N_B, self.D))
 
     @cached_property
     def base(self) -> LinSys:
@@ -227,8 +237,7 @@ def build_transient_model(s1: LinSys, s2: LinSys, alpha=None, beta=None,
               for (w, a, b), Z, d in ((w1, Z1, p), (w2, Z2, q)))
     N_A = X1[:, :p].take(i, 0).take(i, 1) + X2[:, :q].take(j, 0).take(j, 1)
     N_B = np.hstack([X1[:, p:].take(i, 0), X2[:, q:].take(j, 0)])
-    A, B = (_divide_back(X, D, 1) for X in (N_A, N_B)) if D else (N_A, N_B)
-    return TransientModel(A=A, B=B, lengths=lengths, rows=(i, j),
+    return TransientModel(N_A=N_A, N_B=N_B, D=D, lengths=lengths, rows=(i, j),
                           name=f"blend({s1.name},{s2.name})",
                           weights=(alpha, beta), source_dims=(p, q),
                           input_split=(s1.n_inputs, s2.n_inputs))
@@ -260,9 +269,9 @@ def check_modeling_condition(s1: LinSys, s2: LinSys, model: TransientModel,
     v (x) 1_k lies in C_z = E span ctrb(As, B) iff v at the sigma1 rows
     of ``model.rows`` lies in span ctrb(As, B) (w (x) 1_m: w at the
     sigma2 rows).  C_z = R^s, proved by `_certify_full_krylov` (exact
-    input) or found by `krylov_pivots` of (As, B), holds all lifted
-    vectors, and C1 and C2 are found when ``tested_vectors`` is first
-    read; a smaller C_z tests them at once by one `in_span_columns`,
+    input) or by `_krylov_columns` of (As, B), on N_A and N_B, holds all
+    lifted vectors, and C1 and C2 are found when ``tested_vectors`` is
+    first read; a smaller C_z tests them at once by one `in_span_columns`,
     each column scaled to largest |entry| 1 by `unit_columns`.
     """
     return _modeling(s1, s2, model, None, tol)
@@ -275,14 +284,14 @@ def _modeling(s1: LinSys, s2: LinSys, model: TransientModel, ctrb,
         raise ValueError("model was not built from these systems")
     if model.input_split != (s1.n_inputs, s2.n_inputs):
         raise ValueError("model was not built from these systems' inputs")
-    S = (None if _certify_full_krylov(model.A, model.B, model.lengths)
-         else krylov_pivots(model.A * model.lengths, model.B, tol)[2])
+    S = (None if _certify_full_krylov(model.N_A, model.N_B, model.lengths)
+         else _krylov_columns(model.N_A * model.lengths, model.N_B, tol)[3])
     full = S is None or S.dim == S.ambient_dim
     if full and ctrb is None:
         s1, s2 = (LinSys(s.name, s.A.copy(), s.B.copy()) for s in (s1, s2))
     def tested():
-        columns = np.hstack([W[rows] for (_, W, _), rows in zip(
-            ctrb or _subsystem_ctrb(s1, s2, tol), model.rows)])
+        columns = np.hstack([_divide_back(Z, d)[rows] for (_, Z, d, _), rows
+                             in zip(ctrb or _subsystem_ctrb(s1, s2, tol), model.rows)])
         inside = ([True] * columns.shape[1] if full
                   else in_span_columns(S, unit_columns(columns), tol))
         return list(zip(np.repeat(columns, model.lengths, axis=0).T, inside))

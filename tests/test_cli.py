@@ -486,17 +486,54 @@ def test_exit_code_numerical_failure(capsys, tmp_path, monkeypatch):
     assert err == "numerical failure: Singular matrix\n"
 
 
-@pytest.mark.parametrize("argv", [["check"], ["blend"], ["ctrb", "--json"]])
-def test_report_failing_while_printed_leaves_stdout_empty(capsys, tmp_path,
+@pytest.mark.parametrize("argv", [["check"], ["blend"], ["ctrb", "--blend"]])
+def test_report_failing_while_printed_leaves_stdout_empty(capsys, monkeypatch,
                                                           argv):
+    # a vector formatter that fails once the report's first lines are
+    # printed: none of them reaches stdout
+    import builtins
+
+    import dimvar.cli as cli
+    printed, failed_at = [], []
+
+    def fail(v):
+        failed_at.append(len(printed))
+        raise ValueError("cannot format")
+
+    monkeypatch.setattr(cli, "print", lambda *a, **k: printed.append(a)
+                        or builtins.print(*a, **k), raising=False)
+    monkeypatch.setattr(cli, "_fmt_vector", fail)
+    code, out, err = run(capsys, argv[0], CASE, *argv[1:])
+    assert len(failed_at) == 1 and failed_at[0] > 0
+    assert (code, out, err) == (2, "", "error: cannot format\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["blend"], ["ctrb", "--json"]])
+def test_report_prints_values_beyond_the_digit_limit(capsys, tmp_path, argv):
     # 1e4300 parses to 10^4300, whose 4301 digits exceed Python's
-    # int-to-string limit only when the report prints them; check and
-    # blend had printed 316 and 61 characters of their reports by then
+    # int-to-string limit: the report lifts it, prints whole, as with no
+    # limit at all, and restores it; parsing keeps it (_INPUT_ERRORS)
+    import re
     doc = base_doc()
     doc["sigma1"]["A"][0][1] = "1e4300"
-    code, out, err = run(capsys, argv[0], write_case(tmp_path, doc), *argv[1:])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: Exceeds the limit (4300 digits)")
+    argv = [argv[0], write_case(tmp_path, doc), *argv[1:]]
+    limit = sys.get_int_max_str_digits()
+    got = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = got
+    assert code in (0, 1) and err == ""
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    if "--json" in argv:
+        sys.set_int_max_str_digits(0)
+        try:
+            json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("argv", [
@@ -845,13 +882,13 @@ def test_check_leaves_the_blend_unbuilt(capsys, monkeypatch, backend):
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
                                                     backend):
-    # one krylov_pivots each for the 2- and 3-dimensional subsystems;
+    # one _krylov_columns each for the 2- and 3-dimensional subsystems;
     # the 4-dimensional segment system of the blend is asked once of the
     # modular certificate, which proves C_z = R^4 on exact input, and
-    # goes to krylov_pivots on floats
+    # goes to _krylov_columns on floats
     import dimvar.realization as realization
     calls, certified = [], []
-    inner, certify = realization.krylov_pivots, realization._certify_full_krylov
+    inner, certify = realization._krylov_columns, realization._certify_full_krylov
 
     def counted(A, B, tol):
         calls.append(A.shape[0])
@@ -861,7 +898,7 @@ def test_check_decides_each_subsystem_subspace_once(capsys, monkeypatch,
         certified.append((A.shape[0], certify(A, B, scale)))
         return certified[-1][1]
 
-    monkeypatch.setattr(realization, "krylov_pivots", counted)
+    monkeypatch.setattr(realization, "_krylov_columns", counted)
     monkeypatch.setattr(realization, "_certify_full_krylov", asked)
     code, out, _ = run(capsys, "check", CASE, "--backend", backend)
     assert code == 0
@@ -1131,6 +1168,13 @@ _INPUT_ERRORS = [
     ("huge-exponent-vector", None, ["reduce", "--vector", "1,1e999999999"],
      "error: cannot parse vector: decimal exponent beyond 4300 in "
      "'1e999999999'"),
+    # a mantissa beyond Python's int-to-string limit, which only a
+    # report lifts
+    ("huge-mantissa-sigma1", _with("sigma1", "A", 0, 0, "1" * 4301),
+     ["check", "{case}"],
+     "error: {case}: 'sigma1' has an unparseable entry: Exceeds the limit "
+     "(4300 digits) for integer string conversion: value has 4301 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
 ]
 
 

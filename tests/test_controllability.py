@@ -65,19 +65,20 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     # the (p + q - g)-dimensional segment system the modeling check
     # forms for a (5,7) pair with weights 3/2 and 1/3, (A diag(lengths),
     # B); the modular certificate, which proves it full, reads the
-    # model's own A, B and lengths, and no subsystem's krylov_pivots runs
+    # model's own numerators N_A, N_B and lengths, and no subsystem's
+    # _krylov_columns runs
     seen = []
-    certify = realization._certify_full_krylov
+    certify, columns = realization._certify_full_krylov, realization._krylov_columns
 
     def spy(A, B, tol):
         seen.append((A, B, None))
-        return krylov_pivots(A, B, tol)
+        return columns(A, B, tol)
 
     def certify_spy(A, B, scale):
         seen.append((A, B, scale))
         return certify(A, B, scale)
 
-    monkeypatch.setattr(realization, "krylov_pivots", spy)
+    monkeypatch.setattr(realization, "_krylov_columns", spy)
     monkeypatch.setattr(realization, "_certify_full_krylov", certify_spy)
     rng = random.Random(41)
     s1, s2 = rand_system(rng, 5, 2), rand_system(rng, 7)
@@ -86,7 +87,7 @@ def test_ctrb_matrix_matches_fraction_products(monkeypatch):
     check_modeling_condition(s1, s2, model)
     assert [len(A) for A, *_ in seen] == [11]
     At, Bt = model.A * model.lengths, model.B
-    assert seen[0][0] is model.A and seen[0][1] is model.B
+    assert seen[0][0] is model.N_A and seen[0][1] is model.N_B
     assert seen[0][2] is model.lengths
     assert At.shape == (11, 11) and Bt.shape == (11, 3)
     assert max(x.denominator for x in At.flat) > 1
@@ -165,8 +166,9 @@ def test_ctrb_subspace_example1(ex1_s1, ex1_model):
                   ["3/2", "0", "1/2", "0"],
                   ["3/2", "3/8", "0", "1/4"],
                   ["3/2", "3/8", "0", "1/4"]])
-    from dimvar.numerics import SubspaceBasis, spans_equal
-    assert spans_equal(res.basis, SubspaceBasis(6, listed))
+    from dimvar.numerics import SubspaceBasis, in_span_columns
+    assert all(in_span_columns(res.basis, listed))
+    assert all(in_span_columns(SubspaceBasis(6, listed), res.basis.basis))
 
 
 def test_ctrb_subspace_zero_input():

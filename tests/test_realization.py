@@ -498,15 +498,15 @@ def _case(exact, path=EXAMPLE1):
 @pytest.mark.parametrize("exact", [True, False])
 def test_check_transient_decides_each_subsystem_subspace_once(monkeypatch,
                                                               exact):
-    # one krylov_pivots each for the 2- and 3-dimensional subsystems,
+    # one _krylov_columns each for the 2- and 3-dimensional subsystems,
     # and one question to the certificate for the 4-dimensional segment
     # system, which proves C_z = R^4 on exact input; floats decide it by
-    # krylov_pivots.  On either backend a full C_z leaves C1 and C2 to
+    # _krylov_columns.  On either backend a full C_z leaves C1 and C2 to
     # the modeling check's tested vectors, found only when they are read.
     from dimvar import realization
     s1, s2, model = _case(exact)
-    calls, inner = [], realization.krylov_pivots
-    monkeypatch.setattr(realization, "krylov_pivots",
+    calls, inner = [], realization._krylov_columns
+    monkeypatch.setattr(realization, "_krylov_columns",
                         lambda A, B, tol: calls.append(A.shape[0]) or inner(A, B, tol))
     answers = _certificate_spy(monkeypatch)
     real, modeling = check_transient(s1, s2, model)
@@ -536,12 +536,13 @@ def _full_rank_pairs():
 
 def test_certified_modeling_check_defers_the_subsystem_subspaces(monkeypatch):
     # C_z = R^s proved by the certificate decides the exact modeling
-    # check without C1 or C2: no krylov_pivots runs until tested_vectors
-    # is read, and then it equals the eager list of the n-dimensional
-    # computation, built from the systems as they were at the call
+    # check without C1 or C2: no _krylov_columns runs until
+    # tested_vectors is read, and then it equals the eager list of the
+    # n-dimensional computation, built from the systems as they were at
+    # the call
     from dimvar import realization
-    calls, inner = [], realization.krylov_pivots
-    monkeypatch.setattr(realization, "krylov_pivots",
+    calls, inner = [], realization._krylov_columns
+    monkeypatch.setattr(realization, "_krylov_columns",
                         lambda A, B, tol: calls.append(A.shape[0]) or inner(A, B, tol))
     answers = _certificate_spy(monkeypatch)
     for s1, s2, weights in _full_rank_pairs():
@@ -563,9 +564,9 @@ def test_certified_modeling_check_defers_the_subsystem_subspaces(monkeypatch):
 
 def test_check_transient_scales_each_exact_array_once(monkeypatch):
     # one integer scaling each for [A1 | B1] and [A2 | B2] (the Krylov
-    # products), for the realization matrix [embed(C1) | W] and for the
-    # blend's segment system [A | B] (the certificate): the prefix test
-    # and the elimination share the scaled copy, and no integer array is
+    # products) and none else: the realization matrix [embed(C1) | C2]
+    # holds the subsystems' integer pivot columns and the certificate
+    # reads the blend's integer numerators, so no integer array is
     # scaled again
     from dimvar import numerics
     for s1, s2, weights in _full_rank_pairs():
@@ -578,9 +579,7 @@ def test_check_transient_scales_each_exact_array_once(monkeypatch):
         monkeypatch.setattr(numerics, "_integer_scaled", inner)
         (p, m1), (q, m2) = s1.B.shape, s2.B.shape
         assert real.realizable and modeling.holds
-        assert shapes == [(p, p + m1), (q, q + m2),
-                          (q, real.dim_C1 + real.dim_C2),
-                          (len(model.lengths), len(model.lengths) + m1 + m2)]
+        assert shapes == [(p, p + m1), (q, q + m2)]
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -659,3 +658,156 @@ def test_check_at_scale_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(
             out[fmt, "rational"].encode()).hexdigest() == digest, fmt
     assert decisions == [[True, 31, 37, True, 67]] * 2
+
+
+def _typed(x):
+    """A report as nested lists of (type name, value): exact entries
+    compare with their type, so a Fraction never equals an int."""
+    if dataclasses.is_dataclass(x):
+        names = [f.name for f in dataclasses.fields(x) if f.name[0] != "_"]
+        names += ["tested_vectors"] * hasattr(x, "tested_vectors")
+        return {name: _typed(getattr(x, name)) for name in names}
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, [_typed(e) for e in x.ravel().tolist()]
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return type(x).__name__, x
+
+
+def _reference_blend(s1, s2, weights):
+    """(A, B, base A, base B, lengths, rows) of the blend by the Fraction
+    formula on the segments, alpha a1 / k + beta a2 / m and
+    [alpha b1 | beta b2]."""
+    p, q = s1.dim, s2.dim
+    n = math.lcm(p, q)
+    starts, lengths = _segments(p, q)
+    i, j = starts // (n // p), starts // (n // q)
+    a, b = (weights["alpha"], weights["beta"]) if "alpha" in weights else (
+        Fraction(weights["masses"][0], sum(weights["masses"])),
+        Fraction(weights["masses"][1], sum(weights["masses"])))
+    a, b = Fraction(a), Fraction(b)
+    A = (a * s1.A[np.ix_(i, i)] / (n // p) + b * s2.A[np.ix_(j, j)] / (n // q))
+    B = np.hstack([a * s1.B[i], b * s2.B[j]])
+    e = np.repeat(np.arange(len(lengths)), lengths)
+    return A, B, A[np.ix_(e, e)], B[e], lengths, (i, j)
+
+
+def _reference_checks(s1, s2, weights):
+    """Both reports built as before the integer pipeline: Fraction
+    `krylov_pivots` columns, `pivot_columns` of [embed(C1) | C2], and the
+    modeling check on the divided-back blend."""
+    from dimvar.numerics import in_span_columns, pivot_columns
+    from dimvar.realization import ModelingReport, RealizationReport
+    notes = ("direct sum interpreted as trivial subspace intersection; "
+             "condition is sufficient only")
+    (piv1, W1, C1), (piv2, W2, C2) = ctrb = [krylov_pivots(s.A, s.B)
+                                             for s in (s1, s2)]
+    if s1.dim > s2.dim:
+        (piv1, W1, C1), (piv2, W2, C2) = ctrb[::-1]
+        notes = f"roles swapped: {s1.name} has larger dimension; " + notes
+    q, r = max(s1.dim, s2.dim), len(piv1)
+    piv = pivot_columns(np.hstack([embed_subspace(C1, q).basis, C2.basis]))
+    realizable = len(piv) == q
+    witness = W2[:, [c - r for c in piv if c >= r and realizable]]
+    real = RealizationReport(realizable, q, r, len(piv2),
+                             SubspaceBasis(q, witness), notes)
+    A, B, _, _, lengths, rows = _reference_blend(s1, s2, weights)
+    S = krylov_pivots(A * lengths, B)[2]
+    columns = np.hstack([W[r] for (_, W, _), r in zip(ctrb, rows)])
+    inside = ([True] * columns.shape[1] if S.dim == len(lengths)
+              else in_span_columns(S, columns))        # R^s holds all
+    tested = list(zip(np.repeat(columns, lengths, axis=0).T, inside))
+    modeling = ModelingReport(all(inside), math.lcm(s1.dim, s2.dim), S.dim,
+                              lambda: tested)
+    return real, modeling
+
+
+def _reference_corpus():
+    """Exact pairs in both orders: the benchmark's ladder_exact cases
+    of seeds 0-3, the feedback-invariance pairs (one and two inputs),
+    also with A / 2 and B / 3, seed-0 full-rank pairs up to (31, 37)
+    and every case file."""
+    from dimvar import cli
+    from test_invariance import _corpus, _systems
+    to_frac = np.vectorize(Fraction, otypes=[object])
+    pairs = []
+    for seed in range(4):
+        for p, q, count in ((4, 6, 24), (5, 6, 6), (5, 7, 6)):
+            for i in range(count):
+                g = np.random.default_rng([seed, p, q, i])
+                pairs.append(([LinSys(name, to_frac(g.integers(-3, 4, (d, d))),
+                                      to_frac(g.integers(-3, 4, (d, 1))))
+                               for name, d in (("sigma1", p), ("sigma2", q))],
+                              {"masses": (1, 1)}))
+    for _, pair in _corpus():
+        given = _systems(True, *[("s", A, B) for A, B in pair])
+        pairs.append((given, {"alpha": Fraction(3, 2), "beta": Fraction(1, 3)}))
+        # and over denominators, whose powers divide the Krylov columns
+        pairs.append(([LinSys(s.name, s.A / 2, s.B / 3) for s in given],
+                      {"masses": (1, 2)}))
+    for p, q in ((7, 11), (11, 13), (13, 17), (31, 37)):
+        g = np.random.default_rng([0, p, q, 0])
+        pairs.append(([LinSys(name, to_frac(g.integers(-3, 4, (d, d))),
+                              to_frac(g.integers(-3, 4, (d, 1))))
+                       for name, d in (("sigma1", p), ("sigma2", q))],
+                      {"masses": (1, 1)}))
+    for path in sorted(EXAMPLE1.parent.glob("*.json")):
+        doc = json.loads(path.read_text())
+        pairs.append(([LinSys(k, mat(doc[k]["A"]), mat(doc[k]["B"]))
+                       for k in ("sigma1", "sigma2")],
+                      cli._weights(doc["transient"])))
+    for (s1, s2), weights in pairs:
+        yield s1, s2, weights
+        yield s2, s1, weights
+
+
+def test_integer_pipeline_matches_the_fraction_reference():
+    # every field of both reports, witness and tested vectors by entry
+    # and type, and the model's A, B and base, equal a reference built
+    # on Fractions throughout
+    outcomes = set()
+    for s1, s2, weights in _reference_corpus():
+        model = build_transient_model(s1, s2, **weights)
+        A, B, base_A, base_B, _, _ = _reference_blend(s1, s2, weights)
+        ref = _typed(_reference_checks(s1, s2, weights))
+        small = model.dim <= 400          # base is n x n
+        assert _typed(check_transient(s1, s2, model)) == ref
+        assert _typed((check_realization(s1, s2),
+                       check_modeling_condition(s1, s2, model))) == ref
+        for got, want in ((model.A, A), (model.B, B)) + (
+                ((model.base.A, base_A), (model.base.B, base_B)) * small):
+            assert _typed(got) == _typed(want)
+            assert all(type(x) is Fraction for x in got.flat)
+        outcomes.add((ref[0]["realizable"][1], ref[1]["holds"][1],
+                      ref[1]["dim_Cz"][1] == len(model.lengths)))
+    # each decision both ways, and C_z full and deficient
+    assert {o[:2] for o in outcomes} == {(True, True), (True, False),
+                                         (False, True)}
+    assert {o[2] for o in outcomes} == {True, False}
+
+
+def test_ladder_pipeline_divides_back_only_witness_columns(monkeypatch):
+    # the benchmark's check pipeline reads dimensions and decisions only:
+    # the one division back is the witness's columns, and the blend's
+    # Fractions, A, B and base, are never built
+    from dimvar import numerics, realization
+    to_frac = np.vectorize(Fraction, otypes=[object])
+    calls = []
+    for module in (numerics, realization):
+        inner = module._divide_back
+        monkeypatch.setattr(module, "_divide_back", lambda Z, d, inner=inner:
+                            calls.append(Z.shape) or inner(Z, d))
+    for p, q, count in ((4, 6, 24), (5, 6, 6), (5, 7, 6)):
+        for i in range(count):
+            g = np.random.default_rng([0, p, q, i])
+            s1, s2 = (LinSys(name, to_frac(g.integers(-3, 4, (d, d))),
+                             to_frac(g.integers(-3, 4, (d, 1))))
+                      for name, d in (("sigma1", p), ("sigma2", q)))
+            model = build_transient_model(s1, s2, masses=(1, 1))
+            calls.clear()
+            real = check_realization(s1, s2)
+            modeling = check_modeling_condition(s1, s2, model)
+            [real.dim_C1, real.dim_C2, modeling.dim_Cz, real.realizable,
+             modeling.holds]
+            assert calls == [(q, real.witness.dim)]
+            assert not {"A", "B", "base"} & set(vars(model))

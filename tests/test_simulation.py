@@ -242,8 +242,8 @@ def _same_report(got, want):
 def test_realization_is_decided_when_first_read(monkeypatch, exact):
     # a run decides no realization: a steered run's one krylov_pivots is
     # the segment system's, an unsteered run has none, and the first read
-    # of outcome.realization adds the two subsystems'; a target out of
-    # reach decides it at once, for the error message
+    # of outcome.realization adds the two subsystems' _krylov_columns; a
+    # target out of reach decides it at once, for the error message
     from dimvar import check_realization, realization, simulation
     rng = random.Random(13)
     pairs = [(LinSys("sigma1", mat([[0, 1], [0, 0]]), mat([[0], [1]])),
@@ -254,14 +254,13 @@ def test_realization_is_decided_when_first_read(monkeypatch, exact):
     pairs += [(rand_system(rng, p), rand_system(rng, q))
               for p, q in ((2, 3), (3, 2), (4, 6), (5, 3))]
     calls, unreachable = [], []
-    pivots = simulation.krylov_pivots
 
-    def spy(A, B, *args):
-        calls.append(len(A))
-        return pivots(A, B, *args)
+    def spy(inner):
+        return lambda A, B, *args: calls.append(len(A)) or inner(A, B, *args)
 
-    monkeypatch.setattr(simulation, "krylov_pivots", spy)
-    monkeypatch.setattr(realization, "krylov_pivots", spy)
+    monkeypatch.setattr(simulation, "krylov_pivots", spy(simulation.krylov_pivots))
+    monkeypatch.setattr(realization, "_krylov_columns",
+                        spy(realization._krylov_columns))
     for s1, s2 in pairs:
         if not exact:
             s1, s2 = (LinSys(s.name, to_float(s.A), to_float(s.B))

@@ -83,7 +83,7 @@ def test_one_float_rank_rule():
     # float Gaussian elimination is gone
     numerics = SRC / "numerics.py"
     assert set(_calls_by_function(numerics, "_staircase")) == {
-        "krylov_pivots", "pivot_columns", "in_span_columns"}
+        "_krylov_columns", "pivot_columns", "in_span_columns"}
     for p in SRC.glob("*.py"):
         assert "_echelon" not in p.read_text(), p.name
 
@@ -97,10 +97,11 @@ def test_one_membership_rule():
 
 
 def test_one_krylov_routine():
-    # every controllable subspace comes from krylov_pivots(A, B): both
-    # forms of `ctrb` print one ctrb_matrix and take one krylov_pivots,
+    # every controllable subspace comes from _krylov_columns(A, B): the
+    # checks take its integer columns, and both forms of `ctrb` print one
+    # ctrb_matrix and take one krylov_pivots, its Fraction form;
     # CtrbResult is public API only, and the integer Krylov product is
-    # multiplied out for those two callers only
+    # multiplied out for ctrb_matrix and _krylov_columns only
     def callers(name):
         return {(p.name, fn): k for p in sorted(SRC.glob("*.py"))
                 for fn, k in _calls_by_function(p, name).items()}
@@ -111,13 +112,17 @@ def test_one_krylov_routine():
             for name in ("ctrb_matrix", "krylov_pivots")] == [1, 1]
     assert callers("_krylov_integers") == {
         ("numerics.py", "_krylov_product"): 1,
-        ("numerics.py", "krylov_pivots"): 1}
+        ("numerics.py", "_krylov_columns"): 1}
+    assert callers("_krylov_columns") == {
+        ("numerics.py", "krylov_pivots"): 1,
+        ("realization.py", "_subsystem_ctrb"): 2,
+        ("realization.py", "_modeling"): 1}
     for p in SRC.glob("*.py"):
         assert "krylov_basis" not in p.read_text(), p.name
 
 
 def test_realization_is_decided_on_the_spans():
-    # the realization rank is taken on the spans krylov_pivots returns;
+    # the realization rank is taken on the spans _krylov_columns returns;
     # only the modeling membership test rescales its candidate columns
     calls = _calls_by_function(SRC / "realization.py", "unit_columns")
     assert "_realization" not in calls and sum(calls.values()) == 1
@@ -231,8 +236,9 @@ def test_one_class_representative_per_basis_column():
 
 def test_fractions_only_at_the_edges():
     # the integer kernel takes integers, solve back-substitutes in
-    # integers and divides back once, and the transient model carries
-    # no integer numerators beside its Fractions
+    # integers and divides back once, and the transient model holds its
+    # integer numerators over one denominator, its Fractions A and B
+    # being properties built on first read
     import dataclasses
 
     from dimvar.realization import TransientModel
@@ -243,4 +249,5 @@ def test_fractions_only_at_the_edges():
     assert "_bareiss" not in _calls_by_function(numerics, "_integer_scaled")
     assert not any(isinstance(node, ast.Div) for node in ast.walk(defs["solve"]))
     assert _calls_by_function(numerics, "_divide_back")["solve"] == 1
-    assert "_integers" not in {f.name for f in dataclasses.fields(TransientModel)}
+    fields = {f.name for f in dataclasses.fields(TransientModel)}
+    assert {"N_A", "N_B", "D"} <= fields and not {"A", "B"} & fields
