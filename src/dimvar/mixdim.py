@@ -55,16 +55,29 @@ def _reps_equal(X: np.ndarray, Y: np.ndarray, tol: Tolerance) -> bool:
                 (key[0] == key[1]).all())
 
 
-def _largest_factor(parts) -> int:
+def _largest_factor(parts, tol: Tolerance | None = None):
     """The largest s with T = T0 (x) 1_s, or T0 (x) (1_s 1_s^T) with j,
     for every (T, j) in parts, in the closed form of `_strip_factors`;
-    0 when every blocked dimension is 0."""
-    g = 0
+    0 when every blocked dimension is 0.  With tol, (s or 1, g): g is the
+    gcd of the dimensions and far change indices, tested until g = s."""
+    g, changes = 0, []
     for T, j in parts:
         for U in ((T, T.T) if j else (T,)):
             change = np.flatnonzero((U[1:] != U[:-1]).any(axis=1)) + 1
             g = math.gcd(g, U.shape[0], *change.tolist())
-    return g
+            changes.append((U, change))
+    if tol is None:
+        return g
+    h = math.gcd(*(U.shape[0] for U, _ in changes))
+    for U, c in changes:
+        if h == g or tol.rel >= 0.5:
+            break
+        x, y = U[c - 1], U[c]
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = np.abs(x - y) > 8 * np.maximum(max(tol.abs, 2.0 ** -1060),
+                max(tol.rel, 2.0 ** -48) * np.maximum(np.abs(x), np.abs(y)))
+        h = math.gcd(h, *c[far.any(axis=1)].tolist())
+    return g or 1, h
 
 
 def _strip_factors(parts, tol: Tolerance):
@@ -79,8 +92,8 @@ def _strip_factors(parts, tol: Tolerance):
     steps: s1 on the `_identity_tokens`, where equal tokens are one
     object, so s1 divides s; then s2 = s / s1 on the `equality_key` of
     the slices X[::s1, ::s1] (j) or X[::s1].  Float parts keep a divisor
-    search (`_strip_floats`), as tolerance equality is not transitive.
-    """
+    search, as tolerance equality is not transitive, over the divisors
+    that far change indices leave (`_strip_floats`)."""
     Xs = common_backend(*(X for X, _ in parts))
     parts = [(X, j) for X, (_, j) in zip(Xs, parts)]
     if _identity_tokens(Xs[0]) is None:
@@ -97,12 +110,15 @@ def _strip_floats(parts, tol: Tolerance):
     """`_strip_factors` on float parts: divisors largest first, repeated
     on the block means v0 + mean(v - v0), v0 a block's first entry.  The
     factor eq of blocks of ``==`` entries (`_largest_factor`) holds
-    untested and keeps v0."""
+    untested and keeps v0.  When rel < 1/2, entries close to one v0 are
+    within 4 max(abs, rel max(|x|, |y|)), as |v0| < |x| / (1 - rel) where
+    rel decides; so only the divisors of g, the gcd of the dimensions and
+    the change indices with a pair twice that far (rel, abs raised to
+    2^-48, 2^-1060 for rounding), are tested.  If g == eq, scaling by eq
+    keeps them far: no second round runs unless it made an entry inf."""
     reps, mult = list(parts), 1
     while True:
-        dims = [d for X, j in reps for d in (X.shape if j else X.shape[:1])]
-        g = math.gcd(*dims)
-        eq = _largest_factor(reps) or 1
+        eq, g = _largest_factor(reps, tol)
         for s in [d for d in range(g, eq, -1) if g % d == 0] + [eq]:
             views = [(X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
                       else X.reshape(X.shape[0] // s, s, X.shape[1], 1), j)
@@ -110,12 +126,14 @@ def _strip_floats(parts, tol: Tolerance):
             if s == eq or all(tol.close(v, v[:, :1, :, :1]).all()
                               for v, _ in views):
                 break
-        if s == 1:
+        if s > 1:
+            reps = [((v[:, 0, :, 0] if s == eq else v[:, 0, :, 0] + np.subtract(
+                v, v[:, :1, :, :1], out=np.zeros(v.shape),
+                where=v != v[:, :1, :, :1]).mean(axis=(1, 3)))
+                     * (s if j else 1), j) for v, j in views]
+            mult *= s
+        if s == 1 or g == eq and all(np.isfinite(X).all() for X, _ in reps):
             return [X for X, _ in reps], mult
-        reps = [((v[:, 0, :, 0] if s == eq else v[:, 0, :, 0]
-                  + (v - v[:, :1, :, :1]).mean(axis=(1, 3)))
-                 * (s if j else 1), j) for v, j in views]
-        mult *= s
 
 
 @dataclass(frozen=True)

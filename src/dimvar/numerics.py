@@ -45,16 +45,18 @@ import numpy as np
 class Tolerance:
     """Comparison policy for the float64 backend.
 
-    Equality is |a - b| <= max(abs_tol, rel_tol * max(|a|, |b|)),
-    elementwise when a and b are arrays.
+    Equality is a == b, or |a - b| <= max(abs_tol, rel_tol * max(|a|,
+    |b|)) for finite a and b; elementwise when they are arrays.
     """
 
     rel: float = 1e-9
     abs: float = 1e-12
 
     def close(self, a, b):
-        return np.abs(a - b) <= np.maximum(
-            self.abs, self.rel * np.maximum(np.abs(a), np.abs(b)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.maximum(np.abs(a), np.abs(b))
+            return (a == b) | (np.isfinite(m) & (
+                np.abs(a - b) <= np.maximum(self.abs, self.rel * m)))
 
     def rank_threshold(self, rows: int, cols: int, max_entry: float) -> float:
         # a `_staircase` candidate is independent when its residual

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from dimvar import (DEFAULT_TOL, LinSys, j_matrix, kron, lift_system, mat,
                     reduce_vector, second_stp, stp_action, stp_action_matrix,
                     stp_identity_action, systems_equivalent, vec, vec_add,
                     vec_equivalent, vec_sub)
+from dimvar import mixdim
 from dimvar.numerics import Tolerance, equality_key, eye, inverse, zeros
 
 
@@ -564,3 +566,181 @@ def test_empty_and_non_positive_dimensions_are_refused_by_name():
                  lambda: second_stp(zeros((2, 0)), A)):
         with pytest.raises(ValueError, match=r"empty operand: dimensions \d+ and \d+"):
             call()
+
+
+# -- float factor stripping: far change indices ------------------------------
+
+def _frozen_strip_floats(parts, tol):
+    """The divisor search that the far-change rule replaced: every divisor
+    of the dimensions' gcd above the ``==`` factor is tested, and rounds
+    repeat until one strips nothing.  The block mean offset is taken over
+    unequal entries only (a block of equal infinities keeps them)."""
+    reps, mult = list(parts), 1
+    while True:
+        dims = [d for X, j in reps for d in (X.shape if j else X.shape[:1])]
+        g = math.gcd(*dims)
+        eq = mixdim._largest_factor(reps) or 1
+        for s in [d for d in range(g, eq, -1) if g % d == 0] + [eq]:
+            views = [(X.reshape(X.shape[0] // s, s, X.shape[1] // s, s) if j
+                      else X.reshape(X.shape[0] // s, s, X.shape[1], 1), j)
+                     for X, j in reps]
+            if s == eq or all(tol.close(v, v[:, :1, :, :1]).all()
+                              for v, _ in views):
+                break
+        if s == 1:
+            return [X for X, _ in reps], mult
+        reps = [((v[:, 0, :, 0] if s == eq else v[:, 0, :, 0]
+                  + np.subtract(v, v[:, :1, :, :1], out=np.zeros(v.shape),
+                                where=v != v[:, :1, :, :1]).mean(axis=(1, 3)))
+                 * (s if j else 1), j) for v, j in views]
+        mult *= s
+
+
+_STRIP_TOLS = [DEFAULT_TOL, Tolerance(1e-6, 1e-8), Tolerance(0.6, 0.0),
+               Tolerance(0.0, 0.0), Tolerance(1e-9, 1.0)]
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.7e308,
+            5e-324, -1e-310, 2.5e-323]
+
+
+def _strip_corpus(rng, cases):
+    """Seeded float parts with a tolerance each: integer, normal and
+    special-valued arrays, lifted once or twice, some perturbed entry by
+    entry by 0.3-3 times the tested (or the default) rel or abs."""
+    for _ in range(cases):
+        tol = _STRIP_TOLS[rng.integers(len(_STRIP_TOLS))]
+        shape = rng.integers(4)      # vector, A, A with B, non-square A
+        p = int(rng.integers(1, 4))
+        family = rng.integers(5)
+
+        def base(size):
+            if family == 0:
+                return rng.integers(-3, 4, size).astype(float)
+            if family == 1:
+                return rng.normal(size=size)
+            if family == 2:
+                M = rng.integers(-3, 4, size).astype(float)
+                mask = rng.random(size) < 0.3
+                M[mask] = rng.choice(_SPECIAL, mask.sum())
+                return M
+            if family == 3:          # x s overflows: distinct entries merge
+                return rng.choice([1.0, -1.0]) * rng.choice(
+                    [1e308, 1.3e308, 1.7e308], size)
+            return rng.choice([1.0, 1.0 + 1e-9, 2.0, 1e-12, 0.0], size)
+
+        if shape == 0:
+            parts = [(base((p, 1)), False)]
+        elif shape == 2:
+            parts = [(base((p, p)), True),
+                     (base((p, int(rng.integers(0, 3)))), False)]
+        else:
+            parts = [(base((p, p if shape == 1 else int(rng.integers(1, 4)))),
+                      True)]
+        for k in rng.choice([1, 2, 3, 4, 6, 12], int(rng.integers(1, 3))):
+            parts = [(np.repeat(np.repeat(X, k, 0), k, 1) if j
+                      else np.repeat(X, k, 0), j) for X, j in parts]
+        if rng.random() < 0.5:
+            ref = tol if rng.random() < 0.5 else DEFAULT_TOL
+            share = rng.choice([0.05, 0.3, 1.0])
+            bumped = []
+            for X, j in parts:
+                f = rng.uniform(0.3, 3, X.shape) * rng.choice([-1, 1], X.shape)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    step = f * np.where(rng.random(X.shape) < 0.5,
+                                        ref.rel * np.abs(X), ref.abs)
+                    bumped.append((np.where(rng.random(X.shape) < share,
+                                            X + step, X), j))
+            parts = bumped
+        yield parts, tol
+
+
+def _assert_strips_alike(parts, tol):
+    with np.errstate(over="ignore"):      # x s may overflow, on both sides
+        want, want_mult = _frozen_strip_floats(parts, tol)
+        got, got_mult = mixdim._strip_factors(parts, tol)
+    assert got_mult == want_mult
+    assert [(X.shape, X.dtype, X.tobytes()) for X in got] == [
+        (X.shape, X.dtype, X.tobytes()) for X in want]
+
+
+def test_float_strip_is_bit_identical_to_the_divisor_search():
+    for parts, tol in _strip_corpus(np.random.default_rng(5), 2500):
+        _assert_strips_alike(parts, tol)
+    # rel = 0: x 5 rounds two adjacent floats to one, so the divisor
+    # search strips again; the far test must not call them far
+    x = 1.8050029237453802
+    y = np.nextafter(x, 2.0)
+    assert 5 * x == 5 * y
+    A = np.repeat(np.repeat(np.array([[x, y], [x, y]]), 5, 0), 5, 1)
+    for tol in (Tolerance(0.0, 0.0), Tolerance(0.0, 1e-300),
+                Tolerance(1e-17, 0.0)):
+        _assert_strips_alike([(A, True)], tol)
+        assert reduce_matrix(A, tol).multiplier == 10
+
+
+def test_cli_reduce_with_a_loose_tolerance_averages_blocks(capsys):
+    from dimvar.cli import main
+    assert main(["reduce", "--backend", "float", "--tol", "0.7",
+                 "--vector=1,1.5,1,1.5"]) == 0
+    assert capsys.readouterr().out == "[1.25] (×4)\n"
+
+
+def test_close_on_non_finite_values():
+    inf, nan = np.inf, np.nan
+    tol = DEFAULT_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tol.close(inf, inf) and tol.close(-inf, -inf)
+        for a, b in ((5.0, inf), (-inf, inf), (inf, 1e308), (nan, nan),
+                     (nan, 1.0), (nan, inf)):
+            assert not tol.close(a, b) and not tol.close(b, a)
+        assert not vec_equivalent(np.array([5.0]), np.array([inf]))
+        assert not mat_equivalent(np.array([[1.0]]), np.array([[inf]]))
+        assert vec_equivalent(np.array([inf]), np.array([inf]))
+        assert reduce_vector(np.array([1.0, inf])).irreducible.tolist() == [
+            1.0, inf]
+        mv = reduce_vector(np.array([1e308, 1e308, -1e308, -1e308]))
+        assert mv.irreducible.tolist() == [1e308, -1e308]
+        mv = reduce_vector(np.array([inf, inf, 1.0, 1.0 + 1e-10]))
+        assert mv.irreducible.tolist() == [inf, 1.0 + 5e-11]
+    # finite answers are those of the plain formula
+    rng = np.random.default_rng(7)
+    a = rng.choice([0.0, 1.0, -2.0, 1e-12, 1e308, -1e308, 3e-13], 4000)
+    b = a * (1 + rng.choice([0.0, 1e-10, 1e-9, 2e-9, -1.0], a.size))
+    for tol in _STRIP_TOLS:
+        with np.errstate(over="ignore"):
+            plain = np.abs(a - b) <= np.maximum(
+                tol.abs, tol.rel * np.maximum(np.abs(a), np.abs(b)))
+        assert (tol.close(a, b) == plain).all()
+
+
+def test_lifts_strip_in_one_round_without_a_tolerance_test(monkeypatch):
+    # class_reduce-shaped inputs: integer-valued float lifts by 24 and 12
+    # of 3 x 3 systems and vectors of 5 lifted by 72; every change index
+    # is far, so the `==` factor strips at once
+    calls = {"close": 0, "rounds": 0}
+    close, factor = Tolerance.close, mixdim._largest_factor
+
+    def counted_close(self, a, b):
+        calls["close"] += 1
+        return close(self, a, b)
+
+    def counted_factor(parts, tol=None):
+        calls["rounds"] += tol is not None
+        return factor(parts, tol)
+
+    monkeypatch.setattr(Tolerance, "close", counted_close)
+    monkeypatch.setattr(mixdim, "_largest_factor", counted_factor)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        s = LinSys("s", rng.integers(-3, 4, (3, 3)).astype(float),
+                   rng.integers(-3, 4, (3, 1)).astype(float))
+        by24, by12 = lift_system(s, 72), lift_system(s, 36)
+        x = np.repeat(rng.integers(-3, 4, 5).astype(float), 72)
+        for strip in (lambda: project_system(by24),
+                      lambda: project_system(by12),
+                      lambda: reduce_matrix(by24.A),
+                      lambda: reduce_matrix_vec(by12.B),
+                      lambda: reduce_vector(x)):
+            calls.update(close=0, rounds=0)
+            strip()
+            assert calls == {"close": 0, "rounds": 1}
